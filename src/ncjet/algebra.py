@@ -9,9 +9,9 @@ plain tensor products by the balancing relations x·a ⊗ y − x ⊗ a·y.
 from __future__ import annotations
 
 from .linalg import (
+    AffineSystem,
     Mat,
     Subspace,
-    AffineSpace,
     SpanBuilder,
     ZERO,
     ONE,
@@ -385,84 +385,30 @@ def module_closure(mod: LeftModule, generators, use_right=False) -> Subspace:
     return sb.subspace()
 
 
-class AffineSystem:
-    """Sparse exact linear system accumulator.
+def add_intertwining_rows(sys, src_mats, tgt_mats, rhs_mats=None):
+    """Rows (X s_a - t_a X)[i][j] = rhs_a[i][j] on the flattened unknowns of X.
 
-    Rows are dicts column->value plus a right-hand side; solve() returns the
-    canonical affine solution set (free variables zeroed under rref
-    pivoting), matching linalg.solve_affine on dense input.
+    X maps source (ds) to target (dt), flattened row-major; rhs_mats default
+    to zero.  A row is skipped only when it has neither coefficients nor a
+    right-hand side: an empty row with rhs != 0 makes the system inconsistent.
     """
-
-    def __init__(self, n_unknowns):
-        self.n = n_unknowns
-        self.rows = {}  # pivot -> (rowdict normalized, rhs)
-        self.inconsistent = False
-
-    def add_row(self, coeffs, rhs=ZERO):
-        if self.inconsistent:
-            return
-        row = {c: rat(v) for c, v in coeffs.items() if v}
-        rhs = rat(rhs)
-        rows = self.rows
-        while row:
-            p = min(row)
-            hit = rows.get(p)
-            if hit is None:
-                f = row[p]
-                if f != 1:
-                    inv = ONE / f
-                    row = {c: x * inv for c, x in row.items()}
-                    rhs = rhs * inv
-                rows[p] = (row, rhs)
-                return
-            prow, prhs = hit
-            f = row[p]
-            for c, x in prow.items():
-                y = row.get(c, ZERO) - f * x
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-            rhs = rhs - f * prhs
-        if rhs:
-            self.inconsistent = True
-
-    def solve(self) -> AffineSpace:
-        if self.inconsistent:
-            return AffineSpace(True)
-        pivots = sorted(self.rows)
-        # back-substitution for fully reduced rows
-        reduced = {}
-        for p in reversed(pivots):
-            row, rhs = self.rows[p]
-            row = dict(row)
-            for c in [c for c in row if c != p and c in reduced]:
-                f = row[c]
-                crow, crhs = reduced[c]
-                # pivot entry of crow is 1, so this clears row[c]
-                for cc, x in crow.items():
-                    y = row.get(cc, ZERO) - f * x
-                    if y:
-                        row[cc] = y
-                    else:
-                        row.pop(cc, None)
-                rhs = rhs - f * crhs
-            reduced[p] = (row, rhs)
-        particular = [ZERO] * self.n
-        for p in pivots:
-            particular[p] = reduced[p][1]
-        pivset = set(pivots)
-        free = [c for c in range(self.n) if c not in pivset]
-        basis = []
-        for f in free:
-            v = [ZERO] * self.n
-            v[f] = ONE
-            for p in pivots:
-                coeff = reduced[p][0].get(f)
-                if coeff:
-                    v[p] = -coeff
-            basis.append(v)
-        return AffineSpace(False, particular, Subspace(self.n, basis))
+    dt, ds = tgt_mats[0].rows, src_mats[0].rows
+    for a, (s_a, t_a) in enumerate(zip(src_mats, tgt_mats)):
+        scols = [s_a.col(j) for j in range(ds)]
+        for i in range(dt):
+            trow = t_a.data[i]
+            for j in range(ds):
+                coeffs = {}
+                for k, v in enumerate(scols[j]):
+                    if v:
+                        coeffs[i * ds + k] = coeffs.get(i * ds + k, ZERO) + v
+                for k, v in enumerate(trow):
+                    if v:
+                        key = k * ds + j
+                        coeffs[key] = coeffs.get(key, ZERO) - v
+                rhs = rhs_mats[a].entry(i, j) if rhs_mats else ZERO
+                if coeffs or rhs:
+                    sys.add_row(coeffs, rhs)
 
 
 def solve_module_maps(source, target, linearity="left", compose_eq=(), entry_eq=()):
@@ -474,32 +420,10 @@ def solve_module_maps(source, target, linearity="left", compose_eq=(), entry_eq=
     """
     ds, dt = source.dim, target.dim
     sys = AffineSystem(dt * ds)
-    alg = source.algebra
-
-    def intertwine(src_mats, tgt_mats):
-        for a in range(alg.dim):
-            s_a = src_mats[a]
-            t_a = tgt_mats[a]
-            scols = [s_a.col(j) for j in range(ds)]
-            for i in range(dt):
-                trow = t_a.data[i]
-                for j in range(ds):
-                    # (X s_a - t_a X)[i][j] = 0
-                    coeffs = {}
-                    for k, v in enumerate(scols[j]):
-                        if v:
-                            coeffs[i * ds + k] = coeffs.get(i * ds + k, ZERO) + v
-                    for k, v in enumerate(trow):
-                        if v:
-                            key = k * ds + j
-                            coeffs[key] = coeffs.get(key, ZERO) - v
-                    if coeffs:
-                        sys.add_row(coeffs)
-
     if linearity in ("left", "bilinear"):
-        intertwine(source.left, target.left)
+        add_intertwining_rows(sys, source.left, target.left)
     if linearity in ("right", "bilinear"):
-        intertwine(source.right, target.right)
+        add_intertwining_rows(sys, source.right, target.right)
     for P, Q in compose_eq:
         if P.rows != ds or Q.rows != dt or P.cols != Q.cols:
             raise ValueError("compose_eq shape mismatch")

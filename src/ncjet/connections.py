@@ -21,7 +21,13 @@ from .linalg import (
     right_inverse,
     vec,
 )
-from .algebra import AffineSystem, LeftModule, mat_from_flat, tensor_bimodule
+from .algebra import (
+    AffineSystem,
+    LeftModule,
+    add_intertwining_rows,
+    mat_from_flat,
+    tensor_bimodule,
+)
 from .calculus import Calculus, CalculusError
 from .jets import (
     JetModule,
@@ -146,24 +152,8 @@ def solve_connections(calc: Calculus, module: LeftModule) -> AffineSpace:
     """Affine space of all left connections on a module."""
     fm, _ = calc.form_module(1, module)
     twist = _twist_mats(calc, module)
-    ds, dt = module.dim, fm.dim
-    sys = AffineSystem(dt * ds)
-    for a in range(calc.algebra.dim):
-        l_src = module.left[a]
-        l_tgt = fm.left[a]
-        scols = [l_src.col(j) for j in range(ds)]
-        for i in range(dt):
-            trow = l_tgt.data[i]
-            for j in range(ds):
-                coeffs = {}
-                for k, v in enumerate(scols[j]):
-                    if v:
-                        coeffs[i * ds + k] = coeffs.get(i * ds + k, ZERO) + v
-                for k, v in enumerate(trow):
-                    if v:
-                        key = k * ds + j
-                        coeffs[key] = coeffs.get(key, ZERO) - v
-                sys.add_row(coeffs, twist[a].entry(i, j))
+    sys = AffineSystem(fm.dim * module.dim)
+    add_intertwining_rows(sys, module.left, fm.left, twist)
     return sys.solve()
 
 
@@ -195,22 +185,9 @@ def bimodule_connection_system(calc: Calculus) -> AffineSystem:
     def sig(i, j):
         return n_nabla + i * qq + j
 
+    # left Leibniz for the connection
+    add_intertwining_rows(sys, om1.left, om11.left, twist)
     for a in range(alg.dim):
-        # left Leibniz for the connection
-        l_src = om1.left[a]
-        l_tgt = om11.left[a]
-        for i in range(qq):
-            for j in range(o1):
-                coeffs = {}
-                for k in range(o1):
-                    v = l_src.entry(k, j)
-                    if v:
-                        coeffs[nab(i, k)] = coeffs.get(nab(i, k), ZERO) + v
-                for k in range(qq):
-                    v = l_tgt.entry(i, k)
-                    if v:
-                        coeffs[nab(k, j)] = coeffs.get(nab(k, j), ZERO) - v
-                sys.add_row(coeffs, twist[a].entry(i, j))
         # right Leibniz: nabla R_a - R_a nabla - sigma D_a = 0
         r_src = om1.right[a]
         r_tgt = om11.right[a]

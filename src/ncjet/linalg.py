@@ -210,48 +210,121 @@ class Mat:
         )
 
 
+def _sparse(v):
+    """Nonzero entries of a vector (list, tuple or dict) as a fresh dict."""
+    if isinstance(v, dict):
+        return {c: x for c, x in v.items() if x}
+    return {c: x for c, x in enumerate(v) if x}
+
+
+def _dense(row, n):
+    out = [ZERO] * n
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+class SpanBuilder:
+    """Incremental exact echelon form: the one elimination routine.
+
+    Rows are kept as {column: value} dicts keyed by their pivot column, with
+    row[pivot] == 1 and nothing left of the pivot, so the common case
+    (structure constants 0/±1, little fill-in) stays fast.  ``reduced()``
+    back-substitutes to the canonical RREF rows that ``subspace()`` and the
+    solvers read.
+    """
+
+    def __init__(self, ambient):
+        self.ambient = ambient
+        self.rows = {}  # pivot column -> dict row with row[pivot] == 1
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def _reduce(self, row):
+        """Reduce a dict row in place; returns its leading column, None if zero."""
+        rows = self.rows
+        while row:
+            p = min(row)
+            piv = rows.get(p)
+            if piv is None:
+                return p
+            f = row[p]
+            for c, x in piv.items():
+                y = row.get(c, ZERO) - f * x
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+        return None
+
+    def reduce(self, v):
+        """Remainder of v modulo the current span (as a dict)."""
+        row = _sparse(v)
+        self._reduce(row)
+        return row
+
+    def add(self, v):
+        """Add one vector (list or dict); returns True if rank grew."""
+        row = _sparse(v)
+        p = self._reduce(row)
+        if p is None:
+            return False
+        f = row[p]
+        if f != 1:
+            inv = ONE / f
+            row = {c: x * inv for c, x in row.items()}
+        self.rows[p] = row
+        return True
+
+    def contains(self, v):
+        return not self.reduce(v)
+
+    def reduced(self):
+        """Canonical RREF rows {pivot: row}: every other pivot column cleared."""
+        out = {}
+        for p in sorted(self.rows, reverse=True):
+            row = dict(self.rows[p])
+            for c in [c for c in row if c != p and c in out]:
+                f = row[c]
+                # pivot entry of out[c] is 1, so this clears row[c]
+                for cc, x in out[c].items():
+                    y = row.get(cc, ZERO) - f * x
+                    if y:
+                        row[cc] = y
+                    else:
+                        row.pop(cc, None)
+            out[p] = row
+        return out
+
+    def subspace(self) -> Subspace:
+        """Canonical RREF subspace of everything added so far."""
+        red = self.reduced()
+        basis = [_dense(red[p], self.ambient) for p in sorted(red)]
+        return Subspace(self.ambient, basis, reduced=True)
+
+
 def _rref_rows(rows, cols):
-    """In-place RREF of a list of row lists; returns pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(cols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = prow[c]
-        if inv != 1:
-            inv = ONE / inv
-            rows[r] = prow = [x * inv if x else x for x in prow]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    rows[i] = [x - f * y if y else x for x, y in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    """In-place RREF of a list of rows (zero rows last); returns pivot columns."""
+    sb = SpanBuilder(cols)
+    for r in rows:
+        sb.add(r)
+    red = sb.reduced()
+    pivots = sorted(red)
+    zero_rows = [[ZERO] * cols for _ in range(len(rows) - len(pivots))]
+    rows[:] = [_dense(red[p], cols) for p in pivots] + zero_rows
     return pivots
 
 
 def rref(m: Mat) -> Mat:
     """Reduced row-echelon form (pivot entries 1, zeros above and below)."""
-    rows = [list(r) for r in m.data]
-    _rref_rows(rows, m.cols)
-    return Mat(m.rows, m.cols, rows)
+    return rref_pivots(m)[0]
 
 
 def rref_pivots(m: Mat):
     """(rref matrix, pivot columns)."""
-    rows = [list(r) for r in m.data]
+    rows = list(m.data)
     piv = _rref_rows(rows, m.cols)
     return Mat(m.rows, m.cols, rows), piv
 
@@ -376,18 +449,40 @@ class AffineSpace:
         return "AffineSpace(dim %d in %d)" % (self.dim, self.direction.ambient)
 
 
-def kernel_of(m: Mat) -> Subspace:
-    """Canonical basis of {v : m v = 0}."""
-    red, pivots = rref_pivots(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red.data[i][f]
-        basis.append(v)
-    return Subspace(m.cols, basis)
+class AffineSystem(SpanBuilder):
+    """Exact linear system: a SpanBuilder over the augmented column n.
+
+    Unknowns are columns 0..n-1 and column n holds the right-hand side, so
+    the system is inconsistent exactly when n is a pivot.  solve() returns
+    the canonical solution set: free variables zeroed in the particular
+    solution, the direction in its canonical RREF basis.
+    """
+
+    def __init__(self, n_unknowns):
+        super().__init__(n_unknowns + 1)
+        self.n = n_unknowns
+
+    def add_row(self, coeffs, rhs=ZERO):
+        """Impose sum(coeffs[c] * x_c for c) == rhs."""
+        row = {c: rat(v) for c, v in coeffs.items() if v}
+        if rhs:
+            row[self.n] = rat(rhs)
+        self.add(row)
+
+    def solve(self) -> AffineSpace:
+        n = self.n
+        if n in self.rows:
+            return AffineSpace(True)
+        red = self.reduced()
+        particular = [ZERO] * n
+        free = {c: {c: ONE} for c in range(n) if c not in red}
+        for p, row in red.items():
+            for c, x in row.items():
+                if c == n:
+                    particular[p] = x
+                elif c in free:
+                    free[c][p] = -x
+        return AffineSpace(False, particular, span_of(free.values(), n))
 
 
 def solve_affine(m: Mat, target) -> AffineSpace:
@@ -399,14 +494,15 @@ def solve_affine(m: Mat, target) -> AffineSpace:
     target = vec(target)
     if len(target) != m.rows:
         raise ValueError("target length mismatch")
-    aug = m.hstack(Mat(m.rows, 1, [[t] for t in target]))
-    red, pivots = rref_pivots(aug)
-    if m.cols in pivots:
-        return AffineSpace(True)
-    particular = [ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        particular[p] = red.data[i][m.cols]
-    return AffineSpace(False, particular, kernel_of(m))
+    sys = AffineSystem(m.cols)
+    for row, t in zip(m.data, target):
+        sys.add(row + (t,))
+    return sys.solve()
+
+
+def kernel_of(m: Mat) -> Subspace:
+    """Canonical basis of {v : m v = 0}."""
+    return solve_affine(m, [ZERO] * m.rows).direction
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -463,98 +559,6 @@ def kron(a: Mat, b: Mat) -> Mat:
                     row.extend([ZERO] * b.cols)
             out.append(row)
     return Mat(a.rows * b.rows, a.cols * b.cols, out)
-
-
-class SpanBuilder:
-    """Incremental echelon form for spans of many sparse vectors.
-
-    Rows are kept as {column: value} dicts so the common case (structure
-    constants 0/±1, little fill-in) stays fast; ``subspace()`` produces the
-    canonical RREF basis at the end.
-    """
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.rows = {}  # pivot column -> dict row with row[pivot] == 1
-
-    def add(self, v):
-        """Add one vector (list or dict); returns True if rank grew."""
-        if isinstance(v, dict):
-            row = {c: x for c, x in v.items() if x}
-        else:
-            row = {c: x for c, x in enumerate(v) if x}
-        rows = self.rows
-        while row:
-            p = min(row)
-            piv = rows.get(p)
-            if piv is None:
-                f = row[p]
-                if f != 1:
-                    inv = ONE / f
-                    row = {c: x * inv for c, x in row.items()}
-                rows[p] = row
-                return True
-            f = row[p]
-            for c, x in piv.items():
-                y = row.get(c, ZERO) - f * x
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-        return False
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def reduce(self, v):
-        """Remainder of v modulo the current span (as a dict)."""
-        if isinstance(v, dict):
-            row = {c: x for c, x in v.items() if x}
-        else:
-            row = {c: x for c, x in enumerate(v) if x}
-        rows = self.rows
-        while row:
-            p = min(row)
-            piv = rows.get(p)
-            if piv is None:
-                return row
-            f = row[p]
-            for c, x in piv.items():
-                y = row.get(c, ZERO) - f * x
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-        return row
-
-    def contains(self, v):
-        return not self.reduce(v)
-
-    def subspace(self) -> Subspace:
-        """Canonical RREF subspace of everything added so far."""
-        pivots = sorted(self.rows)
-        # back-substitute to clear entries above each pivot
-        reduced = {}
-        for p in reversed(pivots):
-            row = dict(self.rows[p])
-            for c in [c for c in row if c != p and c in reduced]:
-                f = row[c]
-                # pivot entry of reduced[c] is 1, so this clears row[c]
-                for cc, x in reduced[c].items():
-                    y = row.get(cc, ZERO) - f * x
-                    if y:
-                        row[cc] = y
-                    else:
-                        row.pop(cc, None)
-            reduced[p] = row
-        basis = []
-        for p in pivots:
-            dense = [ZERO] * self.ambient
-            for c, x in reduced[p].items():
-                dense[c] = x
-            basis.append(dense)
-        return Subspace(self.ambient, basis, reduced=True)
 
 
 def span_of(vectors, ambient) -> Subspace:

@@ -66,7 +66,7 @@ def parse_calculus_spec(doc) -> Calculus:
         raise SpecParseError("algebra section needs dim, unit, mult")
     if not isinstance(dim, int) or dim < 1:
         raise SpecParseError("algebra dim must be a positive integer")
-    if len(unit) != dim or len(names) != dim:
+    if len(unit) != dim or not isinstance(names, list) or len(names) != dim:
         raise SpecParseError("algebra unit/basis length mismatch")
     if not isinstance(mult_rows, list) or len(mult_rows) != dim:
         raise SpecParseError("mult must be a rank-3 array of shape dim^3")
@@ -85,7 +85,7 @@ def parse_calculus_spec(doc) -> Calculus:
         raise SpecParseError("omega1 section needs dim, left, right, d")
     if not isinstance(odim, int) or odim < 0:
         raise SpecParseError("omega1 dim must be a nonnegative integer")
-    if len(left_docs) != dim or len(right_docs) != dim:
+    if any(not isinstance(m, list) or len(m) != dim for m in (left_docs, right_docs)):
         raise SpecParseError("omega1 needs one action matrix per algebra basis element")
     left = [_matrix_in(m, odim, odim, "omega1.left[%d]" % i) for i, m in enumerate(left_docs)]
     right = [_matrix_in(m, odim, odim, "omega1.right[%d]" % i) for i, m in enumerate(right_docs)]

@@ -66,7 +66,7 @@ def test_criterion_1_bimodule_solver(quat):
 
     Known red: the joint solver finds a 24-dimensional family over exact
     rationals (quaternionic frame coefficients with vanishing real part all
-    satisfy the braiding consistency equations).  See notes/decisions.md.
+    satisfy the braiding consistency equations).  See DECISIONS.md.
     """
 
     def body():
@@ -76,7 +76,7 @@ def test_criterion_1_bimodule_solver(quat):
         assert elapsed < 1.0, "solver exceeded the stated runtime"
         assert sol.dim == 0, (
             "solution family has dimension %d, not 0 (documented discrepancy; "
-            "see notes/decisions.md)" % sol.dim
+            "see DECISIONS.md)" % sol.dim
         )
 
     _report(1, body)

@@ -45,11 +45,28 @@ def test_validate_malformed_json(tmp_path):
     assert code == EXIT_PARSE
 
 
-def test_validate_schema_error(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text("{}")
+_ONE_DIM_ALGEBRA = {"dim": 1, "unit": ["1"], "mult": [[["1"]]]}
+_ZERO_FORMS = {"dim": 0, "left": [[]], "right": [[]], "d": []}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({}, id="empty"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=5), "omega1": _ZERO_FORMS},
+                     id="basis-not-a-list"),
+        pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": dict(_ZERO_FORMS, left=7)},
+                     id="left-not-a-list"),
+        pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": dict(_ZERO_FORMS, right=7)},
+                     id="right-not-a-list"),
+    ],
+)
+def test_validate_schema_error(tmp_path, doc):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
     code, out = run(["validate", str(path)])
     assert code == EXIT_PARSE
+    assert out.startswith("parse error:")
 
 
 def test_jets_quaternion_table():
@@ -95,7 +112,7 @@ def test_connections_report_quaternion():
     assert code == EXIT_PASS
     doc = json.loads(out)
     assert doc["kind"] == "bimodule"
-    # the family is 24-dimensional (see the decisions notes); the canonical
+    # the family is 24-dimensional (see DECISIONS.md); the canonical
     # representative still has vanishing torsion obstructions reported
     assert doc["affine_dim"] == 24
     assert doc["metric_candidate_dim"] == 4

@@ -8,8 +8,11 @@ products elementwise.
 import random
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from ncjet.linalg import (
+    AffineSystem,
     Mat,
     SpanBuilder,
     Subspace,
@@ -310,6 +313,71 @@ def test_span_builder_matches_dense_span():
         sb.add(gv)
     dense = Subspace(7, gens)
     assert sb.subspace() == dense
+
+
+# --- sympy oracle --------------------------------------------------------------
+
+_rats = st.builds(rat, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _systems(draw):
+    """(m, t, row order): up to 6x7, often rank-deficient or all zero."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["entries", "low-rank", "zero"]))
+    if kind == "entries":
+        m = Mat(rows, cols, [draw(st.lists(_rats, min_size=cols, max_size=cols))
+                             for _ in range(rows)])
+    elif kind == "low-rank":
+        k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        left = Mat(rows, k, [draw(st.lists(_rats, min_size=k, max_size=k)) for _ in range(rows)])
+        right = Mat(k, cols, [draw(st.lists(_rats, min_size=cols, max_size=cols))
+                              for _ in range(k)])
+        m = left * right
+    else:
+        m = Mat.zeros(rows, cols)
+    t = draw(st.lists(_rats, min_size=rows, max_size=rows))
+    return m, vec(t), draw(st.permutations(range(rows)))
+
+
+def _sym(m: Mat):
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(
+        int(m.entry(i, j).numerator), int(m.entry(i, j).denominator)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_systems())
+@example((Mat.zeros(2, 3), vec([0, 1]), [1, 0]))
+@example((Mat.from_rows([[1, 2, 0, -1, 3]]), vec([2]), [0]))
+@example((Mat.from_rows([[2], [0], [-1], [4]]), vec([2, 0, -1, 4]), [3, 1, 0, 2]))
+@example((Mat.from_rows([[1, 2], [2, 4]]), vec([1, 3]), [1, 0]))
+def test_engine_matches_sympy_oracle(system):
+    m, t, order = system
+    sm = _sym(m)
+    assert _sym(rref(m)) == sm.rref()[0]
+    r = sm.rank()
+    assert rank(m) == r
+    assert kernel_of(m).dim == m.cols - r
+    sol = solve_affine(m, t)
+    aug = sm.row_join(sympy.Matrix([sympy.Rational(int(x.numerator), int(x.denominator))
+                                    for x in t]))
+    assert sol.empty == (aug.rank() != r)
+    if not sol.empty:
+        assert m.apply(sol.particular) == t
+        assert sol.direction.dim == m.cols - r
+        assert all(sm * _sym(Mat(m.cols, 1, [[x] for x in v])) == sympy.zeros(m.rows, 1)
+                   for v in sol.direction.basis.data)
+    if m.rows == m.cols and r == m.rows:
+        assert _sym(inverse(m)) == sm.inv()
+    # the same rows, fed sparsely in another order, give the same canonical answer
+    sys = AffineSystem(m.cols)
+    for i in order:
+        sys.add_row(dict(enumerate(m.row(i))), t[i])
+    shuffled = sys.solve()
+    assert shuffled.empty == sol.empty
+    if not sol.empty:
+        assert shuffled.particular == sol.particular
+        assert shuffled.direction == sol.direction
 
 
 def test_rat_str_round_trip():
