@@ -29,9 +29,27 @@ from .algebra import (
     module_closure,
     regular_bimodule,
     tensor_bimodule,
+    tensor_left_module,
     tensor_space,
     validate_algebra,
 )
+
+_MISSING = object()
+
+
+def memo(cache, key, build):
+    """cache[key], calling build() only on a miss; None results are cached too.
+
+    Keys hold the objects they name, never their addresses: modules hash by
+    identity and matrices by value, so an entry keeps what it names alive
+    and cannot answer for a later object built at a freed address.  Every
+    key starts with a kind tag, so two constructions over one object never
+    share an entry.
+    """
+    got = cache.get(key, _MISSING)
+    if got is _MISSING:
+        got = cache[key] = build()
+    return got
 
 
 class CalculusError(Exception):
@@ -88,11 +106,12 @@ class Calculus:
         self.relation_space = relation_space  # degree-1 relations inside A (x) A
         self.name = name
         self.max_degree = len(omega) - 1
-        self._wedge_plain = {}
-        self._tensor_pq = {}
-        self._forms = {}
-        self._jets = {}
-        self._syms = {}
+        self.left_frame_size = None   # size of a declared free left frame of omega1
+        self._memo = {}
+
+    def memo(self, key, build):
+        """This calculus's cached constructions; see the module-level memo()."""
+        return memo(self._memo, key, build)
 
     @property
     def omega1(self) -> Bimodule:
@@ -100,11 +119,7 @@ class Calculus:
 
     def base_module(self) -> Bimodule:
         """The algebra as a bimodule over itself (cached, identity-stable)."""
-        got = getattr(self, "_base_module", None)
-        if got is None:
-            got = regular_bimodule(self.algebra)
-            self._base_module = got
-        return got
+        return self.memo("base_module", lambda: regular_bimodule(self.algebra))
 
     def dim_omega(self, n):
         return self.omega[n].dim
@@ -120,10 +135,9 @@ class Calculus:
     def wedge_plain(self, p, q) -> Mat:
         """Wedge on plain tensor coordinates: omega_p x omega_q -> omega_{p+q}."""
         self.check_degree(p + q)
-        key = (p, q)
-        got = self._wedge_plain.get(key)
-        if got is not None:
-            return got
+        return self.memo(("wedge_plain", p, q), lambda: self._wedge_plain(p, q))
+
+    def _wedge_plain(self, p, q) -> Mat:
         alg = self.algebra
         if p == 0:
             cols = []
@@ -131,32 +145,24 @@ class Calculus:
                 act = self.omega[q].left[i]
                 for j in range(self.omega[q].dim):
                     cols.append(act.col(j))
-            w = Mat.from_rows(cols, self.omega[q].dim).transpose()
-        elif q == 0:
+            return Mat.from_rows(cols, self.omega[q].dim).transpose()
+        if q == 0:
             cols = []
             for i in range(self.omega[p].dim):
                 for j in range(alg.dim):
                     cols.append(self.omega[p].right[j].col(i))
-            w = Mat.from_rows(cols, self.omega[p].dim).transpose()
-        elif q == 1:
-            w = self.step_proj[p + 1]
-        else:
-            w = (
-                self.step_proj[p + q]
-                * kron(self.wedge_plain(p, q - 1), Mat.identity(self.omega1.dim))
-                * kron(Mat.identity(self.omega[p].dim), self.step_sec[q])
-            )
-        self._wedge_plain[key] = w
-        return w
+            return Mat.from_rows(cols, self.omega[p].dim).transpose()
+        if q == 1:
+            return self.step_proj[p + 1]
+        return (
+            self.step_proj[p + q]
+            * kron(self.wedge_plain(p, q - 1), Mat.identity(self.omega1.dim))
+            * kron(Mat.identity(self.omega[p].dim), self.step_sec[q])
+        )
 
     def tensor_pq(self, p, q) -> TensorSpace:
         """Presentation of omega_p (x)_A omega_q."""
-        key = (p, q)
-        got = self._tensor_pq.get(key)
-        if got is None:
-            got = tensor_space(self.omega[p], self.omega[q])
-            self._tensor_pq[key] = got
-        return got
+        return self.memo(("tensor_pq", p, q), lambda: tensor_space(self.omega[p], self.omega[q]))
 
     def wedge_map(self, p, q) -> Mat:
         """Wedge as a matrix on omega_p (x)_A omega_q coordinates."""
@@ -175,15 +181,8 @@ class Calculus:
         if m < 1:
             raise ValueError("form_module needs m >= 1; use the module itself at m = 0")
         self.check_degree(m)
-        key = (m, id(mod))
-        got = self._forms.get(key)
-        if got is None:
-            from .algebra import tensor_left_module
-
-            fmod, ts = tensor_left_module(self.omega[m], mod, label="O%d(%s)" % (m, mod.label))
-            got = (fmod, ts, mod)
-            self._forms[key] = got
-        return got[0], got[1]
+        return self.memo(("form", m, mod), lambda: tensor_left_module(
+            self.omega[m], mod, label="O%d(%s)" % (m, mod.label)))
 
     def omega_lift(self, m, f: Mat, src: LeftModule, dst: LeftModule) -> Mat:
         """id_{omega_m} (x) f on A-tensor coordinates (f must be A-linear)."""

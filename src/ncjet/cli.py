@@ -3,7 +3,8 @@
 Exit codes: 0 pass, 1 assertion failure, 2 invalid input, 3 parse error.
 Inputs are calculus spec files (JSON) or compiled-in fixture names; all
 reports are deterministic and --json output is byte-stable for identical
-inputs.  NCJET_MAX_DIM overrides the ambient-dimension cap.
+inputs.  NCJET_MAX_DIM overrides the ambient-dimension cap; an input that
+needs a larger matrix is invalid (exit 2).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .linalg import rat, rat_str, kernel_of
+from .linalg import DimensionCapError, rat, rat_str, kernel_of
 from .calculus import Calculus, CalculusError
 from .connections import (
     bimodule_connection_from_vector,
@@ -294,7 +295,7 @@ def main(argv=None, out=None):
     except SpecParseError as exc:
         out.write("parse error: %s\n" % exc)
         return EXIT_PARSE
-    except CalculusError as exc:
+    except (CalculusError, DimensionCapError) as exc:
         out.write("invalid input: %s\n" % exc)
         return EXIT_INVALID
 

@@ -46,19 +46,16 @@ class InvalidConnection(CalculusError):
 
 def _twist_mats(calc: Calculus, m: LeftModule):
     """T_a(x) = class of d(e_a) (x) x in one-forms (x) M, per basis a."""
-    cache = calc._jets.setdefault("twist", {})
-    got = cache.get(id(m))
-    if got is not None:
-        return got[0]
-    _, ts = calc.form_module(1, m)
-    alg = calc.algebra
-    mats = []
-    for a in range(alg.dim):
-        da = calc.d_of_basis(a)
-        cols = [ts.class_of(da, _basis(m.dim, x)) for x in range(m.dim)]
-        mats.append(Mat.from_rows(cols, ts.dim).transpose())
-    cache[id(m)] = (mats, m)
-    return mats
+    def build():
+        _, ts = calc.form_module(1, m)
+        mats = []
+        for a in range(calc.algebra.dim):
+            da = calc.d_of_basis(a)
+            cols = [ts.class_of(da, _basis(m.dim, x)) for x in range(m.dim)]
+            mats.append(Mat.from_rows(cols, ts.dim).transpose())
+        return mats
+
+    return calc.memo(("twist", m), build)
 
 
 class Connection:
@@ -125,17 +122,13 @@ class BimoduleConnection:
 
 def _omega_pair(calc: Calculus):
     """One-forms (x)_A one-forms as a bimodule (cached)."""
-    got = getattr(calc, "_omega_pair", None)
-    if got is None:
-        got = tensor_bimodule(calc.omega1, calc.omega1, label="O1(x)O1")
-        calc._omega_pair = got
-    return got
+    return calc.memo("omega_pair",
+                     lambda: tensor_bimodule(calc.omega1, calc.omega1, label="O1(x)O1"))
 
 
 def _d_right_mats(calc: Calculus):
     """D_a(w) = class of w (x) d(e_a) in one-forms (x) one-forms."""
-    got = getattr(calc, "_d_right", None)
-    if got is None:
+    def build():
         _, ts = _omega_pair(calc)
         o1 = calc.omega1.dim
         mats = []
@@ -143,9 +136,9 @@ def _d_right_mats(calc: Calculus):
             da = calc.d_of_basis(a)
             cols = [ts.class_of(_basis(o1, w), da) for w in range(o1)]
             mats.append(Mat.from_rows(cols, ts.dim).transpose())
-        got = mats
-        calc._d_right = got
-    return got
+        return mats
+
+    return calc.memo("d_right", build)
 
 
 def solve_connections(calc: Calculus, module: LeftModule) -> AffineSpace:

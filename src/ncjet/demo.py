@@ -19,24 +19,15 @@ from .connections import (
     solve_bimodule_connections,
     torsion,
 )
-from .fixtures import fixture
+from .fixtures import fixture, frame_vectors
 from .jets import HOLONOMIC, elemental_span, jet_exactness, jet_module, sym_module
 from .quantization import GradedSymbol, Symbol
-
-
-def _frame_form(calc, t):
-    v = [ZERO] * calc.omega1.dim
-    for a, u in enumerate(calc.algebra.unit):
-        if u:
-            v[t * calc.algebra.dim + a] = u
-    return v
 
 
 def quaternion_metric(calc):
     """The antisymmetric frame combination generating the wedge kernel."""
     ts = calc.tensor_pq(1, 1)
-    di = _frame_form(calc, 0)
-    dj = _frame_form(calc, 1)
+    di, dj = frame_vectors(calc)
     return [x - y for x, y in zip(ts.class_of(di, dj), ts.class_of(dj, di))]
 
 
@@ -52,8 +43,7 @@ def demo_quaternion(corrupt=False):
         claims.append({"claim": name, "pass": bool(ok), "detail": str(detail)})
 
     om11, ts11 = _omega_pair(calc)
-    di = _frame_form(calc, 0)
-    dj = _frame_form(calc, 1)
+    di, dj = frame_vectors(calc)
     g = quaternion_metric(calc)
 
     # --- connection layer -------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .linalg import Mat, ZERO, kernel_of
 from .algebra import functions_on_points, matrix_algebra
-from .calculus import Calculus, CalculusError, quaternion_calculus, universal_calculus
+from .calculus import Calculus, CalculusError, memo, quaternion_calculus, universal_calculus
 from .connections import (
     BimoduleConnection,
     Connection,
@@ -35,12 +35,11 @@ def base_connection(calc: Calculus) -> Connection:
 
 def frame_vectors(calc: Calculus):
     """Coordinate vectors of the declared left frame of the one-forms."""
-    frame = getattr(calc, "left_frame_size", None)
-    if not frame:
+    if not calc.left_frame_size:
         raise CalculusError("calculus has no declared left frame")
     da = calc.algebra.dim
     out = []
-    for t in range(frame):
+    for t in range(calc.left_frame_size):
         v = [ZERO] * calc.omega1.dim
         for a, u in enumerate(calc.algebra.unit):
             if u:
@@ -80,76 +79,69 @@ class Fixture:
     def __init__(self, name, calc_builder):
         self.name = name
         self._calc_builder = calc_builder
-        self._calc = None
-        self._cache = {}
+        self._memo = {}
 
     @property
     def calc(self) -> Calculus:
-        if self._calc is None:
-            self._calc = self._calc_builder()
-        return self._calc
+        return memo(self._memo, "calc", self._calc_builder)
 
     @property
     def base(self):
         return self.calc.base_module()
 
     def base_conn(self) -> Connection:
-        if "base_conn" not in self._cache:
-            self._cache["base_conn"] = base_connection(self.calc)
-        return self._cache["base_conn"]
+        return memo(self._memo, "base_conn", lambda: base_connection(self.calc))
 
     def braided_conn(self) -> BimoduleConnection:
         """Frame-parallel braided connection, or the canonical solver point."""
-        if "braided" not in self._cache:
-            if getattr(self.calc, "left_frame_size", None):
-                bc = frame_parallel_bimodule_connection(self.calc)
-            else:
-                sol = solve_bimodule_connections(self.calc)
-                if sol.empty:
-                    raise CalculusError("fixture admits no braided connection")
-                bc = bimodule_connection_from_vector(self.calc, sol.particular)
-            self._cache["braided"] = bc
-        return self._cache["braided"]
+        def build():
+            if self.calc.left_frame_size:
+                return frame_parallel_bimodule_connection(self.calc)
+            sol = solve_bimodule_connections(self.calc)
+            if sol.empty:
+                raise CalculusError("fixture admits no braided connection")
+            return bimodule_connection_from_vector(self.calc, sol.particular)
+
+        return memo(self._memo, "braided", build)
 
     def quantization(self):
-        if "quant" not in self._cache:
-            self._cache["quant"] = build_quantization(
-                self.calc, self.base, self.braided_conn(), self.base_conn()
-            )
-        return self._cache["quant"]
+        return memo(self._memo, "quant", lambda: build_quantization(
+            self.calc, self.base, self.braided_conn(), self.base_conn()))
 
     def metric_candidate(self):
         """Canonical generator of the wedge kernel in degree (1,1), if any."""
-        if "metric" not in self._cache:
+        def build():
             ker = kernel_of(self.calc.wedge_map(1, 1))
-            self._cache["metric"] = list(ker.basis.data[0]) if ker.dim else None
-        return self._cache["metric"]
+            return list(ker.basis.data[0]) if ker.dim else None
+
+        return memo(self._memo, "metric", build)
 
     def star_generators(self):
         """Named position/momentum symbol generators (framed calculi only)."""
-        if "gens" not in self._cache:
-            calc = self.calc
-            frame = getattr(calc, "left_frame_size", None)
-            if not frame:
-                raise CalculusError("fixture has no declared frame generators")
-            alg = calc.algebra
-            q = self.quantization()
-            gens = {}
-            # positions: right multiplication by the d-image basis directions
-            names = {0: "i", 1: "j"} if self.name == "quaternion" else {}
-            partials = partial_operators(calc)
-            for t in range(frame):
-                label = names.get(t, str(t))
-                gens["p_%s" % label] = q.ctx.symbol_of(partials[t], 1)
-            if self.name == "quaternion":
-                for idx, label in ((1, "i"), (2, "j")):
-                    x = alg.basis_vector(idx)
-                    rmat = Mat.from_rows(
-                        [alg.mul(alg.basis_vector(s), x) for s in range(alg.dim)], alg.dim
-                    ).transpose()
-                    gens["x_%s" % label] = Symbol(0, rmat)
-            self._cache["gens"] = gens
-        return self._cache["gens"]
+        return memo(self._memo, "gens", self._star_generators)
+
+    def _star_generators(self):
+        calc = self.calc
+        frame = calc.left_frame_size
+        if not frame:
+            raise CalculusError("fixture has no declared frame generators")
+        alg = calc.algebra
+        q = self.quantization()
+        gens = {}
+        # positions: right multiplication by the d-image basis directions
+        names = {0: "i", 1: "j"} if self.name == "quaternion" else {}
+        partials = partial_operators(calc)
+        for t in range(frame):
+            label = names.get(t, str(t))
+            gens["p_%s" % label] = q.ctx.symbol_of(partials[t], 1)
+        if self.name == "quaternion":
+            for idx, label in ((1, "i"), (2, "j")):
+                x = alg.basis_vector(idx)
+                rmat = Mat.from_rows(
+                    [alg.mul(alg.basis_vector(s), x) for s in range(alg.dim)], alg.dim
+                ).transpose()
+                gens["x_%s" % label] = Symbol(0, rmat)
+        return gens
 
 
 _REGISTRY = {

@@ -10,7 +10,7 @@ obstruction only; nonholonomic jets are the full pair space.
 from __future__ import annotations
 
 from .linalg import Mat, Subspace, ZERO, ONE, kernel_of, intersect, span_of
-from .algebra import LeftModule, module_closure
+from .algebra import Bimodule, LeftModule, module_closure
 from .calculus import Calculus, CalculusError
 
 HOLONOMIC = "holonomic"
@@ -40,10 +40,10 @@ class PairData:
 
 def pair_module(calc: Calculus, m: LeftModule) -> PairData:
     """The split 1-jet space of a left module (cached per module)."""
-    cache = calc._jets.setdefault("pairs", {})
-    got = cache.get(id(m))
-    if got is not None:
-        return got[0]
+    return calc.memo(("pair", m), lambda: _pair_module(calc, m))
+
+
+def _pair_module(calc: Calculus, m: LeftModule) -> PairData:
     fm, ts = calc.form_module(1, m)
     alg = calc.algebra
     left = []
@@ -56,9 +56,7 @@ def pair_module(calc: Calculus, m: LeftModule) -> PairData:
         bot = (-t_a).hstack(fm.left[a])
         left.append(top.vstack(bot))
     mod = LeftModule(alg, m.dim + fm.dim, left, label="P(%s)" % m.label)
-    pd = PairData(mod, m, fm, ts)
-    cache[id(m)] = (pd, m)
-    return pd
+    return PairData(mod, m, fm, ts)
 
 
 def _basis(n, i):
@@ -75,10 +73,10 @@ def dtilde_maps(calc: Calculus, m: LeftModule):
     alpha = sum w_s (x) eta_s, valued in 2-forms (x) M.
     """
     calc.check_degree(2)
-    cache = calc._jets.setdefault("dtilde", {})
-    got = cache.get(id(m))
-    if got is not None:
-        return got[0], got[1]
+    return calc.memo(("dtilde", m), lambda: _dtilde_maps(calc, m))
+
+
+def _dtilde_maps(calc: Calculus, m: LeftModule):
     pm = pair_module(calc, m)
     p2 = pair_module(calc, pm.mod)
     o1 = calc.omega1.dim
@@ -102,7 +100,6 @@ def dtilde_maps(calc: Calculus, m: LeftModule):
     plain = Mat.from_rows(cols, ts2m.dim).transpose()
     d_second_alpha = calc.descend(plain, p2.ts, "second obstruction map")
     d_second = Mat.zeros(ts2m.dim, pm.mod.dim).hstack(d_second_alpha)
-    cache[id(m)] = (d_first, d_second, m)
     return d_first, d_second
 
 
@@ -142,60 +139,54 @@ def sym_module(calc: Calculus, e: LeftModule, n: int) -> SymModule:
     """S^0 = E, S^1 = one-forms (x) E, then kernels of the wedge map."""
     if n < 0:
         raise ValueError("negative symmetric degree")
-    cache = calc._syms
-    key = (id(e), n)
-    got = cache.get(key)
-    if got is not None:
-        return got[0]
+    return calc.memo(("sym", e, n), lambda: _sym_module(calc, e, n))
+
+
+def _sym_module(calc: Calculus, e: LeftModule, n: int) -> SymModule:
     if n == 0:
-        sym = SymModule(0, e, None, None)
-    elif n == 1:
+        return SymModule(0, e, None, None)
+    if n == 1:
         fm, _ = calc.form_module(1, e)
-        sym = SymModule(1, fm, Mat.identity(fm.dim), sym_module(calc, e, 0))
+        return SymModule(1, fm, Mat.identity(fm.dim), sym_module(calc, e, 0))
+    calc.check_degree(2)
+    lower = sym_module(calc, e, n - 1)
+    lower2 = sym_module(calc, e, n - 2)
+    fm, ts = calc.form_module(1, lower.mod)
+    # wedge contraction O1 (x) S^{n-1} -> O2 (x) S^{n-2} on plain coords
+    o1 = calc.omega1.dim
+    _, ts1low = calc.form_module(1, lower2.mod)
+    lift = ts1low.sec
+    _, ts2 = calc.form_module(2, lower2.mod)
+    cols = []
+    for b in range(o1):
+        for s in range(lower.dim):
+            w_coords = lower.iota_wedge.col(s)
+            w_plain = lift.apply(w_coords)
+            cols.append(_wedge_prepend(calc, 1, b, w_plain, lower2.mod.dim, ts2))
+    plain = Mat.from_rows(cols, ts2.dim).transpose()
+    contraction = calc.descend(plain, ts, "wedge contraction")
+    ker = kernel_of(contraction)
+    emb = ker.basis.transpose()
+
+    def restricted(mats):
+        out = []
+        for mat in mats:
+            cols_a = []
+            for t in range(ker.dim):
+                coords = ker.coords(mat.apply(emb.col(t)))
+                if coords is None:
+                    raise CalculusError("symmetric forms are not action-stable")
+                cols_a.append(coords)
+            out.append(Mat.from_rows(cols_a, ker.dim).transpose())
+        return out
+
+    left = restricted(fm.left)
+    label = "S%d(%s)" % (n, e.label)
+    if isinstance(fm, Bimodule):
+        mod = Bimodule(calc.algebra, ker.dim, left, restricted(fm.right), label=label)
     else:
-        calc.check_degree(2)
-        lower = sym_module(calc, e, n - 1)
-        lower2 = sym_module(calc, e, n - 2)
-        fm, ts = calc.form_module(1, lower.mod)
-        # wedge contraction O1 (x) S^{n-1} -> O2 (x) S^{n-2} on plain coords
-        o1 = calc.omega1.dim
-        _, ts1low = calc.form_module(1, lower2.mod)
-        lift = ts1low.sec
-        _, ts2 = calc.form_module(2, lower2.mod)
-        cols = []
-        for b in range(o1):
-            for s in range(lower.dim):
-                w_coords = lower.iota_wedge.col(s)
-                w_plain = lift.apply(w_coords)
-                cols.append(_wedge_prepend(calc, 1, b, w_plain, lower2.mod.dim, ts2))
-        plain = Mat.from_rows(cols, ts2.dim).transpose()
-        contraction = calc.descend(plain, ts, "wedge contraction")
-        ker = kernel_of(contraction)
-        emb = ker.basis.transpose()
-
-        def restricted(mats):
-            out = []
-            for mat in mats:
-                cols_a = []
-                for t in range(ker.dim):
-                    coords = ker.coords(mat.apply(emb.col(t)))
-                    if coords is None:
-                        raise CalculusError("symmetric forms are not action-stable")
-                    cols_a.append(coords)
-                out.append(Mat.from_rows(cols_a, ker.dim).transpose())
-            return out
-
-        from .algebra import Bimodule
-
-        left = restricted(fm.left)
-        label = "S%d(%s)" % (n, e.label)
-        if isinstance(fm, Bimodule):
-            mod = Bimodule(calc.algebra, ker.dim, left, restricted(fm.right), label=label)
-        else:
-            mod = LeftModule(calc.algebra, ker.dim, left, label=label)
-        sym = SymModule(n, mod, emb, lower)
-    cache[key] = (sym, e)
-    return sym
+        mod = LeftModule(calc.algebra, ker.dim, left, label=label)
+    return SymModule(n, mod, emb, lower)
 
 
 class JetModule:
@@ -238,10 +229,6 @@ class JetModule:
         return "JetModule(%s, n=%d, dim %d)" % (self.flavor, self.n, self.dim)
 
 
-def _jet_cache(calc):
-    return calc._jets.setdefault("jets", {})
-
-
 def jet_module(calc: Calculus, e: LeftModule, n: int, flavor=HOLONOMIC) -> JetModule:
     if flavor not in (HOLONOMIC, SESQUI, NONHOLONOMIC):
         raise ValueError("unknown jet flavor %r" % flavor)
@@ -249,84 +236,80 @@ def jet_module(calc: Calculus, e: LeftModule, n: int, flavor=HOLONOMIC) -> JetMo
         raise ValueError("negative jet order")
     if flavor == SESQUI and n < 2:
         flavor = HOLONOMIC
-    cache = _jet_cache(calc)
-    key = (id(e), n, flavor)
-    got = cache.get(key)
-    if got is not None:
-        return got[0]
+    return calc.memo(("jet", e, n, flavor), lambda: _jet_module(calc, e, n, flavor))
+
+
+def _jet_module(calc: Calculus, e: LeftModule, n: int, flavor) -> JetModule:
     if n == 0:
-        jm = JetModule(calc, e, 0, HOLONOMIC, e, None, None, Mat.identity(e.dim),
-                       iota=Mat.identity(e.dim))
-    elif n == 1:
+        return JetModule(calc, e, 0, HOLONOMIC, e, None, None, Mat.identity(e.dim),
+                         iota=Mat.identity(e.dim))
+    if n == 1:
         pd = pair_module(calc, e)
         lower = jet_module(calc, e, 0, HOLONOMIC)
-        jm = JetModule(
+        return JetModule(
             calc, e, 1, flavor if flavor == NONHOLONOMIC else HOLONOMIC,
             pd.mod, lower, Mat.identity(pd.mod.dim), pd.j,
             iota=pd.iota, carrier=Subspace.full(pd.mod.dim),
             sym=sym_module(calc, e, 1),
         )
-    elif flavor == NONHOLONOMIC:
+    if flavor == NONHOLONOMIC:
         lower = jet_module(calc, e, n - 1, NONHOLONOMIC)
         pd = pair_module(calc, lower.mod)
         j = pd.j * lower.j
-        jm = JetModule(calc, e, n, NONHOLONOMIC, pd.mod, lower,
-                       Mat.identity(pd.mod.dim), j,
-                       carrier=Subspace.full(pd.mod.dim))
+        return JetModule(calc, e, n, NONHOLONOMIC, pd.mod, lower,
+                         Mat.identity(pd.mod.dim), j,
+                         carrier=Subspace.full(pd.mod.dim))
+    lower = jet_module(calc, e, n - 1, HOLONOMIC)
+    pd = pair_module(calc, lower.mod)
+    if n == 2:
+        into_pp = Mat.identity(pd.mod.dim)
+        base_of_pp = e
     else:
-        lower = jet_module(calc, e, n - 1, HOLONOMIC)
-        pd = pair_module(calc, lower.mod)
-        if n == 2:
-            into_pp = Mat.identity(pd.mod.dim)
-            base_of_pp = e
-        else:
-            lower2 = jet_module(calc, e, n - 2, HOLONOMIC)
-            pd_prev = pair_module(calc, lower2.mod)
-            omega_l = calc.omega_lift(1, lower.l, lower.mod, pd_prev.mod)
-            top = lower.l.hstack(Mat.zeros(lower.l.rows, omega_l.cols))
-            bot = Mat.zeros(omega_l.rows, lower.l.cols).hstack(omega_l)
-            into_pp = top.vstack(bot)
-            base_of_pp = lower2.mod
-        d_first, d_second = dtilde_maps(calc, base_of_pp)
-        if flavor == SESQUI:
-            constraint = d_first * into_pp
-        else:
-            constraint = (d_first * into_pp).vstack(d_second * into_pp)
-        carrier = kernel_of(constraint)
-        l = carrier.basis.transpose()
-        # carrier coordinates: pivot extraction against the echelon basis
-        def coords(v):
-            c = carrier.coords(v)
-            if c is None:
-                raise CalculusError("element escapes the %s jet carrier" % flavor)
-            return c
+        lower2 = jet_module(calc, e, n - 2, HOLONOMIC)
+        pd_prev = pair_module(calc, lower2.mod)
+        omega_l = calc.omega_lift(1, lower.l, lower.mod, pd_prev.mod)
+        top = lower.l.hstack(Mat.zeros(lower.l.rows, omega_l.cols))
+        bot = Mat.zeros(omega_l.rows, lower.l.cols).hstack(omega_l)
+        into_pp = top.vstack(bot)
+        base_of_pp = lower2.mod
+    d_first, d_second = dtilde_maps(calc, base_of_pp)
+    if flavor == SESQUI:
+        constraint = d_first * into_pp
+    else:
+        constraint = (d_first * into_pp).vstack(d_second * into_pp)
+    carrier = kernel_of(constraint)
+    l = carrier.basis.transpose()
+    # carrier coordinates: pivot extraction against the echelon basis
+    def coords(v):
+        c = carrier.coords(v)
+        if c is None:
+            raise CalculusError("element escapes the %s jet carrier" % flavor)
+        return c
 
-        alg = calc.algebra
-        left = []
-        for a in range(alg.dim):
-            cols_a = [coords(pd.mod.left[a].apply(l.col(t))) for t in range(carrier.dim)]
-            left.append(Mat.from_rows(cols_a, carrier.dim).transpose())
-        mod = LeftModule(alg, carrier.dim, left,
-                         label="J%d%s(%s)" % (n, "" if flavor == HOLONOMIC else "'", e.label))
-        # prolongation: j^n(e) = (j^{n-1}(e), 0)
-        jcols = [coords(pd.j.apply(lower.j.col(t))) for t in range(e.dim)]
-        j = Mat.from_rows(jcols, carrier.dim).transpose()
-        iota = None
-        sym = None
-        if flavor == HOLONOMIC:
-            sym = sym_module(calc, e, n)
-            if lower.iota is None:
-                raise CalculusError("missing symbol inclusion on lower jet")
-            omega_iota = calc.omega_lift(1, lower.iota, sym.lower.mod, lower.mod)
-            icols = []
-            for t in range(sym.dim):
-                w = omega_iota.apply(sym.iota_wedge.col(t))
-                icols.append(coords(pd.iota.apply(w)))
-            iota = Mat.from_rows(icols, carrier.dim).transpose()
-        jm = JetModule(calc, e, n, flavor, mod, lower, l, j,
-                       iota=iota, carrier=carrier, sym=sym)
-    cache[key] = (jm, e)
-    return jm
+    alg = calc.algebra
+    left = []
+    for a in range(alg.dim):
+        cols_a = [coords(pd.mod.left[a].apply(l.col(t))) for t in range(carrier.dim)]
+        left.append(Mat.from_rows(cols_a, carrier.dim).transpose())
+    mod = LeftModule(alg, carrier.dim, left,
+                     label="J%d%s(%s)" % (n, "" if flavor == HOLONOMIC else "'", e.label))
+    # prolongation: j^n(e) = (j^{n-1}(e), 0)
+    jcols = [coords(pd.j.apply(lower.j.col(t))) for t in range(e.dim)]
+    j = Mat.from_rows(jcols, carrier.dim).transpose()
+    iota = None
+    sym = None
+    if flavor == HOLONOMIC:
+        sym = sym_module(calc, e, n)
+        if lower.iota is None:
+            raise CalculusError("missing symbol inclusion on lower jet")
+        omega_iota = calc.omega_lift(1, lower.iota, sym.lower.mod, lower.mod)
+        icols = []
+        for t in range(sym.dim):
+            w = omega_iota.apply(sym.iota_wedge.col(t))
+            icols.append(coords(pd.iota.apply(w)))
+        iota = Mat.from_rows(icols, carrier.dim).transpose()
+    return JetModule(calc, e, n, flavor, mod, lower, l, j,
+                     iota=iota, carrier=carrier, sym=sym)
 
 
 def flavor_inclusion(calc: Calculus, e: LeftModule, n: int, src=HOLONOMIC, dst=NONHOLONOMIC) -> Mat:
@@ -369,34 +352,30 @@ def spencer_operator(calc: Calculus, jet: JetModule, m: int) -> Mat:
     if jet.n < 1:
         raise ValueError("Spencer operator needs jet order >= 1")
     calc.check_degree(m + 1)
-    cache = calc._jets.setdefault("spencer", {})
-    key = (id(jet), m)
-    got = cache.get(key)
-    if got is not None:
-        return got[0]
-    lower = jet.lower
+    return calc.memo(("spencer", jet, m), lambda: _spencer_operator(calc, jet, m))
+
+
+def _spencer_operator(calc: Calculus, jet: JetModule, m: int) -> Mat:
     if m == 0:
-        out = -jet.rho
-    else:
-        _, ts_dom = calc.form_module(m, jet.mod)
-        if m + 1 > calc.max_degree:
-            raise CalculusError("Spencer target degree exceeds tower")
-        _, ts_tgt = calc.form_module(m + 1, lower.mod)
-        _, ts_rho = calc.form_module(1, lower.mod)
-        dm = calc.d[m]
-        sign = ONE if m % 2 == 0 else -ONE
-        cols = []
-        for b in range(calc.omega[m].dim):
-            dwb = dm.col(b)
-            for t in range(jet.dim):
-                term1 = ts_tgt.class_of(dwb, jet.pi.col(t))
-                rho_plain = ts_rho.sec.apply(jet.rho.col(t))
-                term2 = _wedge_prepend(calc, m, b, rho_plain, lower.mod.dim, ts_tgt)
-                cols.append([x - sign * y for x, y in zip(term1, term2)])
-        plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
-        out = calc.descend(plain, ts_dom, "Spencer operator")
-    cache[key] = (out, jet)
-    return out
+        return -jet.rho
+    lower = jet.lower
+    _, ts_dom = calc.form_module(m, jet.mod)
+    if m + 1 > calc.max_degree:
+        raise CalculusError("Spencer target degree exceeds tower")
+    _, ts_tgt = calc.form_module(m + 1, lower.mod)
+    _, ts_rho = calc.form_module(1, lower.mod)
+    dm = calc.d[m]
+    sign = ONE if m % 2 == 0 else -ONE
+    cols = []
+    for b in range(calc.omega[m].dim):
+        dwb = dm.col(b)
+        for t in range(jet.dim):
+            term1 = ts_tgt.class_of(dwb, jet.pi.col(t))
+            rho_plain = ts_rho.sec.apply(jet.rho.col(t))
+            term2 = _wedge_prepend(calc, m, b, rho_plain, lower.mod.dim, ts_tgt)
+            cols.append([x - sign * y for x, y in zip(term1, term2)])
+    plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
+    return calc.descend(plain, ts_dom, "Spencer operator")
 
 
 def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
@@ -454,19 +433,16 @@ def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
 
 def jet_module_of(calc: Calculus, mod: LeftModule) -> JetModule:
     """Order-1 jet of an arbitrary left module (used for lifts of operators)."""
-    cache = _jet_cache(calc)
-    key = (id(mod), 1, HOLONOMIC)
-    got = cache.get(key)
-    if got is not None:
-        return got[0]
+    return calc.memo(("jet_of", mod), lambda: _jet_module_of(calc, mod))
+
+
+def _jet_module_of(calc: Calculus, mod: LeftModule) -> JetModule:
     pd = pair_module(calc, mod)
     lower = JetModule(calc, mod, 0, HOLONOMIC, mod, None, None, Mat.identity(mod.dim),
                       iota=Mat.identity(mod.dim))
-    jm = JetModule(calc, mod, 1, HOLONOMIC, pd.mod, lower,
-                   Mat.identity(pd.mod.dim), pd.j, iota=pd.iota,
-                   carrier=Subspace.full(pd.mod.dim), sym=None)
-    cache[key] = (jm, mod)
-    return jm
+    return JetModule(calc, mod, 1, HOLONOMIC, pd.mod, lower,
+                     Mat.identity(pd.mod.dim), pd.j, iota=pd.iota,
+                     carrier=Subspace.full(pd.mod.dim), sym=None)
 
 
 def delta_contraction(calc: Calculus, e: LeftModule, h: int, k: int) -> Mat:

@@ -42,6 +42,10 @@ def max_dim():
     return int(os.environ.get("NCJET_MAX_DIM", DEFAULT_MAX_DIM))
 
 
+class DimensionCapError(ValueError):
+    """A matrix side or subspace ambient dimension above max_dim()."""
+
+
 def rat_str(x):
     """Serialize a rational as 'p' or 'p/q' (never a float)."""
     n, d = x.numerator, x.denominator
@@ -70,7 +74,7 @@ class Mat:
     def __init__(self, rows, cols, data):
         cap = max_dim()
         if rows > cap or cols > cap:
-            raise ValueError("matrix dimension exceeds cap %d" % cap)
+            raise DimensionCapError("matrix dimension exceeds cap %d" % cap)
         if len(data) != rows:
             raise ValueError("row count mismatch")
         self.rows = rows
@@ -340,7 +344,7 @@ class Subspace:
 
     def __init__(self, ambient, basis_rows, *, reduced=False):
         if ambient > max_dim():
-            raise ValueError("ambient dimension exceeds cap")
+            raise DimensionCapError("ambient dimension exceeds cap")
         if reduced:
             rows = [list(r) for r in basis_rows]
             pivots = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .linalg import Mat, ONE, rat
 from .algebra import LeftModule, mat_from_flat, solve_module_maps
-from .calculus import Calculus, CalculusError
+from .calculus import Calculus, CalculusError, memo
 from .connections import BimoduleConnection, Connection, tensor_connection
 from .jets import HOLONOMIC, JetModule, jet_module, sym_module, elemental_span
 
@@ -39,9 +39,7 @@ class OperatorContext:
                 cap = n
                 break
         self.order_cap = cap if cap is not None else max_order
-        self._lift_unique = {}
-        self._lift_cache = {}
-        self._order_cache = {}
+        self._memo = {}
 
     def jet(self, n) -> JetModule:
         return jet_module(self.calc, self.e, n, HOLONOMIC)
@@ -51,12 +49,11 @@ class OperatorContext:
 
     def lift_unique(self, n) -> bool:
         """Jet lifts at order n are unique iff prolongations span the jets."""
-        got = self._lift_unique.get(n)
-        if got is None:
+        def build():
             jet = self.jet(n)
-            got = elemental_span(self.calc, jet).dim == jet.dim
-            self._lift_unique[n] = got
-        return got
+            return elemental_span(self.calc, jet).dim == jet.dim
+
+        return memo(self._memo, ("lift_unique", n), build)
 
     def op_lift(self, mat: Mat, n: int, target: LeftModule = None) -> Mat:
         """Module-linear lift through the order-n jets, canonical when free.
@@ -64,33 +61,28 @@ class OperatorContext:
         Raises LiftError when the operator has order above n.
         """
         target = target if target is not None else self.f
-        key = (mat, n, id(target))
-        got = self._lift_cache.get(key)
-        if got is not None:
-            return got
-        jet = self.jet(n)
-        sol = solve_module_maps(jet.mod, target, "left", compose_eq=[(jet.j, mat)])
-        if sol.empty:
-            raise LiftError("operator does not factor through order-%d jets" % n)
-        lift = mat_from_flat(sol.particular, target.dim, jet.dim)
-        self._lift_cache[key] = lift
-        return lift
+
+        def build():
+            jet = self.jet(n)
+            sol = solve_module_maps(jet.mod, target, "left", compose_eq=[(jet.j, mat)])
+            if sol.empty:
+                raise LiftError("operator does not factor through order-%d jets" % n)
+            return mat_from_flat(sol.particular, target.dim, jet.dim)
+
+        return memo(self._memo, ("op_lift", mat, n, target), build)
 
     def op_order(self, mat: Mat, target: LeftModule = None):
         """Least order <= cap admitting a jet factorization, or None."""
-        key = (mat, id(target) if target is not None else None)
-        if key in self._order_cache:
-            return self._order_cache[key]
-        out = None
-        for n in range(self.order_cap + 1):
-            try:
-                self.op_lift(mat, n, target)
-                out = n
-                break
-            except LiftError:
-                continue
-        self._order_cache[key] = out
-        return out
+        def build():
+            for n in range(self.order_cap + 1):
+                try:
+                    self.op_lift(mat, n, target)
+                    return n
+                except LiftError:
+                    continue
+            return None
+
+        return memo(self._memo, ("op_order", mat, target), build)
 
     def symbol_of(self, mat: Mat, n: int, target: LeftModule = None) -> "Symbol":
         """Degree-n restriction symbol (lift composed with symbol inclusion)."""
@@ -257,8 +249,7 @@ class Quantization:
         self.retractions = retractions
         self.cap = max(chain)
         self._chain_lift = {}
-        self._zeta_cache = {}
-        self._trunc_cache = {}
+        self._memo = {}
         for k in range(self.cap + 1):
             lift = ctx.op_lift(chain[k], k, target=ctx.sym(k).mod)
             if lift * ctx.jet(k).iota != Mat.identity(ctx.sym(k).dim):
@@ -285,28 +276,21 @@ class Quantization:
 
     def zeta(self, mat: Mat, k: int, target=None) -> Symbol:
         """Degree-k symbol of an operator of order <= k."""
-        key = (mat, k, id(target))
-        got = self._zeta_cache.get(key)
-        if got is None:
-            lift = self.ctx.op_lift(mat, k, target=target)
-            got = Symbol(k, lift * self.ctx.jet(k).iota)
-            self._zeta_cache[key] = got
-        return got
+        return memo(self._memo, ("zeta", mat, k, target), lambda: Symbol(
+            k, self.ctx.op_lift(mat, k, target=target) * self.ctx.jet(k).iota))
 
     def truncate(self, mat: Mat, k: int, target=None) -> Mat:
         """Order-<=k remainder after stripping quantized top symbols."""
-        key = (mat, k, id(target))
-        got = self._trunc_cache.get(key)
-        if got is not None:
-            return got
-        order = self.ctx.op_order(mat, target=target)
-        if order is None:
-            raise LiftError("operator has no finite order within the cap")
-        cur = mat
-        for j in range(order, k, -1):
-            cur = cur - self.q(self.zeta(cur, j, target=target))
-        self._trunc_cache[key] = cur
-        return cur
+        def build():
+            order = self.ctx.op_order(mat, target=target)
+            if order is None:
+                raise LiftError("operator has no finite order within the cap")
+            cur = mat
+            for j in range(order, k, -1):
+                cur = cur - self.q(self.zeta(cur, j, target=target))
+            return cur
+
+        return memo(self._memo, ("truncate", mat, k, target), build)
 
     def graded_piece(self, mat: Mat, k: int, target=None) -> Symbol:
         return self.zeta(self.truncate(mat, k, target=target), k, target=target)
@@ -497,7 +481,7 @@ def partial_operators(calc: Calculus):
     Requires the one-forms to be a declared free left module on a frame;
     returns one matrix per frame element with d(h) = sum (op_t h) * theta_t.
     """
-    frame = getattr(calc, "left_frame_size", None)
+    frame = calc.left_frame_size
     if not frame:
         raise CalculusError("calculus has no declared left frame")
     d0 = calc.d[0]

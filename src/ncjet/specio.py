@@ -85,6 +85,10 @@ def parse_calculus_spec(doc) -> Calculus:
         raise SpecParseError("omega1 section needs dim, left, right, d")
     if not isinstance(odim, int) or odim < 0:
         raise SpecParseError("omega1 dim must be a nonnegative integer")
+    frame = doc.get("leftFrameSize")
+    if frame is not None and (type(frame) is not int or frame < 1 or frame * dim > odim):
+        raise SpecParseError("leftFrameSize must be an integer n >= 1 with "
+                             "n * algebra dim <= omega1 dim, got %r" % (frame,))
     if any(not isinstance(m, list) or len(m) != dim for m in (left_docs, right_docs)):
         raise SpecParseError("omega1 needs one action matrix per algebra basis element")
     left = [_matrix_in(m, odim, odim, "omega1.left[%d]" % i) for i, m in enumerate(left_docs)]
@@ -95,9 +99,7 @@ def parse_calculus_spec(doc) -> Calculus:
     if problems:
         raise CalculusError("; ".join(problems))
     calc = build_calculus(algebra, omega1, d0, max_degree)
-    frame = doc.get("leftFrameSize")
-    if frame:
-        calc.left_frame_size = frame
+    calc.left_frame_size = frame
     return calc
 
 
@@ -127,9 +129,8 @@ def serialize_calculus(calc: Calculus) -> dict:
         },
         "maxDegree": calc.max_degree,
     }
-    frame = getattr(calc, "left_frame_size", None)
-    if frame:
-        doc["leftFrameSize"] = frame
+    if calc.left_frame_size:
+        doc["leftFrameSize"] = calc.left_frame_size
     return doc
 
 

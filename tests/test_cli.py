@@ -59,6 +59,10 @@ _ZERO_FORMS = {"dim": 0, "left": [[]], "right": [[]], "d": []}
                      id="left-not-a-list"),
         pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": dict(_ZERO_FORMS, right=7)},
                      id="right-not-a-list"),
+        pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS, "leftFrameSize": "x"},
+                     id="frame-not-an-int"),
+        pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS, "leftFrameSize": 99},
+                     id="frame-too-large"),
     ],
 )
 def test_validate_schema_error(tmp_path, doc):
@@ -67,6 +71,17 @@ def test_validate_schema_error(tmp_path, doc):
     code, out = run(["validate", str(path)])
     assert code == EXIT_PARSE
     assert out.startswith("parse error:")
+
+
+def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, two_point):
+    doc = serialize_calculus(two_point.calc)
+    doc["maxDegree"] = 5
+    path = tmp_path / "deep.json"
+    path.write_text(dump_json(doc))
+    monkeypatch.setenv("NCJET_MAX_DIM", "16")
+    code, out = run(["validate", str(path)])
+    assert code == EXIT_INVALID
+    assert out.startswith("invalid input:") and "exceeds cap 16" in out
 
 
 def test_jets_quaternion_table():

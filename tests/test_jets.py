@@ -393,6 +393,21 @@ def test_exactness_reports(all_fixtures):
             assert rep["pullback_dim"] == fx.base.dim
 
 
+def test_jet_of_a_module_and_jet_module_keep_separate_entries():
+    # jet_module_of builds an order-1 jet without symbols; it must not be
+    # what jet_module (and so jet_exactness) finds for the same module.
+    from ncjet.algebra import functions_on_points
+    from ncjet.calculus import universal_calculus
+    from ncjet.jets import jet_module_of
+
+    calc = universal_calculus(functions_on_points(2))
+    e = calc.base_module()
+    jet_module_of(calc, e)
+    assert jet_exactness(calc, e, 1)["exact"]
+    assert jet_module(calc, e, 2) is jet_module(calc, e, 2, HOLONOMIC)
+    assert jet_module(calc, e, 1, SESQUI) is jet_module(calc, e, 1)
+
+
 def test_quaternion_exactness_dims(quat):
     rep = jet_exactness(quat.calc, quat.base, 2)
     assert rep["dims"] == (4, 16, 12)

@@ -60,6 +60,29 @@ def test_order_of_differential_is_one(quat):
     ctx.op_lift(conn.mat, 1, target=fm)
 
 
+def test_op_lift_does_not_answer_for_a_freed_target():
+    # A freed module's id can go to the next module built.  A lift cached
+    # under the old id would come back for the new target with the wrong shape.
+    from ncjet.algebra import LeftModule, functions_on_points
+    from ncjet.calculus import universal_calculus
+
+    calc = universal_calculus(functions_on_points(2))
+    e = calc.base_module()
+    ctx = OperatorContext(calc, e)
+    eye = Mat.identity(2)
+    t_a = LeftModule(calc.algebra, 2, e.left, label="A")
+    assert ctx.op_lift(eye, 0, target=t_a).rows == 2
+    zeros = Mat.zeros(2, 2)
+    mats_b = [m.hstack(zeros).vstack(zeros.hstack(m)) for m in e.left]
+    del t_a
+    t_b = LeftModule(calc.algebra, 4, mats_b, label="B")
+    try:
+        lift = ctx.op_lift(eye, 0, target=t_b)
+    except ValueError:
+        return
+    assert lift.rows == t_b.dim
+
+
 def test_lift_of_prolongation_is_identity(quat):
     calc, e = quat.calc, quat.base
     ctx = OperatorContext(calc, e)
