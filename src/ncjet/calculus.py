@@ -254,24 +254,6 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
     to_omega = Mat.from_rows(to_omega_cols, o1).transpose()
     relation_space = intersect(kernel_of(mult_mat), kernel_of(to_omega))
 
-    # degree-2 relations: two-sided action closure of d applied to them
-    pre2_mod, pre2_ts = tensor_bimodule(omega1, omega1, label="O1(x)O1")
-    dgens = []
-    for row in relation_space.basis.data:
-        plain = [ZERO] * (o1 * o1)
-        for idx, c in enumerate(row):
-            if c:
-                i, j = divmod(idx, dA)
-                dei = d0.apply(alg.basis_vector(i))
-                dej = d0.apply(alg.basis_vector(j))
-                for s, x in enumerate(dei):
-                    if x:
-                        for t, y in enumerate(dej):
-                            if y:
-                                plain[s * o1 + t] += c * x * y
-        dgens.append(pre2_ts.proj.apply(plain))
-    rel2 = module_closure(pre2_mod, dgens, use_right=True)
-
     def quotient_bimodule(pre_mod, pre_ts, rel, degree):
         projq, secq = quotient_data(rel)
         sp = projq * pre_ts.proj
@@ -284,11 +266,31 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
             raise CalculusError("degree-%d forms are not a bimodule: %s" % (degree, bad[0]))
         return mod, sp, ss
 
-    om2, sp2, ss2 = quotient_bimodule(pre2_mod, pre2_ts, rel2, 2)
-    omega.append(om2)
-    step_proj[2] = sp2
-    step_sec[2] = ss2
-    rel2_plain_lift = pre2_ts.sec  # omega1 (x)_A omega1 coords -> plain
+    # the tower stops at max_degree, so omega, d and max_degree agree
+    if max_degree >= 2:
+        # degree-2 relations: two-sided action closure of d applied to them
+        pre2_mod, pre2_ts = tensor_bimodule(omega1, omega1, label="O1(x)O1")
+        dgens = []
+        for row in relation_space.basis.data:
+            plain = [ZERO] * (o1 * o1)
+            for idx, c in enumerate(row):
+                if c:
+                    i, j = divmod(idx, dA)
+                    dei = d0.apply(alg.basis_vector(i))
+                    dej = d0.apply(alg.basis_vector(j))
+                    for s, x in enumerate(dei):
+                        if x:
+                            for t, y in enumerate(dej):
+                                if y:
+                                    plain[s * o1 + t] += c * x * y
+            dgens.append(pre2_ts.proj.apply(plain))
+        rel2 = module_closure(pre2_mod, dgens, use_right=True)
+
+        om2, sp2, ss2 = quotient_bimodule(pre2_mod, pre2_ts, rel2, 2)
+        omega.append(om2)
+        step_proj[2] = sp2
+        step_sec[2] = ss2
+        rel2_plain_lift = pre2_ts.sec  # omega1 (x)_A omega1 coords -> plain
 
     for n in range(3, max_degree + 1):
         pre_mod, pre_ts = tensor_bimodule(omega[n - 1], omega1, label="O%d(x)O1" % (n - 1))

@@ -14,7 +14,6 @@ from .linalg import (
     Mat,
     AffineSpace,
     ZERO,
-    ONE,
     image_of,
     kron,
     left_inverse,
@@ -32,10 +31,13 @@ from .calculus import Calculus, CalculusError
 from .jets import (
     JetModule,
     dtilde_maps,
+    exterior_operator,
     jet_module,
+    pair_map,
     pair_module,
     spencer_operator,
     sym_module,
+    twist_mats,
     _basis,
 )
 
@@ -45,17 +47,8 @@ class InvalidConnection(CalculusError):
 
 
 def _twist_mats(calc: Calculus, m: LeftModule):
-    """T_a(x) = class of d(e_a) (x) x in one-forms (x) M, per basis a."""
-    def build():
-        _, ts = calc.form_module(1, m)
-        mats = []
-        for a in range(calc.algebra.dim):
-            da = calc.d_of_basis(a)
-            cols = [ts.class_of(da, _basis(m.dim, x)) for x in range(m.dim)]
-            mats.append(Mat.from_rows(cols, ts.dim).transpose())
-        return mats
-
-    return calc.memo(("twist", m), build)
+    """jets.twist_mats, cached per module for the Leibniz checks and solves."""
+    return calc.memo(("twist", m), lambda: twist_mats(calc, m))
 
 
 class Connection:
@@ -287,27 +280,10 @@ def metric_compatibility(calc: Calculus, bconn: BimoduleConnection, g):
 
 def covariant_exterior(calc: Calculus, conn: Connection, m: int) -> Mat:
     """Exterior covariant derivative on m-form-valued sections."""
-    if m == 0:
-        return conn.mat
     calc.check_degree(m + 1)
     mod = conn.module
-    _, ts_dom = calc.form_module(m, mod)
-    _, ts_tgt = calc.form_module(m + 1, mod)
-    _, ts_1 = calc.form_module(1, mod)
-    dm = calc.d[m]
-    sign = ONE if m % 2 == 0 else -ONE
-    cols = []
-    from .jets import _wedge_prepend
-
-    for b in range(calc.omega[m].dim):
-        dwb = dm.col(b)
-        for t in range(mod.dim):
-            term1 = ts_tgt.class_of(dwb, _basis(mod.dim, t))
-            n_plain = ts_1.sec.apply(conn.mat.col(t))
-            term2 = _wedge_prepend(calc, m, b, n_plain, mod.dim, ts_tgt)
-            cols.append([x + sign * y for x, y in zip(term1, term2)])
-    plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
-    return calc.descend(plain, ts_dom, "covariant exterior derivative")
+    return exterior_operator(calc, m, mod, mod, Mat.identity(mod.dim), conn.mat,
+                             "covariant exterior derivative")
 
 
 def curvature(calc: Calculus, conn: Connection) -> Mat:
@@ -378,14 +354,8 @@ def higher_curvature(calc: Calculus, hc: HigherConnection) -> Mat:
     lower = jet.lower
     m = lower.mod
     d_first, d_second = dtilde_maps(calc, m)
-    omega_c = calc.omega_lift(1, hc.section, lower.mod, jet.mod)
-    j1_c = (hc.section.hstack(Mat.zeros(hc.section.rows, omega_c.cols))).vstack(
-        Mat.zeros(omega_c.rows, hc.section.cols).hstack(omega_c)
-    )
-    omega_l = calc.omega_lift(1, jet.l, jet.mod, pair_module(calc, m).mod)
-    j1_l = (jet.l.hstack(Mat.zeros(jet.l.rows, omega_l.cols))).vstack(
-        Mat.zeros(omega_l.rows, jet.l.cols).hstack(omega_l)
-    )
+    j1_c = pair_map(calc, hc.section, lower.mod, jet.mod)
+    j1_l = pair_map(calc, jet.l, jet.mod, pair_module(calc, m).mod)
     composite = j1_l * j1_c * jet.l * hc.section
     return -(d_second * composite)
 

@@ -5,7 +5,7 @@ with a pass flag and a printable detail.  One known discrepancy is
 expected: the joint connection/braiding solver finds a 24-parameter family
 where a unique solution was claimed by the source material; the
 frame-parallel member of that family is unique and has all the stated
-properties.  See the project notes for the analysis.
+properties.  See DECISIONS.md for the analysis.
 """
 
 from __future__ import annotations

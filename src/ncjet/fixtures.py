@@ -9,7 +9,7 @@ one-forms, and the induced quantization.
 
 from __future__ import annotations
 
-from .linalg import Mat, ZERO, kernel_of
+from .linalg import Mat, ZERO
 from .algebra import functions_on_points, matrix_algebra
 from .calculus import Calculus, CalculusError, memo, quaternion_calculus, universal_calculus
 from .connections import (
@@ -107,14 +107,6 @@ class Fixture:
     def quantization(self):
         return memo(self._memo, "quant", lambda: build_quantization(
             self.calc, self.base, self.braided_conn(), self.base_conn()))
-
-    def metric_candidate(self):
-        """Canonical generator of the wedge kernel in degree (1,1), if any."""
-        def build():
-            ker = kernel_of(self.calc.wedge_map(1, 1))
-            return list(ker.basis.data[0]) if ker.dim else None
-
-        return memo(self._memo, "metric", build)
 
     def star_generators(self):
         """Named position/momentum symbol generators (framed calculi only)."""

@@ -9,7 +9,7 @@ obstruction only; nonholonomic jets are the full pair space.
 
 from __future__ import annotations
 
-from .linalg import Mat, Subspace, ZERO, ONE, kernel_of, intersect, span_of
+from .linalg import Mat, Subspace, ZERO, ONE, kernel_of, intersect, kron, span_of
 from .algebra import Bimodule, LeftModule, module_closure
 from .calculus import Calculus, CalculusError
 
@@ -45,18 +45,28 @@ def pair_module(calc: Calculus, m: LeftModule) -> PairData:
 
 def _pair_module(calc: Calculus, m: LeftModule) -> PairData:
     fm, ts = calc.form_module(1, m)
-    alg = calc.algebra
-    left = []
-    for a in range(alg.dim):
-        da = calc.d_of_basis(a)
-        # T_a(x) = class of da (x) x
-        tcols = [ts.class_of(da, _basis(m.dim, x)) for x in range(m.dim)]
-        t_a = Mat.from_rows(tcols, fm.dim).transpose()
-        top = m.left[a].hstack(Mat.zeros(m.dim, fm.dim))
-        bot = (-t_a).hstack(fm.left[a])
-        left.append(top.vstack(bot))
-    mod = LeftModule(alg, m.dim + fm.dim, left, label="P(%s)" % m.label)
+    zeros = Mat.zeros(m.dim, fm.dim)
+    left = [m.left[a].hstack(zeros).vstack((-t_a).hstack(fm.left[a]))
+            for a, t_a in enumerate(twist_mats(calc, m))]
+    mod = LeftModule(calc.algebra, m.dim + fm.dim, left, label="P(%s)" % m.label)
     return PairData(mod, m, fm, ts)
+
+
+def twist_mats(calc: Calculus, m: LeftModule):
+    """T_a(x) = class of d(e_a) (x) x in one-forms (x) M, one matrix per basis a."""
+    _, ts = calc.form_module(1, m)
+    mats = []
+    for a in range(calc.algebra.dim):
+        da = calc.d_of_basis(a)
+        cols = [ts.class_of(da, _basis(m.dim, x)) for x in range(m.dim)]
+        mats.append(Mat.from_rows(cols, ts.dim).transpose())
+    return mats
+
+
+def pair_map(calc: Calculus, f: Mat, src: LeftModule, dst: LeftModule) -> Mat:
+    """P on maps: f (+) (id (x) f) from P(src) to P(dst)."""
+    om = calc.omega_lift(1, f, src, dst)
+    return f.hstack(Mat.zeros(f.rows, om.cols)).vstack(Mat.zeros(om.rows, f.cols).hstack(om))
 
 
 def _basis(n, i):
@@ -79,39 +89,57 @@ def dtilde_maps(calc: Calculus, m: LeftModule):
 def _dtilde_maps(calc: Calculus, m: LeftModule):
     pm = pair_module(calc, m)
     p2 = pair_module(calc, pm.mod)
-    o1 = calc.omega1.dim
-    ts1m = pm.ts                       # O1 (x) M
-    _, ts2m = calc.form_module(2, m)   # O2 (x) M
-    # first component
     omega_pi = calc.omega_lift(1, pm.pi, pm.mod, m)
     d_first = omega_pi * p2.rho - pm.rho * p2.pi
-    # second component, defined on plain O1 (x) P(M) and descended
-    pdim = pm.mod.dim
-    cols = []
-    d1 = calc.d[1]
-    for b in range(o1):
-        dwb = d1.col(b)
-        for s in range(pdim):
-            if s < pm.m0:
-                cols.append(ts2m.class_of(dwb, _basis(m.dim, s)))
-            else:
-                w_plain = ts1m.sec.col(s - pm.m0)
-                cols.append(_wedge_prepend(calc, 1, b, w_plain, m.dim, ts2m))
-    plain = Mat.from_rows(cols, ts2m.dim).transpose()
-    d_second_alpha = calc.descend(plain, p2.ts, "second obstruction map")
-    d_second = Mat.zeros(ts2m.dim, pm.mod.dim).hstack(d_second_alpha)
+    second = exterior_operator(calc, 1, pm.mod, m, pm.pi, -pm.rho, "second obstruction map")
+    d_second = Mat.zeros(second.rows, pm.mod.dim).hstack(second)
     return d_first, d_second
 
 
-def _wedge_prepend(calc, k, b_idx, w_plain, t_dim, ts_out):
-    """Class of w_b ^ (plain one-form-valued vector) in (k+1)-forms (x) T."""
-    wk1 = calc.wedge_plain(k, 1)
-    o1 = calc.omega1.dim
-    acc = [ZERO] * (calc.omega[k + 1].dim * t_dim)
+def exterior_operator(calc: Calculus, m: int, dom: LeftModule, low: LeftModule,
+                      pi, d0: Mat, what: str) -> Mat:
+    """Extension of d0: dom -> one-forms (x) low to m-form-valued elements.
+
+    Maps m-forms (x) dom to (m+1)-forms (x) low by
+    w (x) x -> dw (x) pi(x) + (-1)^m w ^ d0(x); pi=None drops the d-term.
+    The map is built on plain tensors and descended through the domain's
+    presentation (what names it in the error).  At m = 0 it is d0 itself.
+    """
+    if m == 0:
+        return d0
+    _, ts_dom = calc.form_module(m, dom)
+    _, ts_tgt = calc.form_module(m + 1, low)
+    _, ts_one = calc.form_module(1, low)
+    sign = ONE if m % 2 == 0 else -ONE
+    # per domain basis vector: pi(x) and the plain lift of d0(x), () when zero
+    pi_cols = [pi.col(t) for t in range(dom.dim)] if pi is not None else [()] * dom.dim
+    pi_cols = [c if any(c) else () for c in pi_cols]
+    d0_plain = [ts_one.sec.apply(c) if any(c) else () for c in map(d0.col, range(dom.dim))]
+    cols = []
+    for b in range(calc.omega[m].dim):
+        dwb = calc.d[m].col(b)
+        d_term = any(dwb)
+        for t in range(dom.dim):
+            col = [ZERO] * ts_tgt.dim
+            if d_term and pi_cols[t]:
+                col = ts_tgt.class_of(dwb, pi_cols[t])
+            if d0_plain[t]:
+                wedge = _wedge_prepend(calc, m, b, d0_plain[t], low.dim, ts_tgt)
+                col = [x + sign * y for x, y in zip(col, wedge)]
+            cols.append(col)
+    plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
+    return calc.descend(plain, ts_dom, what)
+
+
+def _wedge_prepend(calc, k, b_idx, w_plain, t_dim, ts_out, q=1):
+    """Class of w_b ^ (plain q-form-valued vector) in (k+q)-forms (x) T."""
+    wkq = calc.wedge_plain(k, q)
+    oq = calc.omega[q].dim
+    acc = [ZERO] * (calc.omega[k + q].dim * t_dim)
     for idx, v in enumerate(w_plain):
         if v:
             c, e = divmod(idx, t_dim)
-            col = wk1.col(b_idx * o1 + c)
+            col = wkq.col(b_idx * oq + c)
             for r, vv in enumerate(col):
                 if vv:
                     acc[r * t_dim + e] += v * vv
@@ -150,22 +178,8 @@ def _sym_module(calc: Calculus, e: LeftModule, n: int) -> SymModule:
         return SymModule(1, fm, Mat.identity(fm.dim), sym_module(calc, e, 0))
     calc.check_degree(2)
     lower = sym_module(calc, e, n - 1)
-    lower2 = sym_module(calc, e, n - 2)
-    fm, ts = calc.form_module(1, lower.mod)
-    # wedge contraction O1 (x) S^{n-1} -> O2 (x) S^{n-2} on plain coords
-    o1 = calc.omega1.dim
-    _, ts1low = calc.form_module(1, lower2.mod)
-    lift = ts1low.sec
-    _, ts2 = calc.form_module(2, lower2.mod)
-    cols = []
-    for b in range(o1):
-        for s in range(lower.dim):
-            w_coords = lower.iota_wedge.col(s)
-            w_plain = lift.apply(w_coords)
-            cols.append(_wedge_prepend(calc, 1, b, w_plain, lower2.mod.dim, ts2))
-    plain = Mat.from_rows(cols, ts2.dim).transpose()
-    contraction = calc.descend(plain, ts, "wedge contraction")
-    ker = kernel_of(contraction)
+    fm, _ = calc.form_module(1, lower.mod)
+    ker = kernel_of(delta_contraction(calc, e, n - 1, 1))
     emb = ker.basis.transpose()
 
     def restricted(mats):
@@ -266,11 +280,7 @@ def _jet_module(calc: Calculus, e: LeftModule, n: int, flavor) -> JetModule:
         base_of_pp = e
     else:
         lower2 = jet_module(calc, e, n - 2, HOLONOMIC)
-        pd_prev = pair_module(calc, lower2.mod)
-        omega_l = calc.omega_lift(1, lower.l, lower.mod, pd_prev.mod)
-        top = lower.l.hstack(Mat.zeros(lower.l.rows, omega_l.cols))
-        bot = Mat.zeros(omega_l.rows, lower.l.cols).hstack(omega_l)
-        into_pp = top.vstack(bot)
+        into_pp = pair_map(calc, lower.l, lower.mod, pair_module(calc, lower2.mod).mod)
         base_of_pp = lower2.mod
     d_first, d_second = dtilde_maps(calc, base_of_pp)
     if flavor == SESQUI:
@@ -336,10 +346,7 @@ def flavor_inclusion(calc: Calculus, e: LeftModule, n: int, src=HOLONOMIC, dst=N
         Mat.identity(jet_module(calc, e, n - 1, src).dim))
     sl = jet_module(calc, e, n - 1, src)
     nl = jet_module(calc, e, n - 1, NONHOLONOMIC)
-    omega_inc = calc.omega_lift(1, lower_inc, sl.mod, nl.mod)
-    top = lower_inc.hstack(Mat.zeros(lower_inc.rows, omega_inc.cols))
-    bot = Mat.zeros(omega_inc.rows, lower_inc.cols).hstack(omega_inc)
-    return top.vstack(bot) * sj.l
+    return pair_map(calc, lower_inc, sl.mod, nl.mod) * sj.l
 
 
 def spencer_operator(calc: Calculus, jet: JetModule, m: int) -> Mat:
@@ -352,30 +359,8 @@ def spencer_operator(calc: Calculus, jet: JetModule, m: int) -> Mat:
     if jet.n < 1:
         raise ValueError("Spencer operator needs jet order >= 1")
     calc.check_degree(m + 1)
-    return calc.memo(("spencer", jet, m), lambda: _spencer_operator(calc, jet, m))
-
-
-def _spencer_operator(calc: Calculus, jet: JetModule, m: int) -> Mat:
-    if m == 0:
-        return -jet.rho
-    lower = jet.lower
-    _, ts_dom = calc.form_module(m, jet.mod)
-    if m + 1 > calc.max_degree:
-        raise CalculusError("Spencer target degree exceeds tower")
-    _, ts_tgt = calc.form_module(m + 1, lower.mod)
-    _, ts_rho = calc.form_module(1, lower.mod)
-    dm = calc.d[m]
-    sign = ONE if m % 2 == 0 else -ONE
-    cols = []
-    for b in range(calc.omega[m].dim):
-        dwb = dm.col(b)
-        for t in range(jet.dim):
-            term1 = ts_tgt.class_of(dwb, jet.pi.col(t))
-            rho_plain = ts_rho.sec.apply(jet.rho.col(t))
-            term2 = _wedge_prepend(calc, m, b, rho_plain, lower.mod.dim, ts_tgt)
-            cols.append([x - sign * y for x, y in zip(term1, term2)])
-    plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
-    return calc.descend(plain, ts_dom, "Spencer operator")
+    return calc.memo(("spencer", jet, m), lambda: exterior_operator(
+        calc, m, jet.mod, jet.lower.mod, jet.pi, -jet.rho, "Spencer operator"))
 
 
 def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
@@ -396,37 +381,14 @@ def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
     lift = mat_from_flat(sol.particular, tgt_mod.dim, j1dom.dim)
     got = lift * j1dom.iota
     # expected: alpha (x) w (x) xi -> (alpha ^ w) (x) pi(xi)
-    _, ts_dom1 = calc.form_module(1, dom)
     if m == 0:
-        expected_plain_cols = []
-        for b in range(calc.omega1.dim):
-            for t in range(jet.dim):
-                expected_plain_cols.append(
-                    calc.form_module(1, jet.lower.mod)[1].class_of(
-                        _basis(calc.omega1.dim, b), jet.pi.col(t))
-                )
-        expected = Mat.from_rows(expected_plain_cols, tgt_mod.dim).transpose() * ts_dom1.sec
-        return got, expected
-    _, ts_dom_inner = calc.form_module(m, jet.mod)
+        return got, calc.omega_lift(1, jet.pi, jet.mod, jet.lower.mod)
+    _, ts_dom1 = calc.form_module(1, dom)
+    _, ts_inner = calc.form_module(m, jet.mod)
     _, ts_tgt = calc.form_module(m + 1, jet.lower.mod)
-    o1 = calc.omega1.dim
-    cols = []
-    for b in range(o1):
-        for u in range(dom.dim):
-            inner_plain = ts_dom_inner.sec.col(u)
-            acc = [ZERO] * (calc.omega[m + 1].dim * jet.lower.mod.dim)
-            w1m = calc.wedge_plain(1, m)
-            for idx, v in enumerate(inner_plain):
-                if v:
-                    c, t = divmod(idx, jet.dim)
-                    wedge_col = w1m.col(b * calc.omega[m].dim + c)
-                    picol = jet.pi.col(t)
-                    for r, vv in enumerate(wedge_col):
-                        if vv:
-                            for s, pv in enumerate(picol):
-                                if pv:
-                                    acc[r * jet.lower.mod.dim + s] += v * vv * pv
-            cols.append(ts_tgt.proj.apply(acc))
+    pi_plain = kron(Mat.identity(calc.omega[m].dim), jet.pi) * ts_inner.sec
+    cols = [_wedge_prepend(calc, 1, b, pi_plain.col(u), jet.lower.mod.dim, ts_tgt, q=m)
+            for b in range(calc.omega1.dim) for u in range(dom.dim)]
     expected = Mat.from_rows(cols, ts_tgt.dim).transpose() * ts_dom1.sec
     return got, expected
 
@@ -451,21 +413,8 @@ def delta_contraction(calc: Calculus, e: LeftModule, h: int, k: int) -> Mat:
         raise ValueError("need h >= 1")
     calc.check_degree(k + 1)
     sh = sym_module(calc, e, h)
-    slow = sym_module(calc, e, h - 1)
-    if k == 0:
-        return sh.iota_wedge
-    _, ts_dom = calc.form_module(k, sh.mod)
-    _, ts_1low = calc.form_module(1, slow.mod)
-    _, ts_tgt = calc.form_module(k + 1, slow.mod)
-    sign = ONE if k % 2 == 0 else -ONE
-    cols = []
-    for b in range(calc.omega[k].dim):
-        for s in range(sh.dim):
-            w_plain = ts_1low.sec.apply(sh.iota_wedge.col(s))
-            v = _wedge_prepend(calc, k, b, w_plain, slow.mod.dim, ts_tgt)
-            cols.append([sign * x for x in v])
-    plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
-    return calc.descend(plain, ts_dom, "wedge contraction")
+    return exterior_operator(calc, k, sh.mod, sym_module(calc, e, h - 1).mod, None,
+                             sh.iota_wedge, "wedge contraction")
 
 
 def spencer_complex(calc: Calculus, e: LeftModule, n: int, flavor=HOLONOMIC):
@@ -519,40 +468,22 @@ def nu_operator(calc: Calculus, e: LeftModule, m: int):
             raise CalculusError("degree-2 target misaligned")
         return zero.hstack(second), tw, m1.dim
     _, ts_dom = calc.form_module(m, tw)
-    dm = calc.d[m]
     sign = ONE if m % 2 == 0 else -ONE
-    o1 = calc.omega1.dim
     cols = []
-    wm2 = calc.wedge_plain(m, 2)
-    wm11 = calc.wedge_plain(m + 1, 1)
     for b in range(calc.omega[m].dim):
+        dwb = calc.d[m].col(b)
         for t in range(tw.dim):
             if t < m1.dim:
                 # (-1)^m dw ^ alpha with alpha in one-forms (x) E
-                alpha_plain = ts1e.sec.col(t)
-                acc = [ZERO] * (calc.omega[m + 2].dim * e.dim)
-                dwb = dm.col(b)
-                for idx, v in enumerate(alpha_plain):
-                    if v:
-                        c, ee = divmod(idx, e.dim)
-                        for r1, v1 in enumerate(dwb):
-                            if v1:
-                                col = wm11.col(r1 * o1 + c)
-                                for r, vv in enumerate(col):
-                                    if vv:
-                                        acc[r * e.dim + ee] += sign * v * v1 * vv
-                cols.append(ts_tgt.proj.apply(acc))
+                col = [ZERO] * ts_tgt.dim
+                for r1, v1 in enumerate(dwb):
+                    if v1:
+                        w = _wedge_prepend(calc, m + 1, r1, ts1e.sec.col(t), e.dim, ts_tgt)
+                        col = [x + sign * v1 * y for x, y in zip(col, w)]
+                cols.append(col)
             else:
                 beta_plain = ts2e.sec.col(t - m1.dim)
-                acc = [ZERO] * (calc.omega[m + 2].dim * e.dim)
-                for idx, v in enumerate(beta_plain):
-                    if v:
-                        c, ee = divmod(idx, e.dim)
-                        col = wm2.col(b * calc.omega[2].dim + c)
-                        for r, vv in enumerate(col):
-                            if vv:
-                                acc[r * e.dim + ee] += v * vv
-                cols.append(ts_tgt.proj.apply(acc))
+                cols.append(_wedge_prepend(calc, m, b, beta_plain, e.dim, ts_tgt, q=2))
     plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
     return calc.descend(plain, ts_dom, "nu operator"), tw, m1.dim
 

@@ -55,7 +55,7 @@ def parse_calculus_spec(doc) -> Calculus:
     except (KeyError, TypeError):
         raise SpecParseError("missing 'algebra' or 'omega1' section")
     max_degree = doc.get("maxDegree", 3)
-    if not isinstance(max_degree, int) or max_degree < 1:
+    if type(max_degree) is not int or max_degree < 1:
         raise SpecParseError("maxDegree must be a positive integer")
     try:
         dim = alg_doc["dim"]

@@ -63,6 +63,8 @@ _ZERO_FORMS = {"dim": 0, "left": [[]], "right": [[]], "d": []}
                      id="frame-not-an-int"),
         pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS, "leftFrameSize": 99},
                      id="frame-too-large"),
+        pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS, "maxDegree": True},
+                     id="max-degree-bool"),
     ],
 )
 def test_validate_schema_error(tmp_path, doc):
@@ -82,6 +84,21 @@ def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, t
     code, out = run(["validate", str(path)])
     assert code == EXIT_INVALID
     assert out.startswith("invalid input:") and "exceeds cap 16" in out
+
+
+def test_max_degree_one_spec_stops_the_tower(tmp_path, two_point):
+    doc = serialize_calculus(two_point.calc)
+    doc["maxDegree"] = 1
+    path = tmp_path / "flat.json"
+    path.write_text(dump_json(doc))
+    code, out = run(["jets", str(path)])
+    assert code == EXIT_INVALID
+    assert out == "invalid input: degree 2 outside tower (max 1)\n"
+    code, _ = run(["jets", str(path), "--order", "1"])
+    assert code == EXIT_PASS
+    again = serialize_calculus(parse_calculus_spec(doc))
+    assert again["maxDegree"] == 1
+    assert serialize_calculus(parse_calculus_spec(again)) == again
 
 
 def test_jets_quaternion_table():

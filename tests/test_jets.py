@@ -223,12 +223,22 @@ def test_sym1_is_form_module(quat):
 
 # --- contraction -------------------------------------------------------------------------
 
-def test_delta_squares_to_zero(quat):
-    calc, e = quat.calc, quat.base
-    for h, k in ((2, 0), (2, 1)):
-        d1 = delta_contraction(calc, e, h, k)
-        d2 = delta_contraction(calc, e, h - 1, k + 1)
-        assert (d2 * d1).is_zero()
+def test_delta_squares_to_zero(quat, two_point):
+    for fx in (quat, two_point):
+        calc, e = fx.calc, fx.base
+        for h, k in ((2, 0), (2, 1)):
+            d1 = delta_contraction(calc, e, h, k)
+            d2 = delta_contraction(calc, e, h - 1, k + 1)
+            assert (d2 * d1).is_zero()
+
+
+def test_sym_module_is_the_kernel_of_the_contraction(quat, two_point):
+    # matrix2 is left out: it adds about 8 s
+    for fx in (quat, two_point):
+        calc, e = fx.calc, fx.base
+        for n in (2, 3):
+            ker = kernel_of(delta_contraction(calc, e, n - 1, 1))
+            assert ker == image_of(sym_module(calc, e, n).iota_wedge)
 
 
 def test_delta_at_degree_zero_is_the_inclusion(quat):
