@@ -15,6 +15,7 @@ from .linalg import (
     SpanBuilder,
     ZERO,
     ONE,
+    nonzeros,
     kron,
     quotient_data,
     rat,
@@ -280,10 +281,12 @@ class TensorSpace:
     """Tensor product over the algebra, with its plain-tensor presentation.
 
     proj maps the plain tensor (left factor slow, right factor fast) onto
-    the quotient; sec is the fixed section picked by rref pivots.
+    the quotient; sec is the fixed section picked by rref pivots.  pcols
+    holds the columns of proj as {row: value} dicts, so a plain tensor is
+    projected from its nonzeros alone.
     """
 
-    __slots__ = ("left_dim", "right_dim", "dim", "proj", "sec", "relations")
+    __slots__ = ("left_dim", "right_dim", "dim", "proj", "sec", "relations", "pcols")
 
     def __init__(self, left_dim, right_dim, proj, sec, relations):
         self.left_dim = left_dim
@@ -292,17 +295,22 @@ class TensorSpace:
         self.sec = sec
         self.dim = proj.rows
         self.relations = relations
+        self.pcols = proj.transpose().nz
+
+    def project(self, plain):
+        """Class of the plain tensor given by its nonzeros {index: value}."""
+        out = [ZERO] * self.dim
+        pcols = self.pcols
+        for k, v in plain.items():
+            for r, p in pcols[k].items():
+                out[r] += v * p
+        return vec(out)
 
     def class_of(self, x, y):
-        """Class of the pure tensor x (x) y."""
-        plain = [ZERO] * (self.left_dim * self.right_dim)
-        for i, xi in enumerate(x):
-            if xi:
-                base = i * self.right_dim
-                for j, yj in enumerate(y):
-                    if yj:
-                        plain[base + j] = xi * yj
-        return self.proj.apply(plain)
+        """Class of the pure tensor x (x) y, from the nonzeros of x and y."""
+        rd = self.right_dim
+        ynz = nonzeros(y).items()
+        return self.project({i * rd + j: xi * yj for i, xi in nonzeros(x).items() for j, yj in ynz})
 
 
 def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
@@ -314,20 +322,14 @@ def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
     sb = SpanBuilder(amb)
     alg = m.algebra
     for a in range(alg.dim):
-        ra = m.right[a]
-        la = n.left[a]
-        lacols = [la.col(y) for y in range(dn)]
+        rcols = m.right[a].transpose().nz
+        lcols = n.left[a].transpose().nz
         for x in range(dm):
-            rx = ra.col(x)
             for y in range(dn):
-                gen = {}
-                for mm, v in enumerate(rx):
-                    if v:
-                        gen[mm * dn + y] = gen.get(mm * dn + y, ZERO) + v
-                for nn, w in enumerate(lacols[y]):
-                    if w:
-                        key = x * dn + nn
-                        gen[key] = gen.get(key, ZERO) - w
+                gen = {mm * dn + y: v for mm, v in rcols[x].items()}
+                for nn, w in lcols[y].items():
+                    key = x * dn + nn
+                    gen[key] = gen.get(key, ZERO) - w
                 sb.add(gen)
     rel = sb.subspace()
     proj, sec = quotient_data(rel)
@@ -394,18 +396,14 @@ def add_intertwining_rows(sys, src_mats, tgt_mats, rhs_mats=None):
     """
     dt, ds = tgt_mats[0].rows, src_mats[0].rows
     for a, (s_a, t_a) in enumerate(zip(src_mats, tgt_mats)):
-        scols = [s_a.col(j) for j in range(ds)]
+        scols = s_a.transpose().nz
         for i in range(dt):
-            trow = t_a.data[i]
+            trow = t_a.nz[i]
             for j in range(ds):
-                coeffs = {}
-                for k, v in enumerate(scols[j]):
-                    if v:
-                        coeffs[i * ds + k] = coeffs.get(i * ds + k, ZERO) + v
-                for k, v in enumerate(trow):
-                    if v:
-                        key = k * ds + j
-                        coeffs[key] = coeffs.get(key, ZERO) - v
+                coeffs = {i * ds + k: v for k, v in scols[j].items()}
+                for k, v in trow.items():
+                    key = k * ds + j
+                    coeffs[key] = coeffs.get(key, ZERO) - v
                 rhs = rhs_mats[a].entry(i, j) if rhs_mats else ZERO
                 if coeffs or rhs:
                     sys.add_row(coeffs, rhs)
@@ -427,14 +425,9 @@ def solve_module_maps(source, target, linearity="left", compose_eq=(), entry_eq=
     for P, Q in compose_eq:
         if P.rows != ds or Q.rows != dt or P.cols != Q.cols:
             raise ValueError("compose_eq shape mismatch")
-        for w in range(P.cols):
-            pcol = P.col(w)
+        for w, pcol in enumerate(P.transpose().nz):
             for i in range(dt):
-                coeffs = {}
-                for j, v in enumerate(pcol):
-                    if v:
-                        coeffs[i * ds + j] = v
-                sys.add_row(coeffs, Q.entry(i, w))
+                sys.add_row({i * ds + j: v for j, v in pcol.items()}, Q.entry(i, w))
     for coeffs, rhs in entry_eq:
         sys.add_row(coeffs, rhs)
     return sys.solve()

@@ -64,9 +64,7 @@ def validate_fodc(algebra: Algebra, omega1: Bimodule, d0: Mat):
         return problems
     if d0.rows != omega1.dim or d0.cols != algebra.dim:
         return ["differential matrix has wrong shape"]
-    from .linalg import is_zero_vec
-
-    if not is_zero_vec(d0.apply(algebra.unit)):
+    if any(d0.apply(algebra.unit)):
         problems.append("d(1) != 0")
     for i in range(algebra.dim):
         dei = d0.apply(algebra.basis_vector(i))
@@ -138,20 +136,15 @@ class Calculus:
         return self.memo(("wedge_plain", p, q), lambda: self._wedge_plain(p, q))
 
     def _wedge_plain(self, p, q) -> Mat:
-        alg = self.algebra
         if p == 0:
-            cols = []
-            for i in range(alg.dim):
-                act = self.omega[q].left[i]
-                for j in range(self.omega[q].dim):
-                    cols.append(act.col(j))
-            return Mat.from_rows(cols, self.omega[q].dim).transpose()
+            # column (a, x) is a . x
+            acts = [m.transpose().nz for m in self.omega[q].left]
+            return Mat.from_cols([col for cols in acts for col in cols], self.omega[q].dim)
         if q == 0:
-            cols = []
-            for i in range(self.omega[p].dim):
-                for j in range(alg.dim):
-                    cols.append(self.omega[p].right[j].col(i))
-            return Mat.from_rows(cols, self.omega[p].dim).transpose()
+            # column (x, a) is x . a
+            acts = [m.transpose().nz for m in self.omega[p].right]
+            return Mat.from_cols([cols[i] for i in range(self.omega[p].dim) for cols in acts],
+                                 self.omega[p].dim)
         if q == 1:
             return self.step_proj[p + 1]
         return (
@@ -166,13 +159,8 @@ class Calculus:
 
     def wedge_map(self, p, q) -> Mat:
         """Wedge as a matrix on omega_p (x)_A omega_q coordinates."""
-        ts = self.tensor_pq(p, q)
-        w_plain = self.wedge_plain(p, q)
-        # the wedge must kill the balancing relations
-        for row in ts.relations.basis.data:
-            if not all(not x for x in w_plain.apply(list(row))):
-                raise CalculusError("wedge %d,%d not balanced" % (p, q))
-        return w_plain * ts.sec
+        return self.descend(self.wedge_plain(p, q), self.tensor_pq(p, q),
+                            "wedge %d,%d" % (p, q))
 
     # -- module-valued forms -----------------------------------------------
 
@@ -195,12 +183,13 @@ class Calculus:
     def descend(self, plain_mat: Mat, ts: TensorSpace, what="map") -> Mat:
         """Descend a plain-tensor matrix through a quotient presentation.
 
-        Verifies the matrix kills the balancing relations first; failure
-        means the map is not well-defined on the tensor product over A.
+        Verifies the matrix kills the balancing relations first, one sparse
+        product with the relation basis; failure means the map is not
+        well-defined on the tensor product over A.  The descended matrix is
+        the plain one restricted to the section's columns.
         """
-        for row in ts.relations.basis.data:
-            if not all(not x for x in plain_mat.apply(list(row))):
-                raise CalculusError("%s is not well-defined on the tensor product" % what)
+        if not (plain_mat * ts.relations.basis.transpose()).is_zero():
+            raise CalculusError("%s is not well-defined on the tensor product" % what)
         return plain_mat * ts.sec
 
     # -- misc --------------------------------------------------------------
@@ -221,9 +210,9 @@ def _solve_spanning(vmat: Mat, wmat: Mat, what):
         raise CalculusError("%s is inconsistent on its spanning set" % what)
     if len(piv) != n:
         raise CalculusError("%s underdetermined: spanning set does not span" % what)
-    rows = [[ZERO] * wmat.rows for _ in range(n)]
+    rows = [{}] * n
     for r, p in enumerate(piv):
-        rows[p] = list(red.data[r][n:])
+        rows[p] = {c - n: x for c, x in red.nz[r].items() if c >= n}
     return Mat(n, wmat.rows, rows).transpose()
 
 
@@ -250,8 +239,8 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         for j in range(dA):
             mult_cols.append(alg.mult[i][j])
             to_omega_cols.append(omega1.act_left(alg.basis_vector(i), d0.apply(alg.basis_vector(j))))
-    mult_mat = Mat.from_rows(mult_cols, dA).transpose()
-    to_omega = Mat.from_rows(to_omega_cols, o1).transpose()
+    mult_mat = Mat.from_cols(mult_cols, dA)
+    to_omega = Mat.from_cols(to_omega_cols, o1)
     relation_space = intersect(kernel_of(mult_mat), kernel_of(to_omega))
 
     def quotient_bimodule(pre_mod, pre_ts, rel, degree):
@@ -271,48 +260,38 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         # degree-2 relations: two-sided action closure of d applied to them
         pre2_mod, pre2_ts = tensor_bimodule(omega1, omega1, label="O1(x)O1")
         dgens = []
-        for row in relation_space.basis.data:
-            plain = [ZERO] * (o1 * o1)
-            for idx, c in enumerate(row):
-                if c:
-                    i, j = divmod(idx, dA)
-                    dei = d0.apply(alg.basis_vector(i))
-                    dej = d0.apply(alg.basis_vector(j))
-                    for s, x in enumerate(dei):
-                        if x:
-                            for t, y in enumerate(dej):
-                                if y:
-                                    plain[s * o1 + t] += c * x * y
-            dgens.append(pre2_ts.proj.apply(plain))
+        dcols = d0.transpose().nz
+        for row in relation_space.basis.nz:
+            plain = {}
+            for idx, c in row.items():
+                i, j = divmod(idx, dA)
+                for s, x in dcols[i].items():
+                    for t, y in dcols[j].items():
+                        plain[s * o1 + t] = plain.get(s * o1 + t, ZERO) + c * x * y
+            dgens.append(pre2_ts.project(plain))
         rel2 = module_closure(pre2_mod, dgens, use_right=True)
 
         om2, sp2, ss2 = quotient_bimodule(pre2_mod, pre2_ts, rel2, 2)
         omega.append(om2)
         step_proj[2] = sp2
         step_sec[2] = ss2
-        rel2_plain_lift = pre2_ts.sec  # omega1 (x)_A omega1 coords -> plain
+        # degree-2 relations as plain tensors in omega1 (x) omega1
+        rel2_plain = (rel2.basis * pre2_ts.sec.transpose()).nz
 
     for n in range(3, max_degree + 1):
         pre_mod, pre_ts = tensor_bimodule(omega[n - 1], omega1, label="O%d(x)O1" % (n - 1))
         sb = SpanBuilder(pre_ts.dim)
-        prev_proj = step_proj[n - 1]
+        prev_cols = step_proj[n - 1].transpose().nz
         for u in range(omega[n - 2].dim):
             base = u * o1
-            for r_row in rel2.basis.data:
-                r_pl = rel2_plain_lift.apply(list(r_row))
+            for r_pl in rel2_plain:
                 acc = {}
-                for idx, c in enumerate(r_pl):
-                    if c:
-                        a_i, b_i = divmod(idx, o1)
-                        colv = prev_proj.col(base + a_i)
-                        for ii, v in enumerate(colv):
-                            if v:
-                                key = ii * o1 + b_i
-                                acc[key] = acc.get(key, ZERO) + c * v
-                dense = [ZERO] * (omega[n - 1].dim * o1)
-                for kidx, v in acc.items():
-                    dense[kidx] = v
-                sb.add(pre_ts.proj.apply(dense))
+                for idx, c in r_pl.items():
+                    a_i, b_i = divmod(idx, o1)
+                    for ii, v in prev_cols[base + a_i].items():
+                        key = ii * o1 + b_i
+                        acc[key] = acc.get(key, ZERO) + c * v
+                sb.add(pre_ts.project(acc))
         reln = sb.subspace()
         omn, spn, ssn = quotient_bimodule(pre_mod, pre_ts, reln, n)
         omega.append(omn)
@@ -348,8 +327,8 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
             for s in range(1, n + 1):
                 w = extend(w, s, basis_d[tup[s]])
             wcols.append(w)
-        vmat = Mat.from_rows(vcols, omega[n].dim).transpose()
-        wmat = Mat.from_rows(wcols, omega[n + 1].dim).transpose()
+        vmat = Mat.from_cols(vcols, omega[n].dim)
+        wmat = Mat.from_cols(wcols, omega[n + 1].dim)
         calc.d.append(_solve_spanning(vmat, wmat, "differential in degree %d" % n))
 
     # d^2 = 0 on every consecutive pair that exists
@@ -366,7 +345,7 @@ def universal_calculus(a: Algebra, max_degree=3) -> Calculus:
     for i in range(dA):
         for j in range(dA):
             cols.append(a.mult[i][j])
-    mult_mat = Mat.from_rows(cols, dA).transpose()
+    mult_mat = Mat.from_cols(cols, dA)
     ker = kernel_of(mult_mat)
     emb = ker.basis.transpose()
 
@@ -382,8 +361,8 @@ def universal_calculus(a: Algebra, max_degree=3) -> Calculus:
     for s in range(dA):
         big_l = kron(a.lmat[s], eye)
         big_r = kron(eye, a.rmat[s])
-        left.append(Mat.from_rows([coords(big_l.apply(emb.col(t))) for t in range(ker.dim)], ker.dim).transpose())
-        right.append(Mat.from_rows([coords(big_r.apply(emb.col(t))) for t in range(ker.dim)], ker.dim).transpose())
+        left.append(Mat.from_cols([coords(c) for c in (big_l * emb).transpose().nz], ker.dim))
+        right.append(Mat.from_cols([coords(c) for c in (big_r * emb).transpose().nz], ker.dim))
     om1 = Bimodule(a, ker.dim, left, right, label="O1u(%s)" % a.name)
     dcols = []
     for b in range(dA):
@@ -393,7 +372,7 @@ def universal_calculus(a: Algebra, max_degree=3) -> Calculus:
                 v[i * dA + b] += u
                 v[b * dA + i] -= u
         dcols.append(coords(v))
-    d0 = Mat.from_rows(dcols, ker.dim).transpose()
+    d0 = Mat.from_cols(dcols, ker.dim)
     return build_calculus(a, om1, d0, max_degree, name="universal(%s)" % a.name)
 
 
@@ -428,7 +407,7 @@ def quaternion_calculus(max_degree=3) -> Calculus:
         [0, 0, 0, 0, 1, 0, 0, 0],    # d(j) = dj
         [0, 0, -1, 0, 0, 1, 0, 0],   # d(k) = -j di + i dj
     ]
-    d0 = Mat.from_rows(dcols, 8).transpose()
+    d0 = Mat.from_cols(dcols, 8)
     calc = build_calculus(alg, om1, d0, max_degree, name="quaternion")
     calc.left_frame_size = 2
     return calc

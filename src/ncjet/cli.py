@@ -146,9 +146,10 @@ def cmd_connections(args, out):
             report["representative_connection"] = [
                 [rat_str(x) for x in row] for row in bc.base.mat.data
             ]
-            ker = kernel_of(calc.wedge_map(1, 1))
-            if ker.dim:
-                g = list(ker.basis.data[0])
+            # metric, torsion and curvature need two-forms
+            ker = kernel_of(calc.wedge_map(1, 1)) if calc.max_degree >= 2 else None
+            if ker and ker.dim:
+                g = ker.basis.row(0)
                 report["metric_candidate_dim"] = ker.dim
                 report["torsion_zero"] = torsion(calc, bc.base).is_zero()
                 report["curvature_zero"] = curvature(calc, bc.base).is_zero()

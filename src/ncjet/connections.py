@@ -14,6 +14,7 @@ from .linalg import (
     Mat,
     AffineSpace,
     ZERO,
+    ONE,
     image_of,
     kron,
     left_inverse,
@@ -38,7 +39,6 @@ from .jets import (
     spencer_operator,
     sym_module,
     twist_mats,
-    _basis,
 )
 
 
@@ -127,8 +127,8 @@ def _d_right_mats(calc: Calculus):
         mats = []
         for a in range(calc.algebra.dim):
             da = calc.d_of_basis(a)
-            cols = [ts.class_of(_basis(o1, w), da) for w in range(o1)]
-            mats.append(Mat.from_rows(cols, ts.dim).transpose())
+            cols = [ts.class_of({w: ONE}, da) for w in range(o1)]
+            mats.append(Mat.from_cols(cols, ts.dim))
         return mats
 
     return calc.memo("d_right", build)
@@ -171,42 +171,37 @@ def bimodule_connection_system(calc: Calculus) -> AffineSystem:
     def sig(i, j):
         return n_nabla + i * qq + j
 
+    def add(coeffs, key, v):
+        coeffs[key] = coeffs.get(key, ZERO) + v
+
     # left Leibniz for the connection
     add_intertwining_rows(sys, om1.left, om11.left, twist)
     for a in range(alg.dim):
         # right Leibniz: nabla R_a - R_a nabla - sigma D_a = 0
-        r_src = om1.right[a]
-        r_tgt = om11.right[a]
-        d_a = d_right[a]
+        r_src = om1.right[a].transpose().nz
+        r_tgt = om11.right[a].nz
+        d_a = d_right[a].transpose().nz
         for i in range(qq):
             for j in range(o1):
                 coeffs = {}
-                for k in range(o1):
-                    v = r_src.entry(k, j)
-                    if v:
-                        coeffs[nab(i, k)] = coeffs.get(nab(i, k), ZERO) + v
-                for k in range(qq):
-                    v = r_tgt.entry(i, k)
-                    if v:
-                        coeffs[nab(k, j)] = coeffs.get(nab(k, j), ZERO) - v
-                for k in range(qq):
-                    v = d_a.entry(k, j)
-                    if v:
-                        coeffs[sig(i, k)] = coeffs.get(sig(i, k), ZERO) - v
+                for k, v in r_src[j].items():
+                    add(coeffs, nab(i, k), v)
+                for k, v in r_tgt[i].items():
+                    add(coeffs, nab(k, j), -v)
+                for k, v in d_a[j].items():
+                    add(coeffs, sig(i, k), -v)
                 sys.add_row(coeffs)
         # braiding linearity on both sides
         for mats in (om11.left, om11.right):
-            m_a = mats[a]
+            m_rows = mats[a].nz
+            m_cols = mats[a].transpose().nz
             for i in range(qq):
                 for j in range(qq):
                     coeffs = {}
-                    for k in range(qq):
-                        v = m_a.entry(k, j)
-                        if v:
-                            coeffs[sig(i, k)] = coeffs.get(sig(i, k), ZERO) + v
-                        v = m_a.entry(i, k)
-                        if v:
-                            coeffs[sig(k, j)] = coeffs.get(sig(k, j), ZERO) - v
+                    for k, v in m_cols[j].items():
+                        add(coeffs, sig(i, k), v)
+                    for k, v in m_rows[i].items():
+                        add(coeffs, sig(k, j), -v)
                     if coeffs:
                         sys.add_row(coeffs)
     return sys
@@ -249,25 +244,24 @@ def tensor_connection(calc: Calculus, bconn: BimoduleConnection, connf: Connecti
     to_v = ts_v.proj * kron(Mat.identity(o1), ts_f.proj)
     term2_map = to_v * kron(sigma_plain, eye_f)
     cols = []
+    # plain lifts of nabla(w_b) and nabla(f_t), as {index: value}
+    nb_plain = (ts11.sec * bconn.base.mat).transpose().nz
+    nf_plain = (ts_f.sec * connf.mat).transpose().nz
     for b in range(o1):
-        nb_plain = ts11.sec.apply(bconn.base.mat.apply(_basis(o1, b)))
         for t in range(f.dim):
             # term 1: nabla(w_b) (x) f_t
             acc = [ZERO] * (o1 * o1 * f.dim)
-            for idx, v in enumerate(nb_plain):
-                if v:
-                    acc[idx * f.dim + t] = v
+            for idx, v in nb_plain[b].items():
+                acc[idx * f.dim + t] = v
             col = to_v.apply(acc)
             # term 2: (sigma (x) id)(w_b (x) nabla f_t)
-            nf_plain = ts_f.sec.apply(connf.mat.col(t))
             acc2 = [ZERO] * (o1 * o1 * f.dim)
             base = b * o1 * f.dim
-            for idx, v in enumerate(nf_plain):
-                if v:
-                    acc2[base + idx] = v
+            for idx, v in nf_plain[t].items():
+                acc2[base + idx] = v
             col2 = term2_map.apply(acc2)
             cols.append([x + y for x, y in zip(col, col2)])
-    plain = Mat.from_rows(cols, ts_v.dim).transpose()
+    plain = Mat.from_cols(cols, ts_v.dim)
     mat = calc.descend(plain, ts_f, "tensor connection")
     return Connection(calc, fm, mat)
 

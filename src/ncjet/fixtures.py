@@ -30,7 +30,7 @@ def base_connection(calc: Calculus) -> Connection:
     e = calc.base_module()
     fm, ts = calc.form_module(1, e)
     cols = [ts.class_of(calc.d_of_basis(a), calc.algebra.unit) for a in range(calc.algebra.dim)]
-    return Connection(calc, e, Mat.from_rows(cols, fm.dim).transpose())
+    return Connection(calc, e, Mat.from_cols(cols, fm.dim))
 
 
 def frame_vectors(calc: Calculus):

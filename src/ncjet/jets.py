@@ -9,7 +9,8 @@ obstruction only; nonholonomic jets are the full pair space.
 
 from __future__ import annotations
 
-from .linalg import Mat, Subspace, ZERO, ONE, kernel_of, intersect, kron, span_of
+from .linalg import (Mat, Subspace, ZERO, ONE, image_of, intersect, kernel_of, kron, rank,
+                     span_of)
 from .algebra import Bimodule, LeftModule, module_closure
 from .calculus import Calculus, CalculusError
 
@@ -58,8 +59,8 @@ def twist_mats(calc: Calculus, m: LeftModule):
     mats = []
     for a in range(calc.algebra.dim):
         da = calc.d_of_basis(a)
-        cols = [ts.class_of(da, _basis(m.dim, x)) for x in range(m.dim)]
-        mats.append(Mat.from_rows(cols, ts.dim).transpose())
+        cols = [ts.class_of(da, {x: ONE}) for x in range(m.dim)]
+        mats.append(Mat.from_cols(cols, ts.dim))
     return mats
 
 
@@ -67,12 +68,6 @@ def pair_map(calc: Calculus, f: Mat, src: LeftModule, dst: LeftModule) -> Mat:
     """P on maps: f (+) (id (x) f) from P(src) to P(dst)."""
     om = calc.omega_lift(1, f, src, dst)
     return f.hstack(Mat.zeros(f.rows, om.cols)).vstack(Mat.zeros(om.rows, f.cols).hstack(om))
-
-
-def _basis(n, i):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
 
 
 def dtilde_maps(calc: Calculus, m: LeftModule):
@@ -111,39 +106,34 @@ def exterior_operator(calc: Calculus, m: int, dom: LeftModule, low: LeftModule,
     _, ts_tgt = calc.form_module(m + 1, low)
     _, ts_one = calc.form_module(1, low)
     sign = ONE if m % 2 == 0 else -ONE
-    # per domain basis vector: pi(x) and the plain lift of d0(x), () when zero
-    pi_cols = [pi.col(t) for t in range(dom.dim)] if pi is not None else [()] * dom.dim
-    pi_cols = [c if any(c) else () for c in pi_cols]
-    d0_plain = [ts_one.sec.apply(c) if any(c) else () for c in map(d0.col, range(dom.dim))]
+    # per domain basis vector: pi(x) and the plain lift of d0(x), as {index: value}
+    pi_cols = pi.transpose().nz if pi is not None else [{}] * dom.dim
+    d0_plain = (ts_one.sec * d0).transpose().nz
     cols = []
-    for b in range(calc.omega[m].dim):
-        dwb = calc.d[m].col(b)
-        d_term = any(dwb)
+    for b, dwb in enumerate(calc.d[m].transpose().nz):
         for t in range(dom.dim):
             col = [ZERO] * ts_tgt.dim
-            if d_term and pi_cols[t]:
+            if dwb and pi_cols[t]:
                 col = ts_tgt.class_of(dwb, pi_cols[t])
             if d0_plain[t]:
                 wedge = _wedge_prepend(calc, m, b, d0_plain[t], low.dim, ts_tgt)
                 col = [x + sign * y for x, y in zip(col, wedge)]
             cols.append(col)
-    plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
+    plain = Mat.from_cols(cols, ts_tgt.dim)
     return calc.descend(plain, ts_dom, what)
 
 
 def _wedge_prepend(calc, k, b_idx, w_plain, t_dim, ts_out, q=1):
-    """Class of w_b ^ (plain q-form-valued vector) in (k+q)-forms (x) T."""
-    wkq = calc.wedge_plain(k, q)
-    oq = calc.omega[q].dim
-    acc = [ZERO] * (calc.omega[k + q].dim * t_dim)
-    for idx, v in enumerate(w_plain):
-        if v:
-            c, e = divmod(idx, t_dim)
-            col = wkq.col(b_idx * oq + c)
-            for r, vv in enumerate(col):
-                if vv:
-                    acc[r * t_dim + e] += v * vv
-    return ts_out.proj.apply(acc)
+    """Class of w_b ^ (plain q-form-valued vector {index: value}) in (k+q)-forms (x) T."""
+    wcols = calc.memo(("wedge_cols", k, q), lambda: calc.wedge_plain(k, q).transpose().nz)
+    base = b_idx * calc.omega[q].dim
+    acc = {}
+    for idx, v in w_plain.items():
+        c, e = divmod(idx, t_dim)
+        for r, vv in wcols[base + c].items():
+            key = r * t_dim + e
+            acc[key] = acc.get(key, ZERO) + v * vv
+    return ts_out.project(acc)
 
 
 class SymModule:
@@ -183,15 +173,9 @@ def _sym_module(calc: Calculus, e: LeftModule, n: int) -> SymModule:
     emb = ker.basis.transpose()
 
     def restricted(mats):
-        out = []
-        for mat in mats:
-            cols_a = []
-            for t in range(ker.dim):
-                coords = ker.coords(mat.apply(emb.col(t)))
-                if coords is None:
-                    raise CalculusError("symmetric forms are not action-stable")
-                cols_a.append(coords)
-            out.append(Mat.from_rows(cols_a, ker.dim).transpose())
+        out = [ker.coords_of_cols(mat * emb) for mat in mats]
+        if None in out:
+            raise CalculusError("symmetric forms are not action-stable")
         return out
 
     left = restricted(fm.left)
@@ -290,22 +274,18 @@ def _jet_module(calc: Calculus, e: LeftModule, n: int, flavor) -> JetModule:
     carrier = kernel_of(constraint)
     l = carrier.basis.transpose()
     # carrier coordinates: pivot extraction against the echelon basis
-    def coords(v):
-        c = carrier.coords(v)
+    def coords(m):
+        c = carrier.coords_of_cols(m)
         if c is None:
             raise CalculusError("element escapes the %s jet carrier" % flavor)
         return c
 
     alg = calc.algebra
-    left = []
-    for a in range(alg.dim):
-        cols_a = [coords(pd.mod.left[a].apply(l.col(t))) for t in range(carrier.dim)]
-        left.append(Mat.from_rows(cols_a, carrier.dim).transpose())
+    left = [coords(pd.mod.left[a] * l) for a in range(alg.dim)]
     mod = LeftModule(alg, carrier.dim, left,
                      label="J%d%s(%s)" % (n, "" if flavor == HOLONOMIC else "'", e.label))
     # prolongation: j^n(e) = (j^{n-1}(e), 0)
-    jcols = [coords(pd.j.apply(lower.j.col(t))) for t in range(e.dim)]
-    j = Mat.from_rows(jcols, carrier.dim).transpose()
+    j = coords(pd.j * lower.j)
     iota = None
     sym = None
     if flavor == HOLONOMIC:
@@ -313,11 +293,7 @@ def _jet_module(calc: Calculus, e: LeftModule, n: int, flavor) -> JetModule:
         if lower.iota is None:
             raise CalculusError("missing symbol inclusion on lower jet")
         omega_iota = calc.omega_lift(1, lower.iota, sym.lower.mod, lower.mod)
-        icols = []
-        for t in range(sym.dim):
-            w = omega_iota.apply(sym.iota_wedge.col(t))
-            icols.append(coords(pd.iota.apply(w)))
-        iota = Mat.from_rows(icols, carrier.dim).transpose()
+        iota = coords(pd.iota * omega_iota * sym.iota_wedge)
     return JetModule(calc, e, n, flavor, mod, lower, l, j,
                      iota=iota, carrier=carrier, sym=sym)
 
@@ -333,14 +309,10 @@ def flavor_inclusion(calc: Calculus, e: LeftModule, n: int, src=HOLONOMIC, dst=N
         return Mat.identity(sj.dim)
     if dst == SESQUI:
         # both are subspaces of the same pair space over the holonomic lower
-        cols = []
-        for t in range(sj.dim):
-            v = sj.l.col(t)
-            c = dj.carrier.coords(v)
-            if c is None:
-                raise CalculusError("holonomic jet escapes sesquiholonomic carrier")
-            cols.append(c)
-        return Mat.from_rows(cols, dj.dim).transpose()
+        inc = dj.carrier.coords_of_cols(sj.l)
+        if inc is None:
+            raise CalculusError("holonomic jet escapes sesquiholonomic carrier")
+        return inc
     # dst nonholonomic: P applied to the lower inclusion, then l
     lower_inc = flavor_inclusion(calc, e, n - 1, src, NONHOLONOMIC) if n - 1 >= 2 else (
         Mat.identity(jet_module(calc, e, n - 1, src).dim))
@@ -386,10 +358,10 @@ def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
     _, ts_dom1 = calc.form_module(1, dom)
     _, ts_inner = calc.form_module(m, jet.mod)
     _, ts_tgt = calc.form_module(m + 1, jet.lower.mod)
-    pi_plain = kron(Mat.identity(calc.omega[m].dim), jet.pi) * ts_inner.sec
-    cols = [_wedge_prepend(calc, 1, b, pi_plain.col(u), jet.lower.mod.dim, ts_tgt, q=m)
+    pi_plain = (kron(Mat.identity(calc.omega[m].dim), jet.pi) * ts_inner.sec).transpose().nz
+    cols = [_wedge_prepend(calc, 1, b, pi_plain[u], jet.lower.mod.dim, ts_tgt, q=m)
             for b in range(calc.omega1.dim) for u in range(dom.dim)]
-    expected = Mat.from_rows(cols, ts_tgt.dim).transpose() * ts_dom1.sec
+    expected = Mat.from_cols(cols, ts_tgt.dim) * ts_dom1.sec
     return got, expected
 
 
@@ -435,8 +407,6 @@ def spencer_complex(calc: Calculus, e: LeftModule, n: int, flavor=HOLONOMIC):
             is_complex = False
     dims = []
     # position 0: kernel of the prolongation
-    from .linalg import rank, image_of
-
     dims.append(e.dim - rank(maps[0]))
     for pos in range(1, n + 1):
         ker = kernel_of(maps[pos])
@@ -469,22 +439,21 @@ def nu_operator(calc: Calculus, e: LeftModule, m: int):
         return zero.hstack(second), tw, m1.dim
     _, ts_dom = calc.form_module(m, tw)
     sign = ONE if m % 2 == 0 else -ONE
+    alpha_plain = ts1e.sec.transpose().nz
+    beta_plain = ts2e.sec.transpose().nz
     cols = []
-    for b in range(calc.omega[m].dim):
-        dwb = calc.d[m].col(b)
+    for b, dwb in enumerate(calc.d[m].transpose().nz):
         for t in range(tw.dim):
             if t < m1.dim:
                 # (-1)^m dw ^ alpha with alpha in one-forms (x) E
                 col = [ZERO] * ts_tgt.dim
-                for r1, v1 in enumerate(dwb):
-                    if v1:
-                        w = _wedge_prepend(calc, m + 1, r1, ts1e.sec.col(t), e.dim, ts_tgt)
-                        col = [x + sign * v1 * y for x, y in zip(col, w)]
+                for r1, v1 in dwb.items():
+                    w = _wedge_prepend(calc, m + 1, r1, alpha_plain[t], e.dim, ts_tgt)
+                    col = [x + sign * v1 * y for x, y in zip(col, w)]
                 cols.append(col)
             else:
-                beta_plain = ts2e.sec.col(t - m1.dim)
-                cols.append(_wedge_prepend(calc, m, b, beta_plain, e.dim, ts_tgt, q=2))
-    plain = Mat.from_rows(cols, ts_tgt.dim).transpose()
+                cols.append(_wedge_prepend(calc, m, b, beta_plain[t - m1.dim], e.dim, ts_tgt, q=2))
+    plain = Mat.from_cols(cols, ts_tgt.dim)
     return calc.descend(plain, ts_dom, "nu operator"), tw, m1.dim
 
 
@@ -508,8 +477,7 @@ def holonomic_via_spencer(calc: Calculus, e: LeftModule, n: int) -> Subspace:
     s11 = spencer_operator(calc, lower, 1)
     composite = s11 * sbar
     ker = kernel_of(composite)
-    gens = [sq.l.apply(list(row)) for row in ker.basis.data]
-    return span_of(gens, sq.l.rows)
+    return span_of((ker.basis * sq.l.transpose()).nz, sq.l.rows)
 
 
 def jet_exactness(calc: Calculus, e: LeftModule, n: int):
@@ -517,8 +485,6 @@ def jet_exactness(calc: Calculus, e: LeftModule, n: int):
     jet = jet_module(calc, e, n, HOLONOMIC)
     lower = jet.lower
     sym = jet.sym
-    from .linalg import rank, image_of
-
     report = {}
     report["dims"] = (sym.dim, jet.dim, lower.dim)
     report["pi_surjective"] = rank(jet.pi) == lower.dim
@@ -531,10 +497,10 @@ def jet_exactness(calc: Calculus, e: LeftModule, n: int):
         # pullback: carrier intersect (prolongations of the lower jet) equals
         # the prolongation image of the base
         pd = pair_module(calc, lower.mod)
-        j1_image = span_of([pd.j.col(t) for t in range(lower.dim)], pd.mod.dim)
+        j1_image = image_of(pd.j)
         carrier = jet.carrier if jet.carrier is not None else Subspace.full(pd.mod.dim)
         inter = intersect(carrier, j1_image)
-        jn_image = span_of([(jet.l * jet.j).col(t) for t in range(e.dim)], pd.mod.dim)
+        jn_image = image_of(jet.l * jet.j)
         report["pullback_square"] = inter == jn_image
         report["pullback_dim"] = inter.dim
     report["exact"] = all(
@@ -569,9 +535,7 @@ def bicomplex_report(calc: Calculus, e: LeftModule, n: int, corrupt_sign=False):
             om_iota = omega_of(k, jets[h].iota, syms[h].mod, jets[h].mod)
             om_pi = omega_of(k, jets[h].pi, jets[h].mod, jets[h - 1].mod)
             cells.append(("row %d composite" % k, (om_pi * om_iota).is_zero()))
-            row_exact = kernel_of(om_pi) == span_of(
-                [om_iota.col(t) for t in range(om_iota.cols)], om_iota.rows
-            )
+            row_exact = kernel_of(om_pi) == image_of(om_iota)
             cells.append(("row %d exactness" % k, row_exact))
         if k == n:
             continue

@@ -1,38 +1,39 @@
-"""Exact rational linear algebra: matrices, subspaces, affine solution sets.
+"""Exact linear algebra: sparse matrices, subspaces, affine solution sets.
 
-Everything here is exact.  Scalars are arbitrary-precision rationals
-(gmpy2.mpq when available, fractions.Fraction otherwise; both are always
-reduced with positive denominator).  Subspaces are stored with a canonical
-reduced-row-echelon basis, so two equal subspaces compare equal as data.
+Everything here is exact.  A scalar is an ``int`` when it is integral and
+an arbitrary-precision rational otherwise (gmpy2.mpq with the ``fast``
+extra installed, fractions.Fraction without it; reduced, positive
+denominator).  Sums and products of ints stay ints, so a rational appears
+only where something divides, and every division goes through ``rat``:
+``/`` on two ints would silently give a float.  Matrices store their
+nonzero entries only, and every kernel walks those.  Subspaces are stored
+with a canonical reduced-row-echelon basis, so two equal subspaces compare
+equal as data.
 """
 
 from __future__ import annotations
 
 import os
+from math import gcd, lcm
 
 try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(p, q=1):
-        """Exact rational from ints, a 'p/q' string, or another rational."""
-        if q != 1:
-            return _mpq(p, q)
-        if isinstance(p, str):
-            return _mpq(p)
-        return _mpq(p)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _mpq
-
-    def rat(p, q=1):
-        """Exact rational from ints, a 'p/q' string, or another rational."""
-        if q != 1:
-            return _mpq(p, q)
-        return _mpq(p)
+    from gmpy2 import mpq as _Q
+except ImportError:  # pragma: no cover - gmpy2 comes with the ncjet[fast] extra
+    from fractions import Fraction as _Q
 
 
-ZERO = rat(0)
-ONE = rat(1)
+def rat(p, q=1):
+    """Exact p/q from ints, rationals or a 'p/q' string; an int when integral."""
+    if type(p) is int and q == 1:
+        return p
+    if isinstance(p, float) or isinstance(q, float):
+        raise TypeError("a float is not an exact scalar: %r / %r" % (p, q))
+    x = (p if type(p) is _Q else _Q(p)) if q == 1 else _Q(p, q)
+    return int(x.numerator) if x.denominator == 1 else x
+
+
+ZERO = 0
+ONE = 1
 
 DEFAULT_MAX_DIM = 4096
 
@@ -47,178 +48,20 @@ class DimensionCapError(ValueError):
 
 
 def rat_str(x):
-    """Serialize a rational as 'p' or 'p/q' (never a float)."""
+    """Serialize a scalar as 'p' or 'p/q' (never a float)."""
     n, d = x.numerator, x.denominator
     return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def vec(entries):
-    """Normalize an iterable of scalars into a list of rationals."""
+    """Normalize an iterable of scalars into a list of exact scalars."""
     return [rat(e) for e in entries]
 
 
-def is_zero_vec(u):
-    return all(not a for a in u)
-
-
-class Mat:
-    """Dense matrix of exact rationals.
-
-    Rows are stored as tuples; instances are immutable once built.  Vectors
-    are plain lists/tuples of rationals and matrices act on them as column
-    vectors via ``apply``.
-    """
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows, cols, data):
-        cap = max_dim()
-        if rows > cap or cols > cap:
-            raise DimensionCapError("matrix dimension exceeds cap %d" % cap)
-        if len(data) != rows:
-            raise ValueError("row count mismatch")
-        self.rows = rows
-        self.cols = cols
-        self.data = tuple(tuple(row) for row in data)
-        for row in self.data:
-            if len(row) != cols:
-                raise ValueError("column count mismatch")
-
-    @staticmethod
-    def from_rows(rows, cols=None):
-        rows = [vec(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("cols required for empty matrix")
-            cols = len(rows[0])
-        return Mat(len(rows), cols, rows)
-
-    @staticmethod
-    def identity(n):
-        return Mat(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(rows, cols):
-        return Mat(rows, cols, [[ZERO] * cols for _ in range(rows)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def __repr__(self):
-        if self.rows * self.cols > 64:
-            return "Mat(%dx%d)" % (self.rows, self.cols)
-        return "Mat(%dx%d, %s)" % (
-            self.rows,
-            self.cols,
-            [[rat_str(x) for x in row] for row in self.data],
-        )
-
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
-
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def row(self, i):
-        return list(self.data[i])
-
-    def col(self, j):
-        return [row[j] for row in self.data]
-
-    def transpose(self):
-        return Mat(self.cols, self.rows, [self.col(j) for j in range(self.cols)])
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        return Mat(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        return Mat(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def __neg__(self):
-        return Mat(self.rows, self.cols, [[-a for a in row] for row in self.data])
-
-    def scale(self, c):
-        c = rat(c)
-        return Mat(self.rows, self.cols, [[c * a for a in row] for row in self.data])
-
-    def __mul__(self, other):
-        """Matrix product; skips zero entries of the left factor."""
-        if not isinstance(other, Mat):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in mul: %dx%d * %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        odata = other.data
-        out = []
-        for row in self.data:
-            acc = [ZERO] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    orow = odata[k]
-                    acc = [x + a * y if y else x for x, y in zip(acc, orow)]
-            out.append(acc)
-        return Mat(self.rows, other.cols, out)
-
-    def apply(self, v):
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError("vector length %d != cols %d" % (len(v), self.cols))
-        out = []
-        for row in self.data:
-            s = ZERO
-            for a, x in zip(row, v):
-                if a and x:
-                    s += a * x
-            out.append(s)
-        return out
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return Mat(
-            self.rows,
-            self.cols + other.cols,
-            [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("col mismatch in vstack")
-        return Mat(self.rows + other.rows, self.cols, self.data + other.data)
-
-    def submatrix(self, row_idx, col_idx):
-        return Mat(
-            len(row_idx),
-            len(col_idx),
-            [[self.data[i][j] for j in col_idx] for i in row_idx],
-        )
-
-
-def _sparse(v):
-    """Nonzero entries of a vector (list, tuple or dict) as a fresh dict."""
-    if isinstance(v, dict):
-        return {c: x for c, x in v.items() if x}
-    return {c: x for c, x in enumerate(v) if x}
+def nonzeros(v):
+    """Nonzero entries of a vector (sequence or dict) as a fresh dict of exact scalars."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    return {c: x if type(x) is int else rat(x) for c, x in items if x}
 
 
 def _dense(row, n):
@@ -228,96 +71,273 @@ def _dense(row, n):
     return out
 
 
+class Mat:
+    """Sparse matrix of exact scalars, immutable once built.
+
+    Row i is the dict ``nz[i]`` from column to nonzero entry.  Kernels walk
+    these nonzeros only and may share row dicts between matrices, so a row
+    is never mutated.  ``data``, ``row``, ``col`` and ``entry`` are dense
+    views computed on each request.  Vectors are plain lists/tuples of
+    scalars and matrices act on them as column vectors via ``apply``.
+    """
+
+    __slots__ = ("rows", "cols", "nz")
+
+    def __init__(self, rows, cols, data):
+        """From dense rows (sequences of scalars) or sparse {col: value} rows."""
+        if len(data) != rows:
+            raise ValueError("row count mismatch")
+        for row in data:
+            if isinstance(row, dict):
+                if row and not 0 <= min(row) <= max(row) < cols:
+                    raise ValueError("column index out of range")
+            elif len(row) != cols:
+                raise ValueError("column count mismatch")
+        self._init(rows, cols, [nonzeros(row) for row in data])
+
+    def _init(self, rows, cols, nz):
+        """Where every matrix is born: the dimension cap, then the fields."""
+        cap = max_dim()
+        if rows > cap or cols > cap:
+            raise DimensionCapError("matrix dimension exceeds cap %d" % cap)
+        self.rows, self.cols, self.nz = rows, cols, tuple(nz)
+
+    @staticmethod
+    def _of(rows, cols, nz):
+        """Trusted constructor: each row holds nonzero, normalized entries only."""
+        m = object.__new__(Mat)
+        m._init(rows, cols, nz)
+        return m
+
+    @staticmethod
+    def from_rows(rows, cols=None):
+        rows = list(rows)
+        if cols is None:
+            if not rows:
+                raise ValueError("cols required for empty matrix")
+            cols = len(rows[0])
+        return Mat(len(rows), cols, rows)
+
+    @staticmethod
+    def from_cols(cols, rows):
+        """The rows x len(cols) matrix whose j-th column is cols[j]."""
+        return Mat(len(cols), rows, list(cols)).transpose()
+
+    @staticmethod
+    def identity(n):
+        return Mat._of(n, n, [{i: ONE} for i in range(n)])
+
+    @staticmethod
+    def zeros(rows, cols):
+        return Mat._of(rows, cols, [{}] * rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, Mat)
+                and (self.rows, self.cols, self.nz) == (other.rows, other.cols, other.nz))
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.nz)))
+
+    def __repr__(self):
+        if self.rows * self.cols > 64:
+            return "Mat(%dx%d)" % (self.rows, self.cols)
+        return "Mat(%dx%d, %s)" % (self.rows, self.cols,
+                                   [[rat_str(x) for x in row] for row in self.data])
+
+    @property
+    def data(self):
+        """Dense rows as tuples, built on each access."""
+        return tuple(tuple(_dense(row, self.cols)) for row in self.nz)
+
+    def is_zero(self):
+        return not any(self.nz)
+
+    def entry(self, i, j):
+        return self.nz[i].get(j, ZERO)
+
+    def row(self, i):
+        return _dense(self.nz[i], self.cols)
+
+    def col(self, j):
+        return [row.get(j, ZERO) for row in self.nz]
+
+    def transpose(self):
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nz):
+            for c, x in row.items():
+                out[c][i] = x
+        return Mat._of(self.cols, self.rows, out)
+
+    def _plus(self, other, sign):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in add/sub")
+        out = []
+        for r1, r2 in zip(self.nz, other.nz):
+            if not r2:
+                out.append(r1)
+                continue
+            acc = dict(r1)
+            for c, x in r2.items():
+                acc[c] = acc.get(c, ZERO) + sign * x
+            out.append(nonzeros(acc))
+        return Mat._of(self.rows, self.cols, out)
+
+    def __add__(self, other):
+        return self._plus(other, ONE)
+
+    def __sub__(self, other):
+        return self._plus(other, -ONE)
+
+    def __neg__(self):
+        return Mat._of(self.rows, self.cols, [{c: -x for c, x in row.items()} for row in self.nz])
+
+    def scale(self, c):
+        c = rat(c)
+        return Mat._of(self.rows, self.cols,
+                       [nonzeros({k: c * x for k, x in row.items()}) for row in self.nz])
+
+    def __mul__(self, other):
+        """Matrix product over the nonzeros of both factors.
+
+        A left row that selects one row of the right factor shares it.
+        """
+        if not isinstance(other, Mat):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in mul: %dx%d * %dx%d"
+                             % (self.rows, self.cols, other.rows, other.cols))
+        onz = other.nz
+        out = []
+        for row in self.nz:
+            if len(row) == 1:
+                (k, a), = row.items()
+                if a == 1:
+                    out.append(onz[k])
+                    continue
+            acc = {}
+            get = acc.get
+            for k, a in row.items():
+                for c, b in onz[k].items():
+                    acc[c] = get(c, ZERO) + a * b
+            out.append(nonzeros(acc))
+        return Mat._of(self.rows, other.cols, out)
+
+    def apply(self, v):
+        """Matrix times column vector."""
+        if len(v) != self.cols:
+            raise ValueError("vector length %d != cols %d" % (len(v), self.cols))
+        out = []
+        for row in self.nz:
+            s = ZERO
+            for c, a in row.items():
+                x = v[c]
+                if x:
+                    s += a * x
+            out.append(s if type(s) is int else rat(s))
+        return out
+
+    def hstack(self, other):
+        if self.rows != other.rows:
+            raise ValueError("row mismatch in hstack")
+        off = self.cols
+        return Mat._of(self.rows, self.cols + other.cols, [
+            {**r1, **{c + off: x for c, x in r2.items()}} if r2 else r1
+            for r1, r2 in zip(self.nz, other.nz)])
+
+    def vstack(self, other):
+        if self.cols != other.cols:
+            raise ValueError("col mismatch in vstack")
+        return Mat._of(self.rows + other.rows, self.cols, self.nz + other.nz)
+
+    def submatrix(self, row_idx, col_idx):
+        where = {j: k for k, j in enumerate(col_idx)}
+        return Mat._of(len(row_idx), len(where), [
+            {where[c]: x for c, x in self.nz[i].items() if c in where} for i in row_idx])
+
+
+def _integral(v):
+    """Nonzeros of v as a fresh {col: int} dict: v times the lcm of its denominators."""
+    row = nonzeros(v)
+    dens = [x.denominator for x in row.values() if type(x) is not int]
+    if dens:
+        m = lcm(*dens)
+        row = {c: int(x * m) for c, x in row.items()}
+    return row
+
+
+def _eliminate(row, piv, p):
+    """Clear row[p] over the ints: row <- d*row - f*piv for f = row[p], d = piv[p] > 0."""
+    f, d = row[p], piv[p]
+    if d != 1:
+        g = gcd(f, d)
+        f, d = f // g, d // g
+        for c in row:
+            row[c] *= d
+    for c, x in piv.items():
+        y = row.get(c, ZERO) - f * x
+        if y:
+            row[c] = y
+        else:
+            row.pop(c, None)
+
+
 class SpanBuilder:
     """Incremental exact echelon form: the one elimination routine.
 
-    Rows are kept as {column: value} dicts keyed by their pivot column, with
-    row[pivot] == 1 and nothing left of the pivot, so the common case
-    (structure constants 0/±1, little fill-in) stays fast.  ``reduced()``
-    back-substitutes to the canonical RREF rows that ``subspace()`` and the
-    solvers read.
+    Rows are kept fraction-free as {column: int} dicts keyed by their pivot
+    column, with coprime entries, a positive pivot and nothing left of it,
+    so elimination runs on ints even where the input has rationals.
+    ``reduced()`` back-substitutes and divides by the pivots, giving the
+    canonical RREF rows that ``subspace()`` and the solvers read.
     """
 
     def __init__(self, ambient):
         self.ambient = ambient
-        self.rows = {}  # pivot column -> dict row with row[pivot] == 1
+        self.rows = {}  # pivot column -> integral dict row with row[pivot] > 0
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def _reduce(self, row):
-        """Reduce a dict row in place; returns its leading column, None if zero."""
+    def add(self, v):
+        """Add one vector (list or dict); returns True if rank grew."""
+        row = _integral(v)
         rows = self.rows
         while row:
             p = min(row)
             piv = rows.get(p)
             if piv is None:
-                return p
-            f = row[p]
-            for c, x in piv.items():
-                y = row.get(c, ZERO) - f * x
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-        return None
-
-    def reduce(self, v):
-        """Remainder of v modulo the current span (as a dict)."""
-        row = _sparse(v)
-        self._reduce(row)
-        return row
-
-    def add(self, v):
-        """Add one vector (list or dict); returns True if rank grew."""
-        row = _sparse(v)
-        p = self._reduce(row)
-        if p is None:
-            return False
-        f = row[p]
-        if f != 1:
-            inv = ONE / f
-            row = {c: x * inv for c, x in row.items()}
-        self.rows[p] = row
-        return True
-
-    def contains(self, v):
-        return not self.reduce(v)
+                g = gcd(*row.values())
+                g = -g if row[p] < 0 else g
+                rows[p] = {c: x // g for c, x in row.items()} if g != 1 else row
+                return True
+            _eliminate(row, piv, p)
+        return False
 
     def reduced(self):
-        """Canonical RREF rows {pivot: row}: every other pivot column cleared."""
+        """Canonical RREF rows {pivot: row}: other pivot columns cleared, pivots 1."""
         out = {}
         for p in sorted(self.rows, reverse=True):
             row = dict(self.rows[p])
             for c in [c for c in row if c != p and c in out]:
-                f = row[c]
-                # pivot entry of out[c] is 1, so this clears row[c]
-                for cc, x in out[c].items():
-                    y = row.get(cc, ZERO) - f * x
-                    if y:
-                        row[cc] = y
-                    else:
-                        row.pop(cc, None)
+                _eliminate(row, out[c], c)
             out[p] = row
-        return out
+        return {p: {c: rat(x, row[p]) for c, x in row.items()} for p, row in out.items()}
 
     def subspace(self) -> Subspace:
         """Canonical RREF subspace of everything added so far."""
         red = self.reduced()
-        basis = [_dense(red[p], self.ambient) for p in sorted(red)]
-        return Subspace(self.ambient, basis, reduced=True)
+        return Subspace(self.ambient, [red[p] for p in sorted(red)], reduced=True)
 
 
 def _rref_rows(rows, cols):
-    """In-place RREF of a list of rows (zero rows last); returns pivot columns."""
+    """In-place RREF of a list of rows into sparse rows (zero rows last); returns pivots."""
     sb = SpanBuilder(cols)
     for r in rows:
         sb.add(r)
     red = sb.reduced()
     pivots = sorted(red)
-    zero_rows = [[ZERO] * cols for _ in range(len(rows) - len(pivots))]
-    rows[:] = [_dense(red[p], cols) for p in pivots] + zero_rows
+    rows[:] = [red[p] for p in pivots] + [{}] * (len(rows) - len(pivots))
     return pivots
 
 
@@ -328,9 +348,9 @@ def rref(m: Mat) -> Mat:
 
 def rref_pivots(m: Mat):
     """(rref matrix, pivot columns)."""
-    rows = list(m.data)
+    rows = list(m.nz)
     piv = _rref_rows(rows, m.cols)
-    return Mat(m.rows, m.cols, rows), piv
+    return Mat._of(m.rows, m.cols, rows), piv
 
 
 def rank(m: Mat) -> int:
@@ -346,27 +366,24 @@ class Subspace:
         if ambient > max_dim():
             raise DimensionCapError("ambient dimension exceeds cap")
         if reduced:
-            rows = [list(r) for r in basis_rows]
-            pivots = []
-            for r in rows:
-                j = next((c for c, x in enumerate(r) if x), None)
-                pivots.append(j)
+            rows = [nonzeros(r) for r in basis_rows]
+            pivots = [min(r) if r else None for r in rows]
+            pivset = set(pivots)
             # trust-but-verify: pivots strictly increasing, normalized, cleared
             for i, (r, p) in enumerate(zip(rows, pivots)):
                 if p is None or r[p] != 1 or (i and pivots[i - 1] >= p):
                     raise ValueError("basis rows are not in reduced echelon form")
-                for q in pivots:
-                    if q != p and r[q]:
-                        raise ValueError("pivot column not cleared in echelon basis")
+                if any(c in pivset for c in r if c != p):
+                    raise ValueError("pivot column not cleared in echelon basis")
         else:
-            rows = [vec(r) for r in basis_rows]
+            rows = list(basis_rows)
             for r in rows:
-                if len(r) != ambient:
+                if not isinstance(r, dict) and len(r) != ambient:
                     raise ValueError("basis vector length mismatch")
             pivots = _rref_rows(rows, ambient)
             rows = rows[: len(pivots)]
         self.ambient = ambient
-        self.basis = Mat(len(rows), ambient, rows)
+        self.basis = Mat._of(len(rows), ambient, rows)
         self.pivots = tuple(pivots)
 
     @staticmethod
@@ -375,18 +392,15 @@ class Subspace:
 
     @staticmethod
     def full(ambient):
-        return Subspace(ambient, Mat.identity(ambient).data, reduced=False)
+        return Subspace(ambient, Mat.identity(ambient).nz, reduced=True)
 
     @property
     def dim(self):
         return self.basis.rows
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
+        return (isinstance(other, Subspace)
+                and self.ambient == other.ambient and self.basis == other.basis)
 
     def __hash__(self):
         return hash((self.ambient, self.basis))
@@ -395,40 +409,27 @@ class Subspace:
         return "Subspace(dim %d in %d)" % (self.dim, self.ambient)
 
     def coords(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside."""
-        v = vec(v)
-        coeffs = [v[p] for p in self.pivots]
-        resid = list(v)
-        for c, row in zip(coeffs, self.basis.data):
+        """Coordinates of v (sequence or dict) in the RREF basis, or None if v is outside."""
+        resid = nonzeros(v)
+        coeffs = [resid.get(p, ZERO) for p in self.pivots]
+        for c, row in zip(coeffs, self.basis.nz):
             if c:
-                resid = [x - c * y if y else x for x, y in zip(resid, row)]
-        if not is_zero_vec(resid):
+                for k, y in row.items():
+                    resid[k] = resid.get(k, ZERO) - c * y
+        if any(resid.values()):
             return None
         return coeffs
+
+    def coords_of_cols(self, m: Mat):
+        """Matrix of the coordinates of m's columns, or None if a column is outside."""
+        cols = [self.coords(c) for c in m.transpose().nz]
+        return None if None in cols else Mat.from_cols(cols, self.dim)
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None
 
     def contains_space(self, other) -> bool:
-        return all(self.contains(row) for row in other.basis.data)
-
-    def add(self, other):
-        """Sum of subspaces."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        return Subspace(self.ambient, list(self.basis.data) + list(other.basis.data))
-
-    def constraint_matrix(self) -> Mat:
-        """Matrix whose kernel is exactly this subspace.
-
-        Built from x = B^T (x at pivots): membership is a linear condition.
-        """
-        n = self.ambient
-        sel_rows = [[ZERO] * n for _ in range(self.dim)]
-        for i, p in enumerate(self.pivots):
-            sel_rows[i][p] = ONE
-        sel = Mat(self.dim, n, sel_rows)
-        return Mat.identity(n) - self.basis.transpose() * sel
+        return all(self.contains(row) for row in other.basis.nz)
 
 
 class AffineSpace:
@@ -468,9 +469,9 @@ class AffineSystem(SpanBuilder):
 
     def add_row(self, coeffs, rhs=ZERO):
         """Impose sum(coeffs[c] * x_c for c) == rhs."""
-        row = {c: rat(v) for c, v in coeffs.items() if v}
+        row = dict(coeffs)
         if rhs:
-            row[self.n] = rat(rhs)
+            row[self.n] = rhs
         self.add(row)
 
     def solve(self) -> AffineSpace:
@@ -499,8 +500,8 @@ def solve_affine(m: Mat, target) -> AffineSpace:
     if len(target) != m.rows:
         raise ValueError("target length mismatch")
     sys = AffineSystem(m.cols)
-    for row, t in zip(m.data, target):
-        sys.add(row + (t,))
+    for row, t in zip(m.nz, target):
+        sys.add({**row, m.cols: t} if t else row)
     return sys.solve()
 
 
@@ -516,57 +517,51 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient)
     # x = A^T u = B^T v: kernel of [A^T | -B^T], pushed through A^T.
-    stacked = a.basis.transpose().hstack(-b.basis.transpose())
-    ker = kernel_of(stacked)
-    gens = []
-    at = a.basis.transpose()
-    for row in ker.basis.data:
-        gens.append(at.apply(list(row[: a.dim])))
-    return Subspace(a.ambient, gens)
+    ker = kernel_of(a.basis.transpose().hstack(-b.basis.transpose()))
+    u = ker.basis.submatrix(range(ker.dim), range(a.dim))
+    return span_of((u * a.basis).nz, a.ambient)
 
 
 def quotient_data(sub: Subspace):
     """(projection, section) for ambient -> ambient/sub.
 
-    The quotient keeps the non-pivot coordinates; projection has kernel
-    exactly ``sub`` and projection * section = identity.
+    The quotient keeps the non-pivot coordinates c: the section is the
+    column selection x -> x at c, and the projection reads
+    x[c] - sum_i b_ic x[p_i] for the basis rows b_i with pivots p_i, so it
+    has kernel exactly ``sub`` and projection * section = identity.
     """
     n = sub.ambient
     pivset = set(sub.pivots)
-    nonpiv = [c for c in range(n) if c not in pivset]
-    q = len(nonpiv)
-    proj_rows = []
-    for c in nonpiv:
-        row = [ZERO] * n
-        row[c] = ONE
-        for i, p in enumerate(sub.pivots):
-            row[p] = -sub.basis.data[i][c]
-        proj_rows.append(row)
-    proj = Mat(q, n, proj_rows)
-    sec_rows = [[ZERO] * q for _ in range(n)]
-    for k, c in enumerate(nonpiv):
-        sec_rows[c][k] = ONE
-    section = Mat(n, q, sec_rows)
-    return proj, section
+    where = {}
+    for c in range(n):
+        if c not in pivset:
+            where[c] = len(where)
+    proj = [{c: ONE} for c in where]
+    for p, brow in zip(sub.pivots, sub.basis.nz):
+        for c, b in brow.items():
+            if c != p:
+                proj[where[c]][p] = -b
+    sec = [{where[c]: ONE} if c in where else {} for c in range(n)]
+    return Mat._of(len(where), n, proj), Mat._of(n, len(where), sec)
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; left factor indexes slowly, right factor fast."""
+    bc = b.cols
     out = []
-    for arow in a.data:
-        for brow in b.data:
-            row = []
-            for x in arow:
-                if x:
-                    row.extend(x * y if y else ZERO for y in brow)
-                else:
-                    row.extend([ZERO] * b.cols)
-            out.append(row)
-    return Mat(a.rows * b.rows, a.cols * b.cols, out)
+    for arow in a.nz:
+        for brow in b.nz:
+            row = {}
+            for i, x in arow.items():
+                base = i * bc
+                for j, y in brow.items():
+                    row[base + j] = x * y
+            out.append(nonzeros(row))
+    return Mat._of(a.rows * b.rows, a.cols * bc, out)
 
 
 def span_of(vectors, ambient) -> Subspace:
-    """Canonical subspace spanned by the given vectors."""
+    """Canonical subspace spanned by the given vectors (sequences or dicts)."""
     sb = SpanBuilder(ambient)
     for v in vectors:
         sb.add(v)
@@ -575,18 +570,18 @@ def span_of(vectors, ambient) -> Subspace:
 
 def image_of(m: Mat) -> Subspace:
     """Column space of m."""
-    return span_of([m.col(j) for j in range(m.cols)], m.rows)
+    return span_of(m.transpose().nz, m.rows)
 
 
 def inverse(m: Mat) -> Mat:
     """Inverse of a square invertible matrix."""
-    if m.rows != m.cols:
+    n = m.rows
+    if n != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    aug = m.hstack(Mat.identity(m.rows))
-    red, piv = rref_pivots(aug)
-    if piv != list(range(m.rows)):
+    red, piv = rref_pivots(m.hstack(Mat.identity(n)))
+    if piv != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat(m.rows, m.rows, [row[m.rows:] for row in red.data])
+    return Mat._of(n, n, [{c - n: x for c, x in row.items() if c >= n} for row in red.nz])
 
 
 def left_inverse(m: Mat) -> Mat:

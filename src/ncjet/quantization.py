@@ -225,7 +225,7 @@ class HPoly:
             if p < 0:
                 if not hbar:
                     raise ZeroDivisionError("cannot evaluate negative powers at zero")
-                out = out + gs.scale(ONE / hbar ** (-p))
+                out = out + gs.scale(rat(ONE, hbar ** (-p)))
             else:
                 out = out + gs.scale(hbar**p)
         return out
@@ -365,7 +365,7 @@ class Quantization:
         out = GradedSymbol()
         for k in range(order + 1):
             piece = self.graded_piece(mat, k)
-            out = out + GradedSymbol.of(piece).scale(ONE / hbar**k)
+            out = out + GradedSymbol.of(piece).scale(rat(ONE, hbar**k))
         return out
 
     def total_symbol_formal_deformed(self, op_poly: dict) -> HPoly:
@@ -486,8 +486,4 @@ def partial_operators(calc: Calculus):
         raise CalculusError("calculus has no declared left frame")
     d0 = calc.d[0]
     da = calc.algebra.dim
-    ops = []
-    for t in range(frame):
-        rows = [d0.data[t * da + q] for q in range(da)]
-        ops.append(Mat(da, da, rows))
-    return ops
+    return [d0.submatrix(range(t * da, (t + 1) * da), range(da)) for t in range(frame)]

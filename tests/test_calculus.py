@@ -240,3 +240,27 @@ def test_twisted_pair_is_associative_on_all_pairs(quat):
     for a, b in itertools.product(range(4), repeat=2):
         ab = calc.algebra.mul(calc.algebra.basis_vector(a), calc.algebra.basis_vector(b))
         assert tw.left_mult(ab) == tw.left[a] * tw.left[b]
+
+
+# --- descending through a quotient presentation --------------------------------------
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2)])
+def test_descend_checks_every_balancing_relation(quat, p, q):
+    """A plain map must kill each relation; the check reads the pivot columns too."""
+    calc = quat.calc
+    ts = calc.tensor_pq(p, q)
+    n = ts.left_dim * ts.right_dim
+    rel = ts.relations
+    assert rel.dim
+    assert calc.descend(ts.proj, ts) == Mat.identity(ts.dim)
+    assert calc.wedge_map(p, q) == calc.descend(calc.wedge_plain(p, q), ts)
+    for p_i, row in zip(rel.pivots, rel.basis.nz):
+        with pytest.raises(CalculusError, match="not well-defined"):
+            calc.descend(Mat(1, n, [{p_i: 1}]), ts)
+        c = max(row)
+        if c != p_i:
+            with pytest.raises(CalculusError, match="not well-defined"):
+                calc.descend(Mat(1, n, [{c: 1}]), ts)
+        # a map that kills this relation only at its pivot still breaks it elsewhere
+        with pytest.raises(CalculusError):
+            calc.descend(ts.proj.vstack(Mat(1, n, [{p_i: 1}])), ts)

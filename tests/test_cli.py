@@ -101,6 +101,46 @@ def test_max_degree_one_spec_stops_the_tower(tmp_path, two_point):
     assert serialize_calculus(parse_calculus_spec(again)) == again
 
 
+def test_bimodule_connections_on_a_degree_one_spec(tmp_path, two_point):
+    """The braided system needs no two-forms; the metric, torsion and curvature do."""
+    doc = serialize_calculus(two_point.calc)
+    doc["maxDegree"] = 1
+    path = tmp_path / "flat.json"
+    path.write_text(dump_json(doc))
+    code, out = run(["connections", str(path), "--bimodule", "--json"])
+    assert code == EXIT_PASS
+    flat = json.loads(out)
+    _, full_out = run(["connections", "two-point-universal", "--bimodule", "--json"])
+    full = json.loads(full_out)
+    assert flat["affine_dim"] == full["affine_dim"] == 2
+    assert flat["representative_connection"] == full["representative_connection"]
+    assert not flat.keys() & {"metric_candidate_dim", "torsion_zero", "curvature_zero",
+                              "metric_parallel"}
+
+
+def test_spencer_run_builds_no_float_matrix(quat_spec_path, monkeypatch):
+    """Every matrix born during a fresh spencer run holds ints and non-integral rationals."""
+    from ncjet.linalg import Mat
+
+    kinds = {}
+    born = Mat._init
+
+    def spy(self, rows, cols, nz):
+        born(self, rows, cols, nz)
+        for row in self.nz:
+            for x in row.values():
+                kind = "int" if type(x) is int else type(x).__name__
+                if kind != "int" and x.denominator == 1:
+                    kind = "integral " + kind
+                kinds[kind] = kinds.get(kind, 0) + 1
+
+    monkeypatch.setattr(Mat, "_init", spy)
+    code, _ = run(["spencer", quat_spec_path, "--order", "2"])
+    assert code == EXIT_PASS
+    assert kinds.get("int", 0) > 10000
+    assert set(kinds) <= {"int", "Fraction", "mpq"}, kinds
+
+
 def test_jets_quaternion_table():
     code, out = run(["jets", "quaternion", "--order", "3", "--json"])
     assert code == EXIT_PASS

@@ -5,13 +5,21 @@ expansion, membership via explicit coordinate constraints, Kronecker
 products elementwise.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import ncjet
 from ncjet.linalg import (
+    AffineSpace,
     AffineSystem,
     Mat,
     SpanBuilder,
@@ -187,8 +195,11 @@ def test_solve_affine_deterministic_canonical_representative():
 # --- subspaces ----------------------------------------------------------------------
 
 def membership_constraints(s: Subspace) -> Mat:
-    """Oracle: matrix whose kernel is s, built from pivot-coordinate fitting."""
-    return s.constraint_matrix()
+    """Oracle: matrix whose kernel is s, from x = B^T (x at pivots), entry by entry."""
+    n = s.ambient
+    fit = [[sum(s.basis.entry(r, i) for r, p in enumerate(s.pivots) if p == j)
+            for j in range(n)] for i in range(n)]
+    return Mat(n, n, [[(i == j) - fit[i][j] for j in range(n)] for i in range(n)])
 
 
 def test_intersect_self():
@@ -392,3 +403,165 @@ def test_dimension_cap(monkeypatch):
         Mat.zeros(9, 2)
     monkeypatch.delenv("NCJET_MAX_DIM")
     Mat.zeros(9, 2)
+
+
+# --- sparse storage ----------------------------------------------------------------
+
+_mixed = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def _sparse_mats(draw, rows, cols):
+    """rows x cols, about a third nonzero, entries a mix of int and Fraction."""
+    return Mat(rows, cols, [[draw(_mixed) if draw(st.integers(0, 2)) == 0 else 0
+                             for _ in range(cols)] for _ in range(rows)])
+
+
+def _q(x):
+    return sympy.Rational(int(x.numerator), int(x.denominator))
+
+
+def _int_first(m: Mat):
+    """Every stored entry is nonzero, and an int exactly when it is integral."""
+    return all(x and (type(x) is int or x.denominator != 1)
+               for row in m.nz for x in row.values())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_mat_matches_sympy(data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, a2 = data.draw(_sparse_mats(r, k)), data.draw(_sparse_mats(r, k))
+    b = data.draw(_sparse_mats(k, c))
+    sa, sa2, sb = _sym(a), _sym(a2), _sym(b)
+    v = data.draw(st.lists(_mixed, min_size=k, max_size=k))
+    coef = data.draw(_mixed)
+    rows = data.draw(st.lists(st.integers(0, max(r - 1, 0)), unique=True, max_size=r))
+    cols = data.draw(st.lists(st.integers(0, max(k - 1, 0)), unique=True, max_size=k))
+    results = {
+        "apply": (Mat(r, 1, [[x] for x in a.apply(v)]), sa * sympy.Matrix(k, 1, [_q(x) for x in v])),
+        "mul": (a * b, sa * sb),
+        "kron": (kron(a, b), sympy.Matrix(r * k, k * c, lambda i, j: sa[i // k, j // c]
+                                          * sb[i % k, j % c])),
+        "transpose": (a.transpose(), sa.T),
+        "hstack": (a.hstack(a2), sa.row_join(sa2)),
+        "vstack": (a.vstack(a2), sa.col_join(sa2)),
+        "submatrix": (a.submatrix(rows, cols), sa.extract(rows, cols)),
+        "add": (a + a2, sa + sa2),
+        "sub": (a - a2, sa - sa2),
+        "scale": (a.scale(coef), sa * _q(coef)),
+    }
+    for name, (got, want) in results.items():
+        assert _sym(got) == want, name
+        assert _int_first(got), name
+    assert a.is_zero() == sa.is_zero_matrix
+    assert (a - a).is_zero() and (a - a) == Mat.zeros(r, k)
+    # dense views round-trip through the constructor, as do the sparse rows
+    assert Mat(r, k, a.data) == a == Mat(r, k, a.nz)
+    assert [a.row(i) for i in range(r)] == [list(row) for row in a.data]
+    assert [a.col(j) for j in range(k)] == [list(col) for col in a.transpose().data]
+
+
+def test_int_and_fraction_entries_are_one_matrix():
+    three = Mat(2, 2, [[3, 0], [0, Fraction(-6, 2)]])
+    frac = Mat(2, 2, [[Fraction(3), 0], [Fraction(0), Fraction(-3)]])
+    assert three == frac and hash(three) == hash(frac)
+    assert three == Mat(2, 2, [{0: 3}, {1: -3}])
+    assert all(type(x) is int for row in frac.nz for x in row.values())
+    assert {three: "key"}[frac] == "key"
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        rat(0.5)
+    with pytest.raises(TypeError):
+        Mat(1, 1, [[0.5]])
+    with pytest.raises(TypeError):
+        Mat.identity(2).scale(0.5)
+
+
+# --- exactness: integer input never divides into a float -----------------------------
+
+def _scalars(obj):
+    """Every scalar inside nested matrices, subspaces, solution sets and containers."""
+    if isinstance(obj, Mat):
+        for row in obj.nz:
+            yield from row.values()
+    elif isinstance(obj, Subspace):
+        yield from _scalars(obj.basis)
+    elif isinstance(obj, AffineSpace):
+        if not obj.empty:
+            yield from _scalars(obj.particular)
+            yield from _scalars(obj.direction)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _scalars(x)
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _scalars(x)
+    else:
+        yield obj
+
+
+def test_integer_input_never_yields_a_float():
+    rng = random.Random(43)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        dense = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        m = Mat(rows, cols, dense)
+        sb = SpanBuilder(cols)
+        for row in dense:
+            sb.add(row)
+        outs = [sb.reduced(), sb.subspace(), rref(m), kernel_of(m),
+                solve_affine(m, [rng.randint(-3, 3) for _ in range(rows)])]
+        if rows == cols and rank(m) == rows:
+            outs.append(inverse(m))
+        assert not any(type(x) is float for x in _scalars(sb.rows))
+        for x in _scalars(outs):
+            assert type(x) is int or (type(x) is type(rat(1, 2)) and x.denominator != 1), x
+
+
+# --- structured quotients ---------------------------------------------------------
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_quotient_is_a_selection_and_a_projection(data):
+    n = data.draw(st.integers(1, 6))
+    gens = data.draw(st.lists(st.lists(_mixed, min_size=n, max_size=n), max_size=4))
+    sub = span_of(gens, n)
+    proj, sec = quotient_data(sub)
+    assert proj.rows == n - sub.dim
+    assert proj * sec == Mat.identity(proj.rows)
+    assert kernel_of(proj) == sub
+    # the section selects the non-pivot coordinates
+    assert all(not row or list(row.values()) == [1] for row in sec.nz)
+    assert sorted(c for c, row in enumerate(sec.nz) if not row) == list(sub.pivots)
+
+
+def test_mpq_backend_imports_and_stays_integer_first(tmp_path):
+    """With gmpy2 installed, mpq is the rational type; a stand-in module drives that path."""
+    (tmp_path / "gmpy2.py").write_text(
+        "from fractions import Fraction\n\n\nclass mpq(Fraction):\n    pass\n")
+    check = textwrap.dedent("""
+        from fractions import Fraction
+        from ncjet.linalg import Mat, inverse, rat, rat_str, span_of
+        half = rat(1, 2)
+        assert type(half).__name__ == "mpq" and half == Fraction(1, 2)
+        assert type(rat(Fraction(3, 4))).__name__ == "mpq"
+        for x in (rat(4, 2), rat("6/3"), rat(Fraction(-9, 3)), rat(7)):
+            assert type(x) is int, x
+        assert [rat_str(x) for x in (half, rat(-3), rat(Fraction(-9, 6)))] == ["1/2", "-3", "-3/2"]
+        inv = inverse(Mat.from_rows([[2, 1], [1, 1]]))
+        assert inv == Mat.from_rows([[1, -1], [-1, 2]])
+        assert all(type(x) is int for row in inv.nz for x in row.values())
+        s = span_of([[2, 1, 0], [4, 0, 1]], 3)
+        assert s.basis.data == ((1, 0, rat(1, 4)), (0, 1, rat(-1, 2)))
+        print("mpq ok")
+    """)
+    src = Path(ncjet.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    run = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "mpq ok\n"
