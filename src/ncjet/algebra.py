@@ -15,6 +15,7 @@ from .linalg import (
     SpanBuilder,
     ZERO,
     ONE,
+    int_row,
     nonzeros,
     kron,
     quotient_data,
@@ -282,11 +283,12 @@ class TensorSpace:
 
     proj maps the plain tensor (left factor slow, right factor fast) onto
     the quotient; sec is the fixed section picked by rref pivots.  pcols
-    holds the columns of proj as {row: value} dicts, so a plain tensor is
-    projected from its nonzeros alone.
+    holds the columns of proj's integer form as {row: int} dicts and pden
+    the row denominators, so a plain tensor is projected from its nonzeros
+    alone, over the integers, with one division per output entry.
     """
 
-    __slots__ = ("left_dim", "right_dim", "dim", "proj", "sec", "relations", "pcols")
+    __slots__ = ("left_dim", "right_dim", "dim", "proj", "sec", "relations", "pcols", "pden")
 
     def __init__(self, left_dim, right_dim, proj, sec, relations):
         self.left_dim = left_dim
@@ -295,22 +297,38 @@ class TensorSpace:
         self.sec = sec
         self.dim = proj.rows
         self.relations = relations
-        self.pcols = proj.transpose().nz
+        form = proj.int_form()
+        self.pden = [d for d, _ in form]
+        self.pcols = Mat._of(proj.rows, proj.cols, [row for _, row in form], True).transpose().nz
 
     def project(self, plain):
         """Class of the plain tensor given by its nonzeros {index: value}."""
+        den, plain = int_row(plain)
+        return self._classes(plain, den)
+
+    def _classes(self, plain, den):
+        """Class of the plain tensor plain / den, for {index: int} plain and an int den > 0."""
         out = [ZERO] * self.dim
         pcols = self.pcols
         for k, v in plain.items():
-            for r, p in pcols[k].items():
-                out[r] += v * p
-        return vec(out)
+            if v:
+                for r, p in pcols[k].items():
+                    out[r] += v * p
+        for r, d in enumerate(self.pden):
+            d *= den
+            if d != 1:
+                x = out[r]
+                out[r] = x // d if not x % d else rat(x, d)
+        return out
 
     def class_of(self, x, y):
         """Class of the pure tensor x (x) y, from the nonzeros of x and y."""
         rd = self.right_dim
-        ynz = nonzeros(y).items()
-        return self.project({i * rd + j: xi * yj for i, xi in nonzeros(x).items() for j, yj in ynz})
+        dx, x = int_row(nonzeros(x))
+        dy, y = int_row(nonzeros(y))
+        ynz = y.items()
+        return self._classes({i * rd + j: xi * yj for i, xi in x.items() for j, yj in ynz},
+                             dx * dy)
 
 
 def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
@@ -342,9 +360,9 @@ def tensor_left_module(m: Bimodule, n: LeftModule, label="") -> tuple:
     alg = m.algebra
     eye_n = Mat.identity(n.dim)
     eye_m = Mat.identity(m.dim)
-    left = [ts.proj * kron(m.left[a], eye_n) * ts.sec for a in range(alg.dim)]
+    left = [ts.proj * (kron(m.left[a], eye_n) * ts.sec) for a in range(alg.dim)]
     if isinstance(n, Bimodule):
-        right = [ts.proj * kron(eye_m, n.right[a]) * ts.sec for a in range(alg.dim)]
+        right = [ts.proj * (kron(eye_m, n.right[a]) * ts.sec) for a in range(alg.dim)]
         mod = Bimodule(alg, ts.dim, left, right, label or "%s(x)%s" % (m.label, n.label))
     else:
         mod = LeftModule(alg, ts.dim, left, label or "%s(x)%s" % (m.label, n.label))
@@ -357,8 +375,8 @@ def tensor_bimodule(m: Bimodule, n: Bimodule, label="") -> tuple:
     alg = m.algebra
     eye_m = Mat.identity(m.dim)
     eye_n = Mat.identity(n.dim)
-    left = [ts.proj * kron(m.left[a], eye_n) * ts.sec for a in range(alg.dim)]
-    right = [ts.proj * kron(eye_m, n.right[a]) * ts.sec for a in range(alg.dim)]
+    left = [ts.proj * (kron(m.left[a], eye_n) * ts.sec) for a in range(alg.dim)]
+    right = [ts.proj * (kron(eye_m, n.right[a]) * ts.sec) for a in range(alg.dim)]
     mod = Bimodule(alg, ts.dim, left, right, label or "%s(x)%s" % (m.label, n.label))
     return mod, ts
 

@@ -178,7 +178,7 @@ class Calculus:
             return f
         _, ts_src = self.form_module(m, src)
         _, ts_dst = self.form_module(m, dst)
-        return ts_dst.proj * kron(Mat.identity(self.omega[m].dim), f) * ts_src.sec
+        return ts_dst.proj * (kron(Mat.identity(self.omega[m].dim), f) * ts_src.sec)
 
     def descend(self, plain_mat: Mat, ts: TensorSpace, what="map") -> Mat:
         """Descend a plain-tensor matrix through a quotient presentation.
@@ -247,8 +247,8 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         projq, secq = quotient_data(rel)
         sp = projq * pre_ts.proj
         ss = pre_ts.sec * secq
-        left = [projq * pre_mod.left[a] * secq for a in range(dA)]
-        right = [projq * pre_mod.right[a] * secq for a in range(dA)]
+        left = [projq * (pre_mod.left[a] * secq) for a in range(dA)]
+        right = [projq * (pre_mod.right[a] * secq) for a in range(dA)]
         mod = Bimodule(alg, projq.rows, left, right, label="O%d" % degree)
         bad = mod.check_bimodule()
         if bad:

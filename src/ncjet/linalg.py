@@ -9,6 +9,13 @@ only where something divides, and every division goes through ``rat``:
 nonzero entries only, and every kernel walks those.  Subspaces are stored
 with a canonical reduced-row-echelon basis, so two equal subspaces compare
 equal as data.
+
+Products are fraction-free.  A matrix knows whether all its entries are
+ints: kernels fed integral matrices mark their output integral at birth,
+and any other matrix finds out once, on first use.  A non-integral matrix
+also keeps an integer form, each row as int numerators over one positive
+denominator, so a product with it accumulates over ints and divides once
+per output entry.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ except ImportError:  # pragma: no cover - gmpy2 comes with the ncjet[fast] extra
 
 def rat(p, q=1):
     """Exact p/q from ints, rationals or a 'p/q' string; an int when integral."""
-    if type(p) is int and q == 1:
-        return p
+    if type(p) is int:
+        if q == 1:
+            return p
+        if type(q) is int:
+            return p // q if not p % q else _Q(p, q)
     if isinstance(p, float) or isinstance(q, float):
         raise TypeError("a float is not an exact scalar: %r / %r" % (p, q))
     x = (p if type(p) is _Q else _Q(p)) if q == 1 else _Q(p, q)
@@ -64,6 +74,20 @@ def nonzeros(v):
     return {c: x if type(x) is int else rat(x) for c, x in items if x}
 
 
+def int_row(row):
+    """(d, {col: int}) with row == {col: n / d}, d > 0 the lcm of its denominators.
+
+    An integral row comes back as itself.  Numerators are Python ints on
+    every backend.
+    """
+    dens = [int(x.denominator) for x in row.values() if type(x) is not int]
+    if not dens:
+        return 1, row
+    d = lcm(*dens)
+    return d, {c: x * d if type(x) is int else int(x.numerator) * (d // int(x.denominator))
+               for c, x in row.items()}
+
+
 def _dense(row, n):
     out = [ZERO] * n
     for c, x in row.items():
@@ -79,9 +103,17 @@ class Mat:
     is never mutated.  ``data``, ``row``, ``col`` and ``entry`` are dense
     views computed on each request.  Vectors are plain lists/tuples of
     scalars and matrices act on them as column vectors via ``apply``.
+
+    ``integral`` says whether every entry is an int.  Kernels set it when
+    they build their output and know the answer: integral inputs give an
+    integral product, ``kron``, stack or transpose, and a product over
+    integer forms learns it as it divides.  ``Mat(...)`` and the rest leave
+    it unknown, and the first read scans once.  ``int_form()`` is the cached
+    integer form that products and projections read: per row, a positive
+    denominator and int numerators.
     """
 
-    __slots__ = ("rows", "cols", "nz")
+    __slots__ = ("rows", "cols", "nz", "_integral", "_int_form")
 
     def __init__(self, rows, cols, data):
         """From dense rows (sequences of scalars) or sparse {col: value} rows."""
@@ -101,13 +133,31 @@ class Mat:
         if rows > cap or cols > cap:
             raise DimensionCapError("matrix dimension exceeds cap %d" % cap)
         self.rows, self.cols, self.nz = rows, cols, tuple(nz)
+        self._integral = self._int_form = None
 
     @staticmethod
-    def _of(rows, cols, nz):
-        """Trusted constructor: each row holds nonzero, normalized entries only."""
+    def _of(rows, cols, nz, integral=None):
+        """Trusted constructor: each row holds nonzero, normalized entries only.
+
+        integral is True or False when the caller knows, None otherwise.
+        """
         m = object.__new__(Mat)
         m._init(rows, cols, nz)
+        m._integral = integral
         return m
+
+    @property
+    def integral(self):
+        """True when every entry is an int."""
+        if self._integral is None:
+            self._integral = all(type(x) is int for row in self.nz for x in row.values())
+        return self._integral
+
+    def int_form(self):
+        """Per row (d, {col: int}) with row == numerators / d; computed once."""
+        if self._int_form is None:
+            self._int_form = tuple(int_row(row) for row in self.nz)
+        return self._int_form
 
     @staticmethod
     def from_rows(rows, cols=None):
@@ -125,11 +175,11 @@ class Mat:
 
     @staticmethod
     def identity(n):
-        return Mat._of(n, n, [{i: ONE} for i in range(n)])
+        return Mat._of(n, n, [{i: ONE} for i in range(n)], True)
 
     @staticmethod
     def zeros(rows, cols):
-        return Mat._of(rows, cols, [{}] * rows)
+        return Mat._of(rows, cols, [{}] * rows, True)
 
     def __eq__(self, other):
         return (isinstance(other, Mat)
@@ -166,7 +216,7 @@ class Mat:
         for i, row in enumerate(self.nz):
             for c, x in row.items():
                 out[c][i] = x
-        return Mat._of(self.cols, self.rows, out)
+        return Mat._of(self.cols, self.rows, out, self._integral)
 
     def _plus(self, other, sign):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -180,7 +230,7 @@ class Mat:
             for c, x in r2.items():
                 acc[c] = acc.get(c, ZERO) + sign * x
             out.append(nonzeros(acc))
-        return Mat._of(self.rows, self.cols, out)
+        return Mat._of(self.rows, self.cols, out, self._integral and other._integral or None)
 
     def __add__(self, other):
         return self._plus(other, ONE)
@@ -189,23 +239,30 @@ class Mat:
         return self._plus(other, -ONE)
 
     def __neg__(self):
-        return Mat._of(self.rows, self.cols, [{c: -x for c, x in row.items()} for row in self.nz])
+        return Mat._of(self.rows, self.cols, [{c: -x for c, x in row.items()} for row in self.nz],
+                       self._integral)
 
     def scale(self, c):
         c = rat(c)
         return Mat._of(self.rows, self.cols,
-                       [nonzeros({k: c * x for k, x in row.items()}) for row in self.nz])
+                       [nonzeros({k: c * x for k, x in row.items()}) for row in self.nz],
+                       self._integral and type(c) is int or None)
 
     def __mul__(self, other):
         """Matrix product over the nonzeros of both factors.
 
         A left row that selects one row of the right factor shares it.
+        Unless both factors are integral, the product runs over their
+        integer forms: each left row sums int numerators scaled to one
+        common denominator, then divides once per output entry.
         """
         if not isinstance(other, Mat):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+        if not (self.integral and other.integral):
+            return self._mul_ints(other)
         onz = other.nz
         out = []
         for row in self.nz:
@@ -220,7 +277,53 @@ class Mat:
                 for c, b in onz[k].items():
                     acc[c] = get(c, ZERO) + a * b
             out.append(nonzeros(acc))
-        return Mat._of(self.rows, other.cols, out)
+        return Mat._of(self.rows, other.cols, out, True)
+
+    def _mul_ints(self, other):
+        """The product over integer forms; the output's integrality is known at birth."""
+        onz = other.nz
+        lform = zip([1] * self.rows, self.nz) if self.integral else self.int_form()
+        rform = None if other.integral else other.int_form()
+        out = []
+        integral = True
+        for (da, row), true_row in zip(lform, self.nz):
+            if len(true_row) == 1:
+                (k, a), = true_row.items()
+                if a == 1:
+                    out.append(onz[k])
+                    integral = integral and (rform is None or rform[k][0] == 1)
+                    continue
+            d = 1
+            if rform is not None:
+                for k in row:
+                    db = rform[k][0]
+                    if d % db:
+                        d = lcm(d, db)
+            acc = {}
+            get = acc.get
+            for k, a in row.items():
+                if rform is None:
+                    brow = onz[k]
+                else:
+                    db, brow = rform[k]
+                    if db != d:
+                        a *= d // db
+                for c, b in brow.items():
+                    acc[c] = get(c, ZERO) + a * b
+            d *= da
+            if d == 1:
+                out.append({c: x for c, x in acc.items() if x})
+                continue
+            res = {}
+            for c, x in acc.items():
+                if x:
+                    if x % d:
+                        res[c] = rat(x, d)
+                        integral = False
+                    else:
+                        res[c] = x // d
+            out.append(res)
+        return Mat._of(self.rows, other.cols, out, integral)
 
     def apply(self, v):
         """Matrix times column vector."""
@@ -242,17 +345,22 @@ class Mat:
         off = self.cols
         return Mat._of(self.rows, self.cols + other.cols, [
             {**r1, **{c + off: x for c, x in r2.items()}} if r2 else r1
-            for r1, r2 in zip(self.nz, other.nz)])
+            for r1, r2 in zip(self.nz, other.nz)], self._integral and other._integral or None)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        return Mat._of(self.rows + other.rows, self.cols, self.nz + other.nz)
+        return Mat._of(self.rows + other.rows, self.cols, self.nz + other.nz,
+                       self._integral and other._integral or None)
 
     def submatrix(self, row_idx, col_idx):
-        where = {j: k for k, j in enumerate(col_idx)}
-        return Mat._of(len(row_idx), len(where), [
-            {where[c]: x for c, x in self.nz[i].items() if c in where} for i in row_idx])
+        """Rows row_idx and columns col_idx, in that order; an index may repeat."""
+        where = {}
+        for k, j in enumerate(col_idx):
+            where.setdefault(j, []).append(k)
+        return Mat._of(len(row_idx), len(col_idx), [
+            {k: x for c, x in self.nz[i].items() if c in where for k in where[c]}
+            for i in row_idx], self._integral or None)
 
 
 def _integral(v):
@@ -542,7 +650,7 @@ def quotient_data(sub: Subspace):
             if c != p:
                 proj[where[c]][p] = -b
     sec = [{where[c]: ONE} if c in where else {} for c in range(n)]
-    return Mat._of(len(where), n, proj), Mat._of(n, len(where), sec)
+    return Mat._of(len(where), n, proj), Mat._of(n, len(where), sec, True)
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -557,7 +665,8 @@ def kron(a: Mat, b: Mat) -> Mat:
                 for j, y in brow.items():
                     row[base + j] = x * y
             out.append(nonzeros(row))
-    return Mat._of(a.rows * b.rows, a.cols * bc, out)
+    return Mat._of(a.rows * b.rows, a.cols * bc, out,
+                  a.integral and b.integral or None)
 
 
 def span_of(vectors, ambient) -> Subspace:

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from ncjet.fixtures import fixture
+from ncjet.specio import serialize_calculus
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +24,78 @@ def matrix2():
 @pytest.fixture(scope="session")
 def all_fixtures(quat, two_point, matrix2):
     return (quat, two_point, matrix2)
+
+
+# Quaternion algebra basis (1, i, j, k): k += 2 i, k -= 3 j.  One-forms: the
+# last vector of frame 1 takes 3 times its neighbour, the first vector of
+# frame 0 takes -2 times j di.  Same positions as perfbench/shear.py.
+QUAT_ALGEBRA_SHEARS = ((3, 1, 2), (3, 2, -3))
+QUAT_FORM_SHEARS = ((7, 6, 3), (0, 2, -2))
+
+
+def _matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _shears(n, shears):
+    """(P, P^-1): the basis change b_i += c b_j for each (i, j, c), in order."""
+    eye = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    fwd, inv = eye, eye
+    for i, j, c in shears:
+        s, s_inv = [row[:] for row in eye], [row[:] for row in eye]
+        s[j][i], s_inv[j][i] = Fraction(c), Fraction(-c)
+        fwd, inv = _matmul(fwd, s), _matmul(s_inv, inv)
+    return fwd, inv
+
+
+def sheared_spec(doc, alg_shears, form_shears):
+    """The calculus of the spec `doc` written in integer-sheared bases.
+
+    Structure constants become P^-1 m(P., P.), actions Q^-1 (sum_k P[k][a] L_k) Q
+    and the differential Q^-1 d P; every dimension and verdict is unchanged,
+    while the canonical quotient bases get non-unit pivots.
+    """
+    alg, om = doc["algebra"], doc["omega1"]
+    n, m = alg["dim"], om["dim"]
+    p, p_inv = _shears(n, alg_shears)
+    q, q_inv = _shears(m, form_shears)
+    mult = [[[Fraction(x) for x in col] for col in plane] for plane in alg["mult"]]
+
+    def new_prod(i, j):
+        prod = [sum(p[k][i] * p[l][j] * mult[k][l][r] for k in range(n) for l in range(n))
+                for r in range(n)]
+        return [sum(p_inv[r][s] * prod[s] for s in range(n)) for r in range(n)]
+
+    def actions(mats):
+        mats = [[[Fraction(x) for x in row] for row in mat] for mat in mats]
+        combo = [[[sum(p[k][a] * mats[k][r][c] for k in range(n)) for c in range(m)]
+                  for r in range(m)] for a in range(n)]
+        return [_matmul(_matmul(q_inv, mat), q) for mat in combo]
+
+    def out(mat):
+        return [[str(x) for x in row] for row in mat]
+
+    d = [[Fraction(x) for x in row] for row in om["d"]]
+    unit = [Fraction(x) for x in alg["unit"]]
+    return {
+        "algebra": {
+            "dim": n,
+            "basis": ["b%d" % i for i in range(n)],
+            "unit": [str(sum(p_inv[r][s] * unit[s] for s in range(n))) for r in range(n)],
+            "mult": [out([new_prod(i, j) for j in range(n)]) for i in range(n)],
+        },
+        "omega1": {
+            "dim": m,
+            "left": [out(x) for x in actions(om["left"])],
+            "right": [out(x) for x in actions(om["right"])],
+            "d": out(_matmul(_matmul(q_inv, d), p)),
+        },
+        "maxDegree": doc["maxDegree"],
+    }
+
+
+@pytest.fixture(scope="session")
+def sheared_quat_doc(quat):
+    """The quaternion calculus as a spec in fixed integer-sheared bases."""
+    return sheared_spec(serialize_calculus(quat.calc), QUAT_ALGEBRA_SHEARS, QUAT_FORM_SHEARS)

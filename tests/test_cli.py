@@ -141,6 +141,33 @@ def test_spencer_run_builds_no_float_matrix(quat_spec_path, monkeypatch):
     assert set(kinds) <= {"int", "Fraction", "mpq"}, kinds
 
 
+def test_sheared_spencer_report_equals_unsheared(tmp_path, sheared_quat_doc, monkeypatch):
+    """The non-integral path end to end: same report in sheared coordinates."""
+    from ncjet.linalg import Mat
+
+    path = tmp_path / "sheared.json"
+    path.write_text(dump_json(sheared_quat_doc))
+    non_integral = []
+    born = Mat._init
+
+    def spy(self, rows, cols, nz):
+        born(self, rows, cols, nz)
+        if any(type(x) is not int for row in self.nz for x in row.values()):
+            non_integral.append((rows, cols))
+
+    monkeypatch.setattr(Mat, "_init", spy)
+    code, sheared = run(["spencer", str(path), "--order", "3", "--json"])
+    monkeypatch.undo()
+    assert code == EXIT_PASS
+    assert non_integral
+    code, plain = run(["spencer", "quaternion", "--order", "3", "--json"])
+    assert code == EXIT_PASS
+    reports = [json.loads(out) for out in (sheared, plain)]
+    for doc in reports:
+        del doc["calculus"]
+    assert reports[0] == reports[1]
+
+
 def test_jets_quaternion_table():
     code, out = run(["jets", "quaternion", "--order", "3", "--json"])
     assert code == EXIT_PASS

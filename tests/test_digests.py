@@ -1,0 +1,94 @@
+"""Canonical-output gate: SHA-256 digests of canonical bases and operators.
+
+The digests were recorded before the product and projection kernels became
+fraction-free; any change to exact arithmetic that alters a canonical basis
+or an operator entry shows here, item by item.
+"""
+
+import hashlib
+
+import pytest
+
+from ncjet.jets import jet_module, spencer_operator
+from ncjet.linalg import rat_str
+from ncjet.specio import parse_calculus_spec
+
+
+def mat_text(m):
+    """Canonical text of a matrix: its shape, then each row's sorted nonzeros."""
+    rows = (",".join("%d=%s" % (c, rat_str(x)) for c, x in sorted(r.items())) for r in m.nz)
+    return "%dx%d:" % (m.rows, m.cols) + ";".join(rows)
+
+
+def canonical_items(calc, base):
+    """Relation spaces, step projections and sections, Spencer operators for n <= 2."""
+    items = {"relations": calc.relation_space.basis,
+             "tensor 1,1 proj": calc.tensor_pq(1, 1).proj}
+    for n in sorted(calc.step_proj):
+        items["step_proj %d" % n] = calc.step_proj[n]
+        items["step_sec %d" % n] = calc.step_sec[n]
+    for n in (1, 2):
+        jet = jet_module(calc, base, n)
+        for m in range(calc.max_degree):
+            items["spencer %d,%d" % (n, m)] = spencer_operator(calc, jet, m)
+    return {k: hashlib.sha256(mat_text(v).encode()).hexdigest() for k, v in items.items()}
+
+
+DIGESTS = {
+    'quaternion': {
+        'relations': '7c8ded694b2edac9d51cb28241db58c8dc2aefcd396974aadcef2383b28547b3',
+        'tensor 1,1 proj': '48dd542569955aa9dbca0b15cacdf2beaca2edebee16527d4f73cbf794262f5c',
+        'step_proj 2': 'eee3f5a886d3a70c1497b59d473284c25f8955905083be3aa4b1b038bb4a1901',
+        'step_sec 2': 'afa2dfa5c95d2da2889db7df7158c103033420054426d8a8a9382ff496f9d827',
+        'step_proj 3': '7b2c71cf8b3eb29bcca7b5845832a92add02f5df59655ec52ce09acd78971fa9',
+        'step_sec 3': '95280e4b37a93bc43f620512b1247174588c833fc4da89b7df38d6df5be0dda7',
+        'spencer 1,0': '9ce89bd6a79dd54eedd93fb144e084aa314d4d242824440e80c7a622ae344c7c',
+        'spencer 1,1': '1dfba8265236b282a7d17bd954d60a6b21acad36b66312fc70e4d887ab2d7858',
+        'spencer 1,2': '15b6b38c40897b1e6a4d8ea41da0cf3f9224a3461caaba814834c565e5c451ef',
+        'spencer 2,0': 'cb566260e5b065cef02ccb68e32db5a532e2069cd8283cc98f2dad152f225105',
+        'spencer 2,1': 'fb1e336bfa7abf8050a8860c8adddec31c4c5ae1ccf11d7c618fe09e14612d0a',
+        'spencer 2,2': 'd4afe05d59760325c2bf952de329135a4c9f4f7091c600bffd87a41facb2f528',
+    },
+    'two-point-universal': {
+        'relations': 'bca14c461463ef2ee201228c01b33ffc26308034140257598738f87c86a6aebd',
+        'tensor 1,1 proj': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
+        'step_proj 2': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
+        'step_sec 2': '83c61c2f0ca27fb2039706a1d3c9c326f225e4edc1ba07142713561d59a8fdd2',
+        'step_proj 3': '82ddd8459fb63e6f65867afc1f4aae2ab16428a69f1de3c1a196e65507f93fa9',
+        'step_sec 3': 'e75dab2652bda16d7f4adf612b66789d78a85fe726720c3cb40909e260e81a6e',
+        'spencer 1,0': '349e8b22860c9313bdaa1e65b6a3c7ced2b469ad0b411a7404dbb42137a0122c',
+        'spencer 1,1': '11ff1f52a83788f4898bcd5b526859a3ce7397820ab2c21075a79e8358bc5e6d',
+        'spencer 1,2': '56729fda65b7df6b58ed04bd6e2bd391d5685b5a8e977c823a1db38e2a08a36a',
+        'spencer 2,0': 'd674671f1f456c99f552c4442c707ab93ff61b332d998a393e2451640b826986',
+        'spencer 2,1': 'e16efed7bf5f5decee0ae36ee3a4e4feadca46de7d921503a5471eabac767ca8',
+        'spencer 2,2': 'fab815e2ec7fcb407c34948d3dc608714469e6f2315a12e57876cf9cf2778365',
+    },
+    'sheared-quaternion': {
+        'relations': '6dcf27c634b015319629432279ee20f7d2cdc492fd2f410427b422f194de3110',
+        'tensor 1,1 proj': '8aff5e15cdaf850d6cb296ed236c663a32af523e6dfbf71da265e288f5b81426',
+        'step_proj 2': '931188910a08bf4c9519ee48d94cceb0f80a83523f7b2f046f53e8a1e56db40e',
+        'step_sec 2': 'afa2dfa5c95d2da2889db7df7158c103033420054426d8a8a9382ff496f9d827',
+        'step_proj 3': 'f4be2fa121006d4f6c4613987770736171a475b54730ec3d3d6cff7b49f1ae5d',
+        'step_sec 3': '95280e4b37a93bc43f620512b1247174588c833fc4da89b7df38d6df5be0dda7',
+        'spencer 1,0': '9ce89bd6a79dd54eedd93fb144e084aa314d4d242824440e80c7a622ae344c7c',
+        'spencer 1,1': '92895631bfaa707e7860fa7d6e2c3c2b8967b2677b0901cb7b6bb44183469ca0',
+        'spencer 1,2': '495a36682508d4f3d8ee47fb5a51f70925a1f64f8ba2770b2703b70241d17a51',
+        'spencer 2,0': 'eab296f87cabaa2e101b61a7fac8c68d295006c281b58f2a17c8130bb2d2fcda',
+        'spencer 2,1': '8621a4ee43c51a98a502888ae04ae160fc5dbf6173005df83e33410be6514e1f',
+        'spencer 2,2': '6111c92d9a02661c16ec52b31f5e63cd9d0bef73770023479dc6439099a29794',
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def calculi(quat, two_point, sheared_quat_doc):
+    sheared = parse_calculus_spec(sheared_quat_doc)
+    return {"quaternion": (quat.calc, quat.base),
+            "two-point-universal": (two_point.calc, two_point.base),
+            "sheared-quaternion": (sheared, sheared.base_module())}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_canonical_digests_are_unchanged(calculi, name):
+    calc, base = calculi[name]
+    assert canonical_items(calc, base) == DIGESTS[name]

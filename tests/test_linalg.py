@@ -428,6 +428,12 @@ def _int_first(m: Mat):
                for row in m.nz for x in row.values())
 
 
+def _honest(m: Mat):
+    """The integrality a kernel set at birth (if any) is the truth about the entries."""
+    known = m._integral
+    return known is None or known == all(type(x) is int for row in m.nz for x in row.values())
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_sparse_mat_matches_sympy(data):
@@ -437,8 +443,8 @@ def test_sparse_mat_matches_sympy(data):
     sa, sa2, sb = _sym(a), _sym(a2), _sym(b)
     v = data.draw(st.lists(_mixed, min_size=k, max_size=k))
     coef = data.draw(_mixed)
-    rows = data.draw(st.lists(st.integers(0, max(r - 1, 0)), unique=True, max_size=r))
-    cols = data.draw(st.lists(st.integers(0, max(k - 1, 0)), unique=True, max_size=k))
+    rows = data.draw(st.lists(st.integers(0, max(r - 1, 0)), max_size=r))
+    cols = data.draw(st.lists(st.integers(0, max(k - 1, 0)), max_size=k))
     results = {
         "apply": (Mat(r, 1, [[x] for x in a.apply(v)]), sa * sympy.Matrix(k, 1, [_q(x) for x in v])),
         "mul": (a * b, sa * sb),
@@ -455,12 +461,22 @@ def test_sparse_mat_matches_sympy(data):
     for name, (got, want) in results.items():
         assert _sym(got) == want, name
         assert _int_first(got), name
+        assert _honest(got), name
     assert a.is_zero() == sa.is_zero_matrix
     assert (a - a).is_zero() and (a - a) == Mat.zeros(r, k)
     # dense views round-trip through the constructor, as do the sparse rows
     assert Mat(r, k, a.data) == a == Mat(r, k, a.nz)
     assert [a.row(i) for i in range(r)] == [list(row) for row in a.data]
     assert [a.col(j) for j in range(k)] == [list(col) for col in a.transpose().data]
+
+
+def test_submatrix_repeats_an_index():
+    m = Mat.from_rows([[1, 2], [3, 4]])
+    rep = m.submatrix([0, 1], [0, 0])
+    assert (rep.rows, rep.cols) == (2, 2)
+    assert rep.data == ((1, 1), (3, 3))
+    assert m.submatrix([1, 1, 0], [1, 0, 1]).data == ((4, 3, 4), (4, 3, 4), (2, 1, 2))
+    assert _sym(m.submatrix([1, 0], [1, 1, 0])) == _sym(m).extract([1, 0], [1, 1, 0])
 
 
 def test_int_and_fraction_entries_are_one_matrix():
@@ -540,12 +556,39 @@ def test_quotient_is_a_selection_and_a_projection(data):
 
 
 def test_mpq_backend_imports_and_stays_integer_first(tmp_path):
-    """With gmpy2 installed, mpq is the rational type; a stand-in module drives that path."""
-    (tmp_path / "gmpy2.py").write_text(
-        "from fractions import Fraction\n\n\nclass mpq(Fraction):\n    pass\n")
+    """With gmpy2 installed, mpq is the rational type; a stand-in module drives that path.
+
+    Like gmpy2's, the stand-in's numerator and denominator are mpz, not int,
+    and arithmetic on an mpz stays mpz.
+    """
+    (tmp_path / "gmpy2.py").write_text(textwrap.dedent("""
+        from fractions import Fraction
+
+
+        class mpz(int):
+            pass
+
+
+        def _stays_mpz(op):
+            def wrapped(*args):
+                out = op(*args)
+                return out if out is NotImplemented else mpz(out)
+            return wrapped
+
+
+        for _name in ("add", "radd", "sub", "rsub", "mul", "rmul", "floordiv", "rfloordiv",
+                      "mod", "rmod", "neg"):
+            setattr(mpz, "__%s__" % _name, _stays_mpz(getattr(int, "__%s__" % _name)))
+
+
+        class mpq(Fraction):
+            numerator = property(lambda self: mpz(self._numerator))
+            denominator = property(lambda self: mpz(self._denominator))
+    """))
     check = textwrap.dedent("""
         from fractions import Fraction
-        from ncjet.linalg import Mat, inverse, rat, rat_str, span_of
+        from ncjet.algebra import TensorSpace
+        from ncjet.linalg import Mat, inverse, quotient_data, rat, rat_str, span_of
         half = rat(1, 2)
         assert type(half).__name__ == "mpq" and half == Fraction(1, 2)
         assert type(rat(Fraction(3, 4))).__name__ == "mpq"
@@ -557,6 +600,20 @@ def test_mpq_backend_imports_and_stays_integer_first(tmp_path):
         assert all(type(x) is int for row in inv.nz for x in row.values())
         s = span_of([[2, 1, 0], [4, 0, 1]], 3)
         assert s.basis.data == ((1, 0, rat(1, 4)), (0, 1, rat(-1, 2)))
+        # fraction-free product and projection: the integer forms hold Python ints only
+        prod = s.basis * s.basis.transpose()
+        assert prod.data == ((rat(17, 16), rat(-1, 8)), (rat(-1, 8), rat(5, 4)))
+        assert type(prod.entry(0, 0)).__name__ == "mpq"
+        for m in (s.basis, s.basis.transpose()):
+            for d, row in m.int_form():
+                assert type(d) is int and all(type(x) is int for x in row.values()), (d, row)
+        sub = span_of([[1, 0, 0, rat(1, 2)], [0, 3, 1, 0]], 4)
+        proj, sec = quotient_data(sub)
+        ts = TensorSpace(2, 2, proj, sec, sub)
+        got = ts.class_of([1, rat(2, 3)], [3, 1])
+        assert got == proj.apply([3, 1, 2, rat(2, 3)]) == [rat(5, 3), rat(-5, 6)], got
+        assert all(type(x) is int for x in ts.pden)
+        assert all(type(x) is int for col in ts.pcols for x in col.values())
         print("mpq ok")
     """)
     src = Path(ncjet.__file__).resolve().parents[1]
@@ -565,3 +622,98 @@ def test_mpq_backend_imports_and_stays_integer_first(tmp_path):
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "mpq ok\n"
+
+
+# --- fraction-free products and projections ----------------------------------------
+
+_ratl = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _rational_mats(draw, rows, cols):
+    """rows x cols, every row with at least one non-integral entry (cols >= 1)."""
+    dense = [[draw(_ratl) if draw(st.booleans()) else 0 for _ in range(cols)]
+             for _ in range(rows)]
+    for row in dense:
+        row[draw(st.integers(0, cols - 1))] = Fraction(draw(st.integers(-7, 7)) * 2 + 1,
+                                                       draw(st.sampled_from((2, 4, 6))))
+    return Mat(rows, cols, dense)
+
+
+def _kinds_ok(m: Mat, want):
+    """m equals the sympy matrix want, with ints exactly where the entry is integral."""
+    return _sym(m) == want and _int_first(m) and _honest(m)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_rational_products_match_sympy(data):
+    r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = data.draw(_rational_mats(r, k)), data.draw(_rational_mats(k, c))
+    assert not a.integral and not b.integral
+    ints = Mat(k, c, [[data.draw(st.integers(-3, 3)) for _ in range(c)] for _ in range(k)])
+    sa, sb = _sym(a), _sym(b)
+    assert _kinds_ok(a * b, sa * sb)
+    assert _kinds_ok(a * ints, sa * _sym(ints))
+    assert _kinds_ok(ints.transpose() * a.transpose(), _sym(ints).T * sa.T)
+    # entries that cancel to integers come out as ints
+    if r == k and rank(a) == r:
+        for prod in (a * inverse(a), inverse(a) * a):
+            assert prod == Mat.identity(r) and prod.integral
+            assert all(type(x) is int for row in prod.nz for x in row.values())
+    # the cached integer form is ints over positive denominators and reads back as the matrix
+    for m in (a, b):
+        assert all(type(d) is int and d > 0 and all(type(x) is int for x in row.values())
+                   for d, row in m.int_form())
+        assert Mat(m.rows, m.cols, [{j: rat(x, d) for j, x in row.items()}
+                                    for d, row in m.int_form()]) == m
+
+
+def test_rational_product_cancels_to_ints():
+    half_third = Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), 0]])
+    col = Mat.from_rows([[Fraction(1, 2), Fraction(1, 4)], [Fraction(9, 4), Fraction(3, 4)]])
+    prod = half_third * col
+    assert prod.data == (
+        (1, Fraction(3, 8)), (Fraction(1, 4), Fraction(1, 8)))
+    assert type(prod.entry(0, 0)) is int
+    assert prod.integral is False
+    assert (half_third.scale(2) * Mat.from_rows([[3], [6]])).data == ((7,), (3,))
+
+
+def test_kernels_mark_integral_matrices_honestly():
+    rng = random.Random(7)
+    ints = Mat(3, 3, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+    ratl = random_mat(rng, 3, 3, denom=4)
+    sub = span_of([[1, 2, Fraction(1, 3)]], 3)
+    proj, sec = quotient_data(sub)
+    outs = [Mat.identity(3), Mat.zeros(2, 3), sec, ints * ints, kron(ints, ints),
+            ints.transpose(), ints.hstack(ints), ints.vstack(ints), ints.submatrix([0, 2], [1, 1]),
+            -ints, ints + ints, ints.scale(3)]
+    for m in outs:
+        assert m._integral is True, m
+        assert all(type(x) is int for row in m.nz for x in row.values())
+    for m in (proj, ratl, ratl * ints, ints * ratl, kron(ratl, ints), ratl.hstack(ints),
+              ratl.transpose(), ratl * inverse(ratl), proj * sec):
+        assert _honest(m)
+        assert m.integral == all(type(x) is int for row in m.nz for x in row.values())
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_projection_and_class_of_match_proj_apply(data):
+    from ncjet.algebra import TensorSpace
+
+    dl, dr = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    n = dl * dr
+    gens = data.draw(st.lists(st.lists(_ratl, min_size=n, max_size=n), max_size=n))
+    sub = span_of(gens, n)
+    proj, sec = quotient_data(sub)
+    ts = TensorSpace(dl, dr, proj, sec, sub)
+    x = data.draw(st.lists(_mixed, min_size=dl, max_size=dl))
+    y = data.draw(st.lists(_mixed, min_size=dr, max_size=dr))
+    plain = [xi * yj for xi in x for yj in y]
+    want = proj.apply(plain)
+    for got in (ts.class_of(x, y), ts.project(dict(enumerate(plain)))):
+        assert got == want
+        assert all(type(v) is int or v.denominator != 1 for v in got)
+    assert ts.project({}) == [0] * ts.dim
