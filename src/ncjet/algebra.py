@@ -297,9 +297,9 @@ class TensorSpace:
         self.sec = sec
         self.dim = proj.rows
         self.relations = relations
-        form = proj.int_form()
+        form = [int_row(row) for row in proj.nz]
         self.pden = [d for d, _ in form]
-        self.pcols = Mat._of(proj.rows, proj.cols, [row for _, row in form], True).transpose().nz
+        self.pcols = Mat._of(proj.rows, proj.cols, [row for _, row in form]).transpose().nz
 
     def project(self, plain):
         """Class of the plain tensor given by its nonzeros {index: value}."""

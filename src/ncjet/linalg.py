@@ -11,16 +11,17 @@ with a canonical reduced-row-echelon basis, so two equal subspaces compare
 equal as data.
 
 Products are fraction-free.  A matrix knows whether all its entries are
-ints: kernels fed integral matrices mark their output integral at birth,
-and any other matrix finds out once, on first use.  A non-integral matrix
-also keeps an integer form, each row as int numerators over one positive
-denominator, so a product with it accumulates over ints and divides once
-per output entry.
+ints: a product learns it as it divides, identity, zeros and quotient
+sections are born integral, and any other matrix finds out once, on first
+use.  A product with a non-integral factor reads each row in integer form,
+int numerators over one positive denominator (``int_row``), so it
+accumulates over ints and divides once per output entry.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import repeat
 from math import gcd, lcm
 
 try:
@@ -104,16 +105,13 @@ class Mat:
     views computed on each request.  Vectors are plain lists/tuples of
     scalars and matrices act on them as column vectors via ``apply``.
 
-    ``integral`` says whether every entry is an int.  Kernels set it when
-    they build their output and know the answer: integral inputs give an
-    integral product, ``kron``, stack or transpose, and a product over
-    integer forms learns it as it divides.  ``Mat(...)`` and the rest leave
-    it unknown, and the first read scans once.  ``int_form()`` is the cached
-    integer form that products and projections read: per row, a positive
-    denominator and int numerators.
+    ``integral`` says whether every entry is an int.  A product learns it
+    as it divides and ``identity``, ``zeros`` and quotient sections are born
+    integral; every other kernel leaves it unknown, and the first read
+    scans once and remembers.
     """
 
-    __slots__ = ("rows", "cols", "nz", "_integral", "_int_form")
+    __slots__ = ("rows", "cols", "nz", "_integral")
 
     def __init__(self, rows, cols, data):
         """From dense rows (sequences of scalars) or sparse {col: value} rows."""
@@ -133,7 +131,7 @@ class Mat:
         if rows > cap or cols > cap:
             raise DimensionCapError("matrix dimension exceeds cap %d" % cap)
         self.rows, self.cols, self.nz = rows, cols, tuple(nz)
-        self._integral = self._int_form = None
+        self._integral = None
 
     @staticmethod
     def _of(rows, cols, nz, integral=None):
@@ -152,12 +150,6 @@ class Mat:
         if self._integral is None:
             self._integral = all(type(x) is int for row in self.nz for x in row.values())
         return self._integral
-
-    def int_form(self):
-        """Per row (d, {col: int}) with row == numerators / d; computed once."""
-        if self._int_form is None:
-            self._int_form = tuple(int_row(row) for row in self.nz)
-        return self._int_form
 
     @staticmethod
     def from_rows(rows, cols=None):
@@ -216,7 +208,7 @@ class Mat:
         for i, row in enumerate(self.nz):
             for c, x in row.items():
                 out[c][i] = x
-        return Mat._of(self.cols, self.rows, out, self._integral)
+        return Mat._of(self.cols, self.rows, out)
 
     def _plus(self, other, sign):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -230,7 +222,7 @@ class Mat:
             for c, x in r2.items():
                 acc[c] = acc.get(c, ZERO) + sign * x
             out.append(nonzeros(acc))
-        return Mat._of(self.rows, self.cols, out, self._integral and other._integral or None)
+        return Mat._of(self.rows, self.cols, out)
 
     def __add__(self, other):
         return self._plus(other, ONE)
@@ -239,76 +231,65 @@ class Mat:
         return self._plus(other, -ONE)
 
     def __neg__(self):
-        return Mat._of(self.rows, self.cols, [{c: -x for c, x in row.items()} for row in self.nz],
-                       self._integral)
+        return Mat._of(self.rows, self.cols, [{c: -x for c, x in row.items()} for row in self.nz])
 
     def scale(self, c):
         c = rat(c)
         return Mat._of(self.rows, self.cols,
-                       [nonzeros({k: c * x for k, x in row.items()}) for row in self.nz],
-                       self._integral and type(c) is int or None)
+                       [nonzeros({k: c * x for k, x in row.items()}) for row in self.nz])
 
     def __mul__(self, other):
         """Matrix product over the nonzeros of both factors.
 
-        A left row that selects one row of the right factor shares it.
-        Unless both factors are integral, the product runs over their
-        integer forms: each left row sums int numerators scaled to one
-        common denominator, then divides once per output entry.
+        A left row that selects one row of the right factor shares it.  Two
+        integral factors take a plain integer loop.  Otherwise every other
+        left row runs over integer forms (``int_row``), made for this product
+        only: it sums int numerators scaled to one common denominator, then
+        divides once per output entry, so an entry is an int exactly when it
+        is integral.
         """
         if not isinstance(other, Mat):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        if not (self.integral and other.integral):
-            return self._mul_ints(other)
         onz = other.nz
+        if self.integral and other.integral:  # measured faster than the general loop below
+            out = []
+            for row in self.nz:
+                if len(row) == 1:
+                    (k, a), = row.items()
+                    if a == 1:
+                        out.append(onz[k])
+                        continue
+                acc = {}
+                get = acc.get
+                for k, a in row.items():
+                    for c, b in onz[k].items():
+                        acc[c] = get(c, ZERO) + a * b
+                out.append({c: x for c, x in acc.items() if x})
+            return Mat._of(self.rows, other.cols, out, True)
+        if other.integral:
+            rden, rnz = None, onz
+        else:
+            rden, rnz = zip(*map(int_row, onz))
+        lform = zip(repeat(1), self.nz) if self.integral else map(int_row, self.nz)
         out = []
-        for row in self.nz:
-            if len(row) == 1:
+        integral = True
+        for da, row in lform:
+            if da == 1 and len(row) == 1:
                 (k, a), = row.items()
                 if a == 1:
                     out.append(onz[k])
+                    integral = integral and (rden is None or rden[k] == 1)
                     continue
+            d = 1 if rden is None else lcm(*[rden[k] for k in row])
+            if d != 1:  # right row k is rnz[k] / rden[k]: bring it to denominator d
+                row = {k: a * (d // rden[k]) for k, a in row.items()}
             acc = {}
             get = acc.get
             for k, a in row.items():
-                for c, b in onz[k].items():
-                    acc[c] = get(c, ZERO) + a * b
-            out.append(nonzeros(acc))
-        return Mat._of(self.rows, other.cols, out, True)
-
-    def _mul_ints(self, other):
-        """The product over integer forms; the output's integrality is known at birth."""
-        onz = other.nz
-        lform = zip([1] * self.rows, self.nz) if self.integral else self.int_form()
-        rform = None if other.integral else other.int_form()
-        out = []
-        integral = True
-        for (da, row), true_row in zip(lform, self.nz):
-            if len(true_row) == 1:
-                (k, a), = true_row.items()
-                if a == 1:
-                    out.append(onz[k])
-                    integral = integral and (rform is None or rform[k][0] == 1)
-                    continue
-            d = 1
-            if rform is not None:
-                for k in row:
-                    db = rform[k][0]
-                    if d % db:
-                        d = lcm(d, db)
-            acc = {}
-            get = acc.get
-            for k, a in row.items():
-                if rform is None:
-                    brow = onz[k]
-                else:
-                    db, brow = rform[k]
-                    if db != d:
-                        a *= d // db
-                for c, b in brow.items():
+                for c, b in rnz[k].items():
                     acc[c] = get(c, ZERO) + a * b
             d *= da
             if d == 1:
@@ -345,13 +326,12 @@ class Mat:
         off = self.cols
         return Mat._of(self.rows, self.cols + other.cols, [
             {**r1, **{c + off: x for c, x in r2.items()}} if r2 else r1
-            for r1, r2 in zip(self.nz, other.nz)], self._integral and other._integral or None)
+            for r1, r2 in zip(self.nz, other.nz)])
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        return Mat._of(self.rows + other.rows, self.cols, self.nz + other.nz,
-                       self._integral and other._integral or None)
+        return Mat._of(self.rows + other.rows, self.cols, self.nz + other.nz)
 
     def submatrix(self, row_idx, col_idx):
         """Rows row_idx and columns col_idx, in that order; an index may repeat."""
@@ -360,7 +340,7 @@ class Mat:
             where.setdefault(j, []).append(k)
         return Mat._of(len(row_idx), len(col_idx), [
             {k: x for c, x in self.nz[i].items() if c in where for k in where[c]}
-            for i in row_idx], self._integral or None)
+            for i in row_idx])
 
 
 def _integral(v):
@@ -665,8 +645,7 @@ def kron(a: Mat, b: Mat) -> Mat:
                 for j, y in brow.items():
                     row[base + j] = x * y
             out.append(nonzeros(row))
-    return Mat._of(a.rows * b.rows, a.cols * bc, out,
-                  a.integral and b.integral or None)
+    return Mat._of(a.rows * b.rows, a.cols * bc, out)
 
 
 def span_of(vectors, ambient) -> Subspace:

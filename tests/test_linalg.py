@@ -26,6 +26,7 @@ from ncjet.linalg import (
     Subspace,
     ZERO,
     ONE,
+    int_row,
     inverse,
     intersect,
     kernel_of,
@@ -445,9 +446,13 @@ def test_sparse_mat_matches_sympy(data):
     coef = data.draw(_mixed)
     rows = data.draw(st.lists(st.integers(0, max(r - 1, 0)), max_size=r))
     cols = data.draw(st.lists(st.integers(0, max(k - 1, 0)), max_size=k))
+    # small int factors, so that entries of their product often cancel to zero
+    ia, ib = (Mat(n, m, [[data.draw(st.integers(-1, 1)) for _ in range(m)] for _ in range(n)])
+              for n, m in ((r, k), (k, c)))
     results = {
         "apply": (Mat(r, 1, [[x] for x in a.apply(v)]), sa * sympy.Matrix(k, 1, [_q(x) for x in v])),
         "mul": (a * b, sa * sb),
+        "mul ints": (ia * ib, _sym(ia) * _sym(ib)),
         "kron": (kron(a, b), sympy.Matrix(r * k, k * c, lambda i, j: sa[i // k, j // c]
                                           * sb[i % k, j % c])),
         "transpose": (a.transpose(), sa.T),
@@ -588,7 +593,7 @@ def test_mpq_backend_imports_and_stays_integer_first(tmp_path):
     check = textwrap.dedent("""
         from fractions import Fraction
         from ncjet.algebra import TensorSpace
-        from ncjet.linalg import Mat, inverse, quotient_data, rat, rat_str, span_of
+        from ncjet.linalg import Mat, int_row, inverse, quotient_data, rat, rat_str, span_of
         half = rat(1, 2)
         assert type(half).__name__ == "mpq" and half == Fraction(1, 2)
         assert type(rat(Fraction(3, 4))).__name__ == "mpq"
@@ -605,7 +610,7 @@ def test_mpq_backend_imports_and_stays_integer_first(tmp_path):
         assert prod.data == ((rat(17, 16), rat(-1, 8)), (rat(-1, 8), rat(5, 4)))
         assert type(prod.entry(0, 0)).__name__ == "mpq"
         for m in (s.basis, s.basis.transpose()):
-            for d, row in m.int_form():
+            for d, row in map(int_row, m.nz):
                 assert type(d) is int and all(type(x) is int for x in row.values()), (d, row)
         sub = span_of([[1, 0, 0, rat(1, 2)], [0, 3, 1, 0]], 4)
         proj, sec = quotient_data(sub)
@@ -661,12 +666,13 @@ def test_rational_products_match_sympy(data):
         for prod in (a * inverse(a), inverse(a) * a):
             assert prod == Mat.identity(r) and prod.integral
             assert all(type(x) is int for row in prod.nz for x in row.values())
-    # the cached integer form is ints over positive denominators and reads back as the matrix
+    # the integer form of a row is ints over a positive denominator and reads back as the row
     for m in (a, b):
+        form = [int_row(row) for row in m.nz]
         assert all(type(d) is int and d > 0 and all(type(x) is int for x in row.values())
-                   for d, row in m.int_form())
+                   for d, row in form)
         assert Mat(m.rows, m.cols, [{j: rat(x, d) for j, x in row.items()}
-                                    for d, row in m.int_form()]) == m
+                                    for d, row in form]) == m
 
 
 def test_rational_product_cancels_to_ints():
@@ -686,14 +692,16 @@ def test_kernels_mark_integral_matrices_honestly():
     ratl = random_mat(rng, 3, 3, denom=4)
     sub = span_of([[1, 2, Fraction(1, 3)]], 3)
     proj, sec = quotient_data(sub)
-    outs = [Mat.identity(3), Mat.zeros(2, 3), sec, ints * ints, kron(ints, ints),
-            ints.transpose(), ints.hstack(ints), ints.vstack(ints), ints.submatrix([0, 2], [1, 1]),
-            -ints, ints + ints, ints.scale(3)]
-    for m in outs:
+    # identity, zeros, a quotient section and every product know their integrality at birth
+    for m in (Mat.identity(3), Mat.zeros(2, 3), sec, ints * ints, ratl * inverse(ratl)):
         assert m._integral is True, m
         assert all(type(x) is int for row in m.nz for x in row.values())
-    for m in (proj, ratl, ratl * ints, ints * ratl, kron(ratl, ints), ratl.hstack(ints),
-              ratl.transpose(), ratl * inverse(ratl), proj * sec):
+    for m in (ratl * ints, ints * ratl, proj * ratl):
+        assert m._integral is not None and _honest(m), m
+    # the other kernels leave it to one scan on first read
+    for m in (proj, ratl, kron(ints, ints), kron(ratl, ints), ints.transpose(), ratl.transpose(),
+              ints.hstack(ints), ratl.hstack(ints), ints.vstack(ints),
+              ints.submatrix([0, 2], [1, 1]), -ints, ints + ints, ints.scale(3), proj * sec):
         assert _honest(m)
         assert m.integral == all(type(x) is int for row in m.nz for x in row.values())
 
