@@ -1,7 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 pass, 1 assertion failure, 2 invalid input, 3 parse error.
-Inputs are calculus spec files (JSON) or compiled-in fixture names; all
+Every command takes a calculus spec file (JSON) or a compiled-in fixture
+name, and treats both alike: `quantize` works on any calculus that admits
+a braided connection, and its --star-gens needs a declared left frame.  All
 reports are deterministic and --json output is byte-stable for identical
 inputs.  NCJET_MAX_DIM overrides the ambient-dimension cap; an input that
 needs a larger matrix is invalid (exit 2).
@@ -22,7 +24,7 @@ from .connections import (
     solve_connections,
     torsion,
 )
-from .fixtures import FIXTURE_NAMES, fixture
+from .fixtures import FIXTURE_NAMES, fixture, quantization_of, star_generators
 from .jets import (
     HOLONOMIC,
     bicomplex_report,
@@ -49,7 +51,7 @@ EXIT_PARSE = 3
 
 def _load_calculus(ref: str) -> Calculus:
     if ref in FIXTURE_NAMES:
-        return fixture(ref).calc
+        return fixture(ref)
     return parse_calculus_spec(load_json(ref))
 
 
@@ -166,15 +168,10 @@ def cmd_connections(args, out):
 
 def cmd_quantize(args, out):
     calc = _load_calculus(args.path)
-    if args.path in FIXTURE_NAMES:
-        fx = fixture(args.path)
-    else:
-        raise CalculusError("quantization requires a compiled-in fixture "
-                            "(braided connection construction)")
     hbar = rat(args.hbar)
-    q = fx.quantization()
+    q = quantization_of(calc)
     report = {
-        "calculus": calc.name,
+        "calculus": calc.name or args.path,
         "hbar": rat_str(hbar),
         "order_cap": q.cap,
         "chain_dims": {str(k): [q.chain[k].rows, q.chain[k].cols] for k in sorted(q.chain)},
@@ -193,7 +190,7 @@ def cmd_quantize(args, out):
                 )
             report["operator"] = {"order": order, "components": decomposition}
     if args.star_gens:
-        gens = fx.star_generators()
+        gens = star_generators(calc)
         table = []
         for na in sorted(gens):
             for nb in sorted(gens):
@@ -229,8 +226,7 @@ def cmd_demo(args, out):
 
 
 def cmd_dump_fixture(args, out):
-    fx = fixture(args.name)
-    out.write(dump_json(serialize_calculus(fx.calc)) + "\n")
+    out.write(dump_json(serialize_calculus(fixture(args.name))) + "\n")
     return EXIT_PASS
 
 

@@ -19,7 +19,8 @@ from .connections import (
     solve_bimodule_connections,
     torsion,
 )
-from .fixtures import fixture, frame_vectors
+from .fixtures import (
+    braided_connection, fixture, frame_vectors, quantization_of, star_generators)
 from .jets import HOLONOMIC, elemental_span, jet_exactness, jet_module, sym_module
 from .quantization import GradedSymbol, Symbol
 
@@ -33,10 +34,9 @@ def quaternion_metric(calc):
 
 def demo_quaternion(corrupt=False):
     """Run the full quaternion pipeline; returns the claim report."""
-    fx = fixture("quaternion")
-    calc = fx.calc
+    calc = fixture("quaternion")
     alg = calc.algebra
-    e = fx.base
+    e = calc.base_module()
     claims = []
 
     def claim(name, ok, detail=""):
@@ -54,7 +54,7 @@ def demo_quaternion(corrupt=False):
         "computed affine dimension %d (known discrepancy when nonzero: the "
         "frame-coefficients there are quaternionic, not scalar)" % sol.dim,
     )
-    bc = fx.braided_conn()
+    bc = braided_connection(calc)
     if corrupt:
         bc = type(bc)(calc, bc.base, -bc.sigma, check=False)
     claim(
@@ -86,7 +86,7 @@ def demo_quaternion(corrupt=False):
     elem_ok = all(elemental_span(calc, jets[n]).dim == jets[n].dim for n in (1, 2, 3))
     claim("prolongations span every jet module", elem_ok)
 
-    q = fx.quantization()
+    q = quantization_of(calc)
 
     # retraction candidate (id + braiding)/2
     s2 = syms[2]
@@ -98,7 +98,7 @@ def demo_quaternion(corrupt=False):
             wc = [ZERO] * calc.omega1.dim
             wc[c] = ONE
             mu_cols.append(calc.omega1.act_right(wc, e.algebra.basis_vector(t)))
-    mu_plain = Mat.from_rows(mu_cols, calc.omega1.dim).transpose()
+    mu_plain = Mat.from_cols(mu_cols, calc.omega1.dim)
     mu = calc.descend(mu_plain, tsE, "frame evaluation")
     iso = calc.omega_lift(1, mu, fmE, calc.omega1)
     emb = iso * s2.iota_wedge  # S2 inside one-forms (x) one-forms
@@ -138,24 +138,22 @@ def demo_quaternion(corrupt=False):
     h2 = q.homogeneous_component(lk, 2)
     h1 = q.homogeneous_component(lk, 1)
     h0 = q.homogeneous_component(lk, 0)
-    exp2 = Mat.from_rows(
-        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [-4, 0, 0, 0]], 4
-    ).transpose()
+    exp2 = Mat.from_cols([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [-4, 0, 0, 0]], 4)
     exp1_cols = []
     for t in range(4):
         h = alg.basis_vector(t)
         com = [x - y for x, y in zip(alg.mul(k_v, h), alg.mul(h, k_v))]
         com[0] += 4 * h[3] * ONE
         exp1_cols.append(com)
-    exp1 = Mat.from_rows(exp1_cols, 4).transpose()
-    rk = Mat.from_rows([alg.mul(alg.basis_vector(t), k_v) for t in range(4)], 4).transpose()
+    exp1 = Mat.from_cols(exp1_cols, 4)
+    rk = Mat.from_cols([alg.mul(alg.basis_vector(t), k_v) for t in range(4)], 4)
     claim("order-2 component is -4 times the k-coefficient", h2 == exp2)
     claim("order-1 component is [k, .] plus 4 times the k-coefficient", h1 == exp1)
     claim("order-0 component is right multiplication by k", h0 == rk)
     claim("components reassemble the operator", (h2 + h1 + h0) == lk)
 
     # --- star table ----------------------------------------------------------
-    gens = fx.star_generators()
+    gens = star_generators(calc)
     idsym = Symbol(0, Mat.identity(alg.dim))
     table_ok = True
     details = []

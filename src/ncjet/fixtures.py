@@ -1,10 +1,12 @@
-"""Built-in calculi with their distinguished connections and generators.
+"""Compiled-in calculi, and the data a quantization needs on any calculus.
 
-Three fixtures are compiled in: the two-frame quaternion calculus, and the
-universal calculi of the two-point function algebra and of 2x2 matrices.
-Each fixture lazily provides the canonical connection on the base module
-(the differential itself), a distinguished braided connection on the
-one-forms, and the induced quantization.
+Three calculi are compiled in: the two-frame quaternion calculus, and the
+universal calculi of the two-point function algebra and of 2x2 matrices;
+`fixture(name)` builds each once per process.  For any calculus, the
+canonical connection on the base module (the differential itself), a
+distinguished braided connection on the one-forms, the induced
+quantization and, on framed calculi, named star generators are functions
+of the calculus, each built once and kept in `calc.memo`.
 """
 
 from __future__ import annotations
@@ -22,15 +24,17 @@ from .connections import (
 )
 from .quantization import Symbol, build_quantization, partial_operators
 
-FIXTURE_NAMES = ("quaternion", "two-point-universal", "matrix2-universal")
-
 
 def base_connection(calc: Calculus) -> Connection:
     """The differential as the canonical connection on the algebra itself."""
-    e = calc.base_module()
-    fm, ts = calc.form_module(1, e)
-    cols = [ts.class_of(calc.d_of_basis(a), calc.algebra.unit) for a in range(calc.algebra.dim)]
-    return Connection(calc, e, Mat.from_cols(cols, fm.dim))
+    def build():
+        e = calc.base_module()
+        fm, ts = calc.form_module(1, e)
+        cols = [ts.class_of(calc.d_of_basis(a), calc.algebra.unit)
+                for a in range(calc.algebra.dim)]
+        return Connection(calc, e, Mat.from_cols(cols, fm.dim))
+
+    return calc.memo(("base_conn",), build)
 
 
 def frame_vectors(calc: Calculus):
@@ -73,82 +77,63 @@ def frame_parallel_bimodule_connection(calc: Calculus) -> BimoduleConnection:
     return bimodule_connection_from_vector(calc, sol.particular)
 
 
-class Fixture:
-    """A compiled-in calculus with its distinguished auxiliary data."""
+def braided_connection(calc: Calculus) -> BimoduleConnection:
+    """Frame-parallel braided connection, or the canonical solver point."""
+    def build():
+        if calc.left_frame_size:
+            return frame_parallel_bimodule_connection(calc)
+        sol = solve_bimodule_connections(calc)
+        if sol.empty:
+            raise CalculusError("calculus admits no braided connection")
+        return bimodule_connection_from_vector(calc, sol.particular)
 
-    def __init__(self, name, calc_builder):
-        self.name = name
-        self._calc_builder = calc_builder
-        self._memo = {}
+    return calc.memo(("braided",), build)
 
-    @property
-    def calc(self) -> Calculus:
-        return memo(self._memo, "calc", self._calc_builder)
 
-    @property
-    def base(self):
-        return self.calc.base_module()
+def quantization_of(calc: Calculus):
+    """The quantization induced by the braided and base connections."""
+    return calc.memo(("quantization",), lambda: build_quantization(
+        calc, calc.base_module(), braided_connection(calc), base_connection(calc)))
 
-    def base_conn(self) -> Connection:
-        return memo(self._memo, "base_conn", lambda: base_connection(self.calc))
 
-    def braided_conn(self) -> BimoduleConnection:
-        """Frame-parallel braided connection, or the canonical solver point."""
-        def build():
-            if self.calc.left_frame_size:
-                return frame_parallel_bimodule_connection(self.calc)
-            sol = solve_bimodule_connections(self.calc)
-            if sol.empty:
-                raise CalculusError("fixture admits no braided connection")
-            return bimodule_connection_from_vector(self.calc, sol.particular)
+def star_generators(calc: Calculus):
+    """Named momentum and position symbols of a framed calculus.
 
-        return memo(self._memo, "braided", build)
-
-    def quantization(self):
-        return memo(self._memo, "quant", lambda: build_quantization(
-            self.calc, self.base, self.braided_conn(), self.base_conn()))
-
-    def star_generators(self):
-        """Named position/momentum symbol generators (framed calculi only)."""
-        return memo(self._memo, "gens", self._star_generators)
-
-    def _star_generators(self):
-        calc = self.calc
-        frame = calc.left_frame_size
-        if not frame:
-            raise CalculusError("fixture has no declared frame generators")
+    p_<label> is the order-1 symbol of the coefficient operator of frame
+    form t.  When d(b) is frame form t for a basis element b, the label is
+    the name of b and x_<label> is right multiplication by b; otherwise the
+    label is t and there is no position.
+    """
+    def build():
+        frame = frame_vectors(calc)
+        q = quantization_of(calc)
         alg = calc.algebra
-        q = self.quantization()
+        d_images = [calc.d[0].col(b) for b in range(alg.dim)]
         gens = {}
-        # positions: right multiplication by the d-image basis directions
-        names = {0: "i", 1: "j"} if self.name == "quaternion" else {}
-        partials = partial_operators(calc)
-        for t in range(frame):
-            label = names.get(t, str(t))
-            gens["p_%s" % label] = q.ctx.symbol_of(partials[t], 1)
-        if self.name == "quaternion":
-            for idx, label in ((1, "i"), (2, "j")):
-                x = alg.basis_vector(idx)
-                rmat = Mat.from_rows(
-                    [alg.mul(alg.basis_vector(s), x) for s in range(alg.dim)], alg.dim
-                ).transpose()
-                gens["x_%s" % label] = Symbol(0, rmat)
+        for t, (fv, op) in enumerate(zip(frame, partial_operators(calc))):
+            b = next((b for b, img in enumerate(d_images) if img == fv), None)
+            label = str(t) if b is None else alg.basis_names[b]
+            if "p_" + label in gens:
+                raise CalculusError("star generator label %r is used twice" % label)
+            gens["p_" + label] = q.ctx.symbol_of(op, 1)
+            if b is not None:
+                gens["x_" + label] = Symbol(0, alg.rmat[b])
         return gens
+
+    return calc.memo(("star_gens",), build)
 
 
 _REGISTRY = {
-    "quaternion": Fixture("quaternion", quaternion_calculus),
-    "two-point-universal": Fixture(
-        "two-point-universal", lambda: universal_calculus(functions_on_points(2))
-    ),
-    "matrix2-universal": Fixture(
-        "matrix2-universal", lambda: universal_calculus(matrix_algebra(2))
-    ),
+    "quaternion": quaternion_calculus,
+    "two-point-universal": lambda: universal_calculus(functions_on_points(2)),
+    "matrix2-universal": lambda: universal_calculus(matrix_algebra(2)),
 }
+FIXTURE_NAMES = tuple(_REGISTRY)
+_BUILT = {}
 
 
-def fixture(name: str) -> Fixture:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+def fixture(name: str) -> Calculus:
+    """The compiled-in calculus `name`, built once per process."""
+    if name not in _REGISTRY:
         raise KeyError("unknown fixture %r (have: %s)" % (name, ", ".join(FIXTURE_NAMES)))
+    return memo(_BUILT, ("fixture", name), _REGISTRY[name])

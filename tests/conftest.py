@@ -98,4 +98,4 @@ def sheared_spec(doc, alg_shears, form_shears):
 @pytest.fixture(scope="session")
 def sheared_quat_doc(quat):
     """The quaternion calculus as a spec in fixed integer-sheared bases."""
-    return sheared_spec(serialize_calculus(quat.calc), QUAT_ALGEBRA_SHEARS, QUAT_FORM_SHEARS)
+    return sheared_spec(serialize_calculus(quat), QUAT_ALGEBRA_SHEARS, QUAT_FORM_SHEARS)

@@ -29,6 +29,7 @@ from ncjet.connections import (
     torsion,
 )
 from ncjet.demo import quaternion_metric
+from ncjet.fixtures import braided_connection, quantization_of, star_generators
 from ncjet.jets import (
     bicomplex_report,
     delta_contraction,
@@ -71,7 +72,7 @@ def test_criterion_1_bimodule_solver(quat):
 
     def body():
         t0 = time.time()
-        sol = solve_bimodule_connections(quat.calc)
+        sol = solve_bimodule_connections(quat)
         elapsed = time.time() - t0
         assert elapsed < 1.0, "solver exceeded the stated runtime"
         assert sol.dim == 0, (
@@ -86,9 +87,9 @@ def test_criterion_1_distinguished_solution(quat):
     """Every remaining part of criterion 1 on the frame-parallel solution."""
 
     def body():
-        calc = quat.calc
+        calc = quat
         t0 = time.time()
-        bc = quat.braided_conn()
+        bc = braided_connection(quat)
         om11, ts = _omega_pair(calc)
         di, dj = frame_form(calc, 0), frame_form(calc, 1)
         assert all(not x for x in bc.base.mat.apply(di))
@@ -114,7 +115,7 @@ def test_criterion_1_distinguished_solution(quat):
 
 def test_criterion_2_jet_tower(quat):
     def body():
-        calc, e = quat.calc, quat.base
+        calc, e = quat, quat.base_module()
         jets = [jet_module(calc, e, n) for n in range(4)]
         assert tuple(j.dim for j in jets) == (4, 12, 16, 16)
         for n in (1, 2, 3):
@@ -123,7 +124,7 @@ def test_criterion_2_jet_tower(quat):
             assert elemental_span(calc, jets[n]).dim == jets[n].dim
         assert sym_module(calc, e, 3).dim == 0
         # (identity + braiding)/2 is a retraction of the wedge-kernel inclusion
-        bc = quat.braided_conn()
+        bc = braided_connection(quat)
         om11, ts = _omega_pair(calc)
         p = (Mat.identity(ts.dim) + bc.sigma).scale(rat(1, 2))
         wker = kernel_of(calc.wedge_map(1, 1))
@@ -131,7 +132,7 @@ def test_criterion_2_jet_tower(quat):
         for row in wker.basis.data:
             assert p.apply(list(row)) == list(row)
         # the universal order-2 operator: h -> -Re(kh) g
-        q = quat.quantization()
+        q = quantization_of(quat)
         ch2 = q.chain[2]
         g_s2 = _metric_in_sym2(quat)
         assert all(not x for x in ch2.col(0))
@@ -143,7 +144,7 @@ def test_criterion_2_jet_tower(quat):
 
 
 def _metric_in_sym2(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     s2 = sym_module(calc, e, 2)
     _, tsE = calc.form_module(1, e)
     _, tsS1 = calc.form_module(1, s2.lower.mod)
@@ -159,7 +160,7 @@ def _metric_in_sym2(quat):
 
 def test_criterion_3_symbol_inclusion_identity(quat):
     def body():
-        calc, e = quat.calc, quat.base
+        calc, e = quat, quat.base_module()
         alg = calc.algebra
         j2 = jet_module(calc, e, 2)
         g_s2 = _metric_in_sym2(quat)
@@ -184,9 +185,9 @@ def test_criterion_3_symbol_inclusion_identity(quat):
 
 def test_criterion_4_operator_decomposition(quat):
     def body():
-        calc = quat.calc
+        calc = quat
         alg = calc.algebra
-        q = quat.quantization()
+        q = quantization_of(quat)
         k_v = alg.basis_vector(3)
         lk = alg.left_mult(k_v)
         assert q.ctx.op_order(lk) == 2
@@ -212,8 +213,8 @@ def test_criterion_4_operator_decomposition(quat):
 
 def test_criterion_5_star_table(quat):
     def body():
-        q = quat.quantization()
-        gens = quat.star_generators()
+        q = quantization_of(quat)
+        gens = star_generators(quat)
         idsym = Symbol(0, Mat.identity(4))
         names = ("x_i", "x_j", "p_i", "p_j")
         for hbar in (rat(0), rat(1), rat(2, 3)):
@@ -248,7 +249,7 @@ def test_criterion_5_star_table(quat):
 def test_criterion_6_spencer_suite(all_fixtures, quat):
     def body():
         for fx in all_fixtures:
-            calc, e = fx.calc, fx.base
+            calc, e = fx, fx.base_module()
             top = 3 if fx is quat else 2
             jets = [jet_module(calc, e, n) for n in range(top + 1)]
             for n in range(1, top + 1):
@@ -267,10 +268,10 @@ def test_criterion_6_spencer_suite(all_fixtures, quat):
             for n in (2, 3) if fx is quat else (2,):
                 assert holonomic_via_spencer(calc, e, n) == jets[n].carrier
         for n in (1, 2, 3):
-            sc = spencer_complex(quat.calc, quat.base, n)
+            sc = spencer_complex(quat, quat.base_module(), n)
             assert sc["is_complex"]
             assert all(d == 0 for d in sc["cohomology"])
-        rep3 = bicomplex_report(quat.calc, quat.base, 3)
+        rep3 = bicomplex_report(quat, quat.base_module(), 3)
         assert rep3["all_pass"]
 
     _report(6, body)
@@ -281,9 +282,9 @@ def test_criterion_6_spencer_suite(all_fixtures, quat):
 
 def test_criterion_7_quantization_suite(quat):
     def body():
-        calc, e = quat.calc, quat.base
-        q = quat.quantization()
-        gens = quat.star_generators()
+        calc, e = quat, quat.base_module()
+        q = quantization_of(quat)
+        gens = star_generators(quat)
         alg = calc.algebra
         lk = alg.left_mult(alg.basis_vector(3))
         # section law on module-linear symbols at every degree
@@ -369,12 +370,12 @@ def test_criterion_7_quantization_suite(quat):
 def test_criterion_8_calculus_connection_suite(all_fixtures, quat):
     def body():
         for fx in all_fixtures:
-            calc = fx.calc
+            calc = fx
             for n in range(calc.max_degree - 1):
                 assert (calc.d[n + 1] * calc.d[n]).is_zero()
             _graded_leibniz(calc)
-        calc, e = quat.calc, quat.base
-        q = quat.quantization()
+        calc, e = quat, quat.base_module()
+        q = quantization_of(quat)
         j2 = jet_module(calc, e, 2)
         hc = higher_connection_from_split(calc, j2, q.chain_lift(2))
         # round trip both ways at order 2

@@ -106,7 +106,7 @@ def brute_tensor_dim(m, n):
 
 
 def test_tensor_of_one_forms_over_quaternions_has_dim_16(quat):
-    om1 = quat.calc.omega1
+    om1 = quat.omega1
     mod, ts = tensor_bimodule(om1, om1)
     assert mod.dim == 16
     assert ts.proj.rows == 16
@@ -115,7 +115,7 @@ def test_tensor_of_one_forms_over_quaternions_has_dim_16(quat):
 
 
 def test_algebra_tensor_module_is_module(quat):
-    reg = quat.base
+    reg = quat.base_module()
     mod, ts = tensor_bimodule(reg, reg)
     assert mod.dim == reg.dim
     # the induced map a (x) b -> ab is an isomorphism here
@@ -123,18 +123,18 @@ def test_algebra_tensor_module_is_module(quat):
 
 
 def test_tensor_with_zero_module(quat):
-    alg = quat.calc.algebra
+    alg = quat.algebra
     zero = Bimodule(alg, 0, [Mat.zeros(0, 0)] * 4, [Mat.zeros(0, 0)] * 4, "0")
-    mod, _ = tensor_bimodule(quat.base, zero)
+    mod, _ = tensor_bimodule(quat.base_module(), zero)
     assert mod.dim == 0
 
 
 def test_tensor_functorial_on_composable_maps(quat):
     # f (x) g descends when f is right-linear and g is left-linear; on those
     # representatives the induced maps compose functorially.
-    alg = quat.calc.algebra
-    reg = quat.base
-    om1 = quat.calc.omega1
+    alg = quat.algebra
+    reg = quat.base_module()
+    om1 = quat.omega1
     f1, f2 = alg.lmat[1], alg.lmat[2]          # left multiplications: right-linear
     g1, g2 = om1.right[1], om1.right[2]        # right actions: left-linear
     _, ts = tensor_bimodule(reg, om1)
@@ -149,17 +149,17 @@ def test_tensor_functorial_on_composable_maps(quat):
 # --- closures -------------------------------------------------------------------------
 
 def test_closure_of_basis_is_everything(quat):
-    reg = quat.base
+    reg = quat.base_module()
     full = module_closure(reg, [reg.algebra.basis_vector(t) for t in range(4)], use_right=True)
     assert full.dim == 4
 
 
 def test_closure_of_nothing_is_zero(quat):
-    assert module_closure(quat.base, []).dim == 0
+    assert module_closure(quat.base_module(), []).dim == 0
 
 
 def test_closure_of_antisymmetric_frame_tensor_has_dim_4(quat):
-    calc = quat.calc
+    calc = quat
     om11, ts = tensor_bimodule(calc.omega1, calc.omega1)
     di = vec([1, 0, 0, 0, 0, 0, 0, 0])
     dj = vec([0, 0, 0, 0, 1, 0, 0, 0])
@@ -174,7 +174,7 @@ def test_closure_of_antisymmetric_frame_tensor_has_dim_4(quat):
 # --- linear map solving -----------------------------------------------------------------
 
 def test_left_linear_endomorphisms_of_quaternions_are_right_multiplications(quat):
-    reg = quat.base
+    reg = quat.base_module()
     sol = solve_module_maps(reg, reg, "left")
     assert sol.dim == 4
     alg = reg.algebra
@@ -188,7 +188,7 @@ def test_left_linear_endomorphisms_of_quaternions_are_right_multiplications(quat
 
 
 def test_identity_solves_homogeneous_systems(quat):
-    reg = quat.base
+    reg = quat.base_module()
     sol = solve_module_maps(reg, reg, "bilinear")
     eye = [v for row in Mat.identity(4).data for v in row]
     diff = [a - b for a, b in zip(eye, sol.particular)]
@@ -196,7 +196,7 @@ def test_identity_solves_homogeneous_systems(quat):
 
 
 def test_contradictory_constraints_are_empty(quat):
-    reg = quat.base
+    reg = quat.base_module()
     # demand X * I = I and X * I = 2I simultaneously
     sol = solve_module_maps(
         reg, reg, "k",
@@ -207,7 +207,7 @@ def test_contradictory_constraints_are_empty(quat):
 
 
 def test_compose_eq_constraints_hold(quat):
-    reg = quat.base
+    reg = quat.base_module()
     target = reg.algebra.lmat[3]
     sol = solve_module_maps(reg, reg, "k", compose_eq=[(Mat.identity(4), target)])
     got = mat_from_flat(sol.particular, 4, 4)

@@ -1,10 +1,13 @@
 """Command-line frontend: exit codes, report shapes, determinism."""
 
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from cayley import cayley_spec
 from ncjet.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PARSE, EXIT_PASS, main
 from ncjet.specio import dump_json, parse_calculus_spec, serialize_calculus
 
@@ -18,7 +21,7 @@ def run(argv):
 @pytest.fixture(scope="module")
 def quat_spec_path(tmp_path_factory, quat):
     path = tmp_path_factory.mktemp("specs") / "quaternion.json"
-    path.write_text(dump_json(serialize_calculus(quat.calc)))
+    path.write_text(dump_json(serialize_calculus(quat)))
     return str(path)
 
 
@@ -29,7 +32,7 @@ def test_validate_fixture_file(quat_spec_path):
 
 
 def test_validate_broken_leibniz_names_the_pair(tmp_path, quat):
-    doc = serialize_calculus(quat.calc)
+    doc = serialize_calculus(quat)
     doc["omega1"]["d"][0][3] = "5"  # corrupt d(k)
     path = tmp_path / "broken.json"
     path.write_text(dump_json(doc))
@@ -76,7 +79,7 @@ def test_validate_schema_error(tmp_path, doc):
 
 
 def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, two_point):
-    doc = serialize_calculus(two_point.calc)
+    doc = serialize_calculus(two_point)
     doc["maxDegree"] = 5
     path = tmp_path / "deep.json"
     path.write_text(dump_json(doc))
@@ -87,7 +90,7 @@ def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, t
 
 
 def test_max_degree_one_spec_stops_the_tower(tmp_path, two_point):
-    doc = serialize_calculus(two_point.calc)
+    doc = serialize_calculus(two_point)
     doc["maxDegree"] = 1
     path = tmp_path / "flat.json"
     path.write_text(dump_json(doc))
@@ -103,7 +106,7 @@ def test_max_degree_one_spec_stops_the_tower(tmp_path, two_point):
 
 def test_bimodule_connections_on_a_degree_one_spec(tmp_path, two_point):
     """The braided system needs no two-forms; the metric, torsion and curvature do."""
-    doc = serialize_calculus(two_point.calc)
+    doc = serialize_calculus(two_point)
     doc["maxDegree"] = 1
     path = tmp_path / "flat.json"
     path.write_text(dump_json(doc))
@@ -335,3 +338,67 @@ def test_connections_on_degenerate_calculus(tmp_path):
     assert code == EXIT_PASS
     parsed = json.loads(out)
     assert [r["jet_dim"] for r in parsed["orders"]] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("name", ["quaternion", "two-point-universal", "matrix2-universal"])
+def test_quantize_spec_file_matches_fixture(tmp_path, name):
+    code, spec = run(["dump-fixture", name])
+    assert code == EXIT_PASS
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    extra = ["--star-gens"] if name == "quaternion" else []
+    reports = []
+    for ref in (name, str(path)):
+        code, out = run(["quantize", ref, "--hbar", "2/3", "--json"] + extra)
+        assert code == EXIT_PASS, out
+        reports.append(json.loads(out))
+    fixture_doc, spec_doc = reports
+    assert fixture_doc.pop("calculus") != spec_doc.pop("calculus") == str(path)
+    assert fixture_doc == spec_doc
+
+
+def test_quantize_cayley_z4_spec(tmp_path):
+    path = tmp_path / "z4.json"
+    path.write_text(dump_json(cayley_spec(4, [1, 3])))
+    code, out = run(["quantize", str(path), "--star-gens", "--json"])
+    assert code == EXIT_PASS, out
+    doc = json.loads(out)
+    assert doc["order_cap"] == 3
+    assert {e["left"] for e in doc["star_table"]} == {"p_0", "p_1"}
+    assert {e["right"] for e in doc["star_table"]} == {"p_0", "p_1"}
+
+
+def test_quantize_directed_cycle_refuses(tmp_path):
+    path = tmp_path / "z4.json"
+    path.write_text(dump_json(cayley_spec(4, [1])))
+    code, out = run(["quantize", str(path), "--json"])
+    assert code == EXIT_INVALID
+    assert "jet lifts are not unique at order 4" in out
+
+
+def test_star_gens_refuse_a_repeated_label(tmp_path, quat):
+    doc = serialize_calculus(quat)
+    doc["algebra"]["basis"] = ["1", "x", "x", "k"]  # d(i) and d(j) both named x
+    path = tmp_path / "named.json"
+    path.write_text(dump_json(doc))
+    code, out = run(["quantize", str(path), "--star-gens", "--json"])
+    assert code == EXIT_INVALID
+    assert "star generator label 'x' is used twice" in out
+
+
+def test_star_gens_need_a_left_frame():
+    code, out = run(["quantize", "two-point-universal", "--star-gens", "--json"])
+    assert code == EXIT_INVALID
+    assert "calculus has no declared left frame" in out
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(command):
+    """In-process output of every benchmark command matches its recorded digest."""
+    expected = GOLDEN[command]
+    code, out = run(command.split())
+    assert code == expected["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]

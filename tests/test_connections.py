@@ -28,7 +28,12 @@ from ncjet.connections import (
     torsion,
 )
 from ncjet.demo import quaternion_metric
-from ncjet.fixtures import frame_parallel_bimodule_connection
+from ncjet.fixtures import (
+    base_connection,
+    braided_connection,
+    frame_parallel_bimodule_connection,
+    quantization_of,
+)
 from ncjet.jets import delta_contraction, jet_module, spencer_operator, sym_module
 
 
@@ -41,36 +46,36 @@ def frame_form(calc, t):
 # --- the affine space of left connections ----------------------------------------------
 
 def test_connections_on_free_rank_one_module(quat):
-    sol = solve_connections(quat.calc, quat.base)
+    sol = solve_connections(quat, quat.base_module())
     assert not sol.empty
     assert sol.dim == 8  # determined by the value on the unit
 
 
 def test_connections_on_zero_module(quat):
-    alg = quat.calc.algebra
+    alg = quat.algebra
     zero = Bimodule(alg, 0, [Mat.zeros(0, 0)] * 4, [Mat.zeros(0, 0)] * 4, "0")
-    sol = solve_connections(quat.calc, zero)
+    sol = solve_connections(quat, zero)
     assert not sol.empty and sol.dim == 0
 
 
 def test_difference_of_connections_is_module_linear(quat):
-    calc = quat.calc
-    sol = solve_connections(calc, quat.base)
-    fm, _ = calc.form_module(1, quat.base)
-    linear = solve_module_maps(quat.base, fm, "left")
+    calc = quat
+    sol = solve_connections(calc, quat.base_module())
+    fm, _ = calc.form_module(1, quat.base_module())
+    linear = solve_module_maps(quat.base_module(), fm, "left")
     assert sol.direction.dim == linear.direction.dim
     for row in sol.direction.basis.data:
-        gamma = mat_from_flat(list(row), fm.dim, quat.base.dim)
+        gamma = mat_from_flat(list(row), fm.dim, quat.base_module().dim)
         for a in range(4):
-            assert gamma * quat.base.left[a] == fm.left[a] * gamma
+            assert gamma * quat.base_module().left[a] == fm.left[a] * gamma
 
 
 # --- braided connections ------------------------------------------------------------------
 
 def test_bimodule_family_contains_frame_parallel_point(quat):
-    calc = quat.calc
+    calc = quat
     sol = solve_bimodule_connections(calc)
-    bc = quat.braided_conn()
+    bc = braided_connection(quat)
     flat = [x for row in bc.base.mat.data for x in row] + [
         x for row in bc.sigma.data for x in row
     ]
@@ -79,7 +84,7 @@ def test_bimodule_family_contains_frame_parallel_point(quat):
 
 
 def test_frame_parallel_connection_is_unique_and_flips(quat):
-    calc = quat.calc
+    calc = quat
     bc = frame_parallel_bimodule_connection(calc)
     om11, ts = _omega_pair(calc)
     di, dj = frame_form(calc, 0), frame_form(calc, 1)
@@ -91,8 +96,8 @@ def test_frame_parallel_connection_is_unique_and_flips(quat):
 
 def test_braiding_satisfies_defect_formula(quat):
     # sigma(theta (x) dm) = dm (x) theta + nabla[theta, m] - [nabla theta, m]
-    calc = quat.calc
-    bc = quat.braided_conn()
+    calc = quat
+    bc = braided_connection(quat)
     om1 = calc.omega1
     om11, ts = _omega_pair(calc)
     alg = calc.algebra
@@ -120,7 +125,7 @@ def test_braiding_satisfies_defect_formula(quat):
 
 def test_every_solution_revalidates(quat):
     # a couple of points of the affine family re-validate as braided pairs
-    calc = quat.calc
+    calc = quat
     sol = solve_bimodule_connections(calc)
     bimodule_connection_from_vector(calc, sol.particular)  # validates on build
     shifted = [
@@ -130,20 +135,20 @@ def test_every_solution_revalidates(quat):
 
 
 def test_two_point_universal_has_braided_connections(two_point):
-    sol = solve_bimodule_connections(two_point.calc)
+    sol = solve_bimodule_connections(two_point)
     assert not sol.empty
-    bimodule_connection_from_vector(two_point.calc, sol.particular)
+    bimodule_connection_from_vector(two_point, sol.particular)
 
 
 # --- torsion, metric, curvature --------------------------------------------------------------
 
 def test_torsion_of_frame_parallel_connection_vanishes(quat):
-    assert torsion(quat.calc, quat.braided_conn().base).is_zero()
+    assert torsion(quat, braided_connection(quat).base).is_zero()
 
 
 def test_torsion_shifts_by_wedge_of_difference(quat):
-    calc = quat.calc
-    bc = quat.braided_conn()
+    calc = quat
+    bc = braided_connection(quat)
     om11, ts = _omega_pair(calc)
     # gamma: module-linear perturbation supported on the frame
     sol = solve_module_maps(calc.omega1, om11, "left")
@@ -157,24 +162,24 @@ def test_torsion_shifts_by_wedge_of_difference(quat):
 
 
 def test_metric_is_parallel(quat):
-    calc = quat.calc
+    calc = quat
     g = quaternion_metric(calc)
-    assert all(not x for x in metric_compatibility(calc, quat.braided_conn(), g))
+    assert all(not x for x in metric_compatibility(calc, braided_connection(quat), g))
 
 
 def test_metric_compat_of_zero_tensor(quat):
-    calc = quat.calc
-    out = metric_compatibility(calc, quat.braided_conn(), [ZERO] * 16)
+    calc = quat
+    out = metric_compatibility(calc, braided_connection(quat), [ZERO] * 16)
     assert all(not x for x in out)
 
 
 def test_curvature_of_grassmann_connection_vanishes(quat):
-    assert curvature(quat.calc, quat.braided_conn().base).is_zero()
+    assert curvature(quat, braided_connection(quat).base).is_zero()
 
 
 def test_curvature_detects_nonflat_perturbation(quat):
-    calc = quat.calc
-    bc = quat.braided_conn()
+    calc = quat
+    bc = braided_connection(quat)
     om11, ts = _omega_pair(calc)
     di = frame_form(calc, 0)
     k = calc.algebra.basis_vector(3)
@@ -193,14 +198,14 @@ def test_curvature_detects_nonflat_perturbation(quat):
 # --- covariant exterior derivative --------------------------------------------------------------
 
 def test_covariant_exterior_degree_zero_is_connection(quat):
-    conn = quat.base_conn()
-    assert covariant_exterior(quat.calc, conn, 0) == conn.mat
+    conn = base_connection(quat)
+    assert covariant_exterior(quat, conn, 0) == conn.mat
 
 
 def test_covariant_exterior_squares_to_wedge_curvature(quat):
     # d^2(w (x) e) = w ^ R(e) on the one-forms with the braided connection
-    calc = quat.calc
-    conn = quat.braided_conn().base
+    calc = quat
+    conn = braided_connection(quat).base
     d0 = covariant_exterior(calc, conn, 0)
     d1 = covariant_exterior(calc, conn, 1)
     r = curvature(calc, conn)
@@ -210,8 +215,8 @@ def test_covariant_exterior_squares_to_wedge_curvature(quat):
 
 
 def test_covariant_exterior_on_parallel_sections(quat):
-    calc = quat.calc
-    conn = quat.braided_conn().base
+    calc = quat
+    conn = braided_connection(quat).base
     _, ts1 = calc.form_module(1, calc.omega1)
     _, ts2 = calc.form_module(2, calc.omega1)
     d1 = covariant_exterior(calc, conn, 1)
@@ -225,8 +230,8 @@ def test_covariant_exterior_on_parallel_sections(quat):
 
 def test_square_of_covariant_exterior_is_wedge_with_curvature(quat):
     # generic statement on a connection with curvature
-    calc = quat.calc
-    bc = quat.braided_conn()
+    calc = quat
+    bc = braided_connection(quat)
     om11, ts = _omega_pair(calc)
     di = frame_form(calc, 0)
     k = calc.algebra.basis_vector(3)
@@ -271,8 +276,8 @@ def test_square_of_covariant_exterior_is_wedge_with_curvature(quat):
 # --- tensor connections -----------------------------------------------------------------------
 
 def test_tensor_connection_preserves_parallel_tensors(quat):
-    calc = quat.calc
-    bc = quat.braided_conn()
+    calc = quat
+    bc = braided_connection(quat)
     conn2 = tensor_connection(calc, bc, bc.base)
     om11, ts = _omega_pair(calc)
     for w, v in itertools.product((frame_form(calc, 0), frame_form(calc, 1)), repeat=2):
@@ -283,37 +288,37 @@ def test_tensor_connection_preserves_parallel_tensors(quat):
 
 
 def test_tensor_connection_iterates(quat):
-    calc = quat.calc
-    bc = quat.braided_conn()
+    calc = quat
+    bc = braided_connection(quat)
     conn2 = tensor_connection(calc, bc, bc.base)
     conn3 = tensor_connection(calc, bc, conn2)
     assert conn3.leibniz_violations() == []
 
 
 def test_tensor_connection_with_base(quat):
-    calc = quat.calc
-    conn = tensor_connection(calc, quat.braided_conn(), quat.base_conn())
+    calc = quat
+    conn = tensor_connection(calc, braided_connection(quat), base_connection(quat))
     assert conn.leibniz_violations() == []
 
 
 # --- higher-order connections -------------------------------------------------------------------
 
 def canonical_two_connection(quat):
-    q = quat.quantization()
-    j2 = jet_module(quat.calc, quat.base, 2)
-    return higher_connection_from_split(quat.calc, j2, q.chain_lift(2))
+    q = quantization_of(quat)
+    j2 = jet_module(quat, quat.base_module(), 2)
+    return higher_connection_from_split(quat, j2, q.chain_lift(2))
 
 
 def test_one_connection_from_connection(quat):
-    hc = one_connection(quat.calc, quat.base_conn())
+    hc = one_connection(quat, base_connection(quat))
     assert hc.jet.pi * hc.section == Mat.identity(4)
     # its associated connection recovers the generator
-    back = associated_connection(quat.calc, hc)
-    assert back.mat == quat.base_conn().mat
+    back = associated_connection(quat, hc)
+    assert back.mat == base_connection(quat).mat
 
 
 def test_sections_differ_by_symbol_part(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     j2 = hc.jet
     # add iota o upsilon for a module-linear upsilon: J1 -> S2
@@ -330,12 +335,12 @@ def test_sections_differ_by_symbol_part(quat):
 
 
 def test_higher_curvature_flat_at_order_one(quat):
-    hc = one_connection(quat.calc, quat.base_conn())
-    assert higher_curvature(quat.calc, hc).is_zero()
+    hc = one_connection(quat, base_connection(quat))
+    assert higher_curvature(quat, hc).is_zero()
 
 
 def test_higher_curvature_matches_associated_curvature(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     r_hc = higher_curvature(calc, hc)
     conn = associated_connection(calc, hc)
@@ -343,10 +348,10 @@ def test_higher_curvature_matches_associated_curvature(quat):
 
 
 def test_higher_curvature_vanishing_iff_prolongable(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     j2 = hc.jet
-    j3 = jet_module(calc, quat.base, 3)
+    j3 = jet_module(calc, quat.base_module(), 3)
     from ncjet.jets import pair_module
 
     pd = pair_module(calc, j2.mod)
@@ -360,7 +365,7 @@ def test_higher_curvature_vanishing_iff_prolongable(quat):
 
 
 def test_associated_connection_projects_to_spencer(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     conn = associated_connection(calc, hc)
     j2 = hc.jet
@@ -370,7 +375,7 @@ def test_associated_connection_projects_to_spencer(quat):
 
 
 def test_exterior_derivative_of_section_matches_connection(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     conn = associated_connection(calc, hc)
     for m in (0, 1):
@@ -378,7 +383,7 @@ def test_exterior_derivative_of_section_matches_connection(quat):
 
 
 def test_jet_connection_round_trip(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     conn = associated_connection(calc, hc)
     back = higher_from_jet_connection(calc, hc.jet, conn)
@@ -389,7 +394,7 @@ def test_jet_connection_round_trip(quat):
 
 
 def test_jet_connection_hypothesis_violation_is_named(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     conn = associated_connection(calc, hc)
     j1 = hc.jet.lower
@@ -410,7 +415,7 @@ def test_jet_connection_hypothesis_violation_is_named(quat):
 def test_jet_connection_dichotomy_on_perturbations(quat):
     # any perturbation keeping hypothesis (i) either violates hypothesis (ii)
     # with a named error, or round-trips through a (different) section
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     conn = associated_connection(calc, hc)
     j1 = hc.jet.lower
@@ -452,9 +457,9 @@ def j2_lower_of(hc):
 
 
 def test_order_one_correspondence_is_classical(quat):
-    calc = quat.calc
-    j1 = jet_module(calc, quat.base, 1)
-    conn = quat.base_conn()
+    calc = quat
+    j1 = jet_module(calc, quat.base_module(), 1)
+    conn = base_connection(quat)
     hc = one_connection(calc, conn)
     # classical split identities
     assert hc.split == conn.mat * j1.pi + j1.rho
@@ -464,9 +469,9 @@ def test_order_one_correspondence_is_classical(quat):
 # --- transfer between jet and symbol connections (order two) -------------------------------------
 
 def test_transfer_round_trip(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
-    q = quat.quantization()
+    q = quantization_of(quat)
     sym_conn = q.sym_conns[2]
     jet_conn = jet_connection_from_sym(calc, hc, sym_conn)
     back = sym_connection_from_jet(calc, hc, jet_conn)
@@ -474,13 +479,13 @@ def test_transfer_round_trip(quat):
 
 
 def test_block_forms_of_transferred_connection(quat):
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
-    q = quat.quantization()
+    q = quantization_of(quat)
     sym_conn = q.sym_conns[2]
     jet_conn = jet_connection_from_sym(calc, hc, sym_conn)
     j2 = hc.jet
-    e = quat.base
+    e = quat.base_module()
     for m in (0, 1):
         d_jet = covariant_exterior(calc, jet_conn, m)
         d_c = covariant_exterior_of_section(calc, hc, m)
@@ -519,10 +524,10 @@ def test_block_forms_of_transferred_connection(quat):
 
 def test_spencer_block_decomposition(quat):
     # S^{2,m} = d_C o forms(pi) - forms(iota^1) o delta o forms(split)
-    calc = quat.calc
+    calc = quat
     hc = canonical_two_connection(quat)
     j2 = hc.jet
-    e = quat.base
+    e = quat.base_module()
     for m in (0, 1):
         s = spencer_operator(calc, j2, m)
         d_c = covariant_exterior_of_section(calc, hc, m)

@@ -83,8 +83,8 @@ DIGESTS = {
 @pytest.fixture(scope="module")
 def calculi(quat, two_point, sheared_quat_doc):
     sheared = parse_calculus_spec(sheared_quat_doc)
-    return {"quaternion": (quat.calc, quat.base),
-            "two-point-universal": (two_point.calc, two_point.base),
+    return {"quaternion": (quat, quat.base_module()),
+            "two-point-universal": (two_point, two_point.base_module()),
             "sheared-quaternion": (sheared, sheared.base_module())}
 
 

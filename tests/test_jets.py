@@ -36,8 +36,8 @@ def frame_form(calc, t):
 # --- order one -------------------------------------------------------------------
 
 def test_jet1_dimension_and_split_maps(quat):
-    calc = quat.calc
-    j1 = jet_module(calc, quat.base, 1)
+    calc = quat
+    j1 = jet_module(calc, quat.base_module(), 1)
     assert j1.dim == 4 + 8
     # rho o j1 = 0 and pi o j1 = id
     assert (j1.rho * j1.j).is_zero()
@@ -46,8 +46,8 @@ def test_jet1_dimension_and_split_maps(quat):
 
 def test_order_one_defect(quat):
     # a j1(b) - j1(ab) = -iota1(da . b)
-    calc = quat.calc
-    e = quat.base
+    calc = quat
+    e = quat.base_module()
     j1 = jet_module(calc, e, 1)
     pd = pair_module(calc, e)
     alg = calc.algebra
@@ -68,8 +68,8 @@ def test_order_one_defect(quat):
 # --- obstruction maps -------------------------------------------------------------
 
 def test_first_obstruction_on_double_prolongations(quat):
-    calc = quat.calc
-    e = quat.base
+    calc = quat
+    e = quat.base_module()
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
     d1m, d2m = dtilde_maps(calc, e)
@@ -81,8 +81,8 @@ def test_first_obstruction_on_double_prolongations(quat):
 
 def test_first_obstruction_on_iota_images(quat):
     # D^I(iota1_{J1}(w (x) j1(e))) = w (x) e  and  D^I(j1(iota1 w)) = -w
-    calc = quat.calc
-    e = quat.base
+    calc = quat
+    e = quat.base_module()
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
     d1m, _ = dtilde_maps(calc, e)
@@ -103,8 +103,8 @@ def test_first_obstruction_on_iota_images(quat):
 def test_second_obstruction_leibniz_expansion(quat):
     # On the outer pair (ab [c (x) e], -(da)b (x) [c (x) e]) the second
     # obstruction returns da ^ (db) c e + (da) b ^ (dc) e.
-    calc = quat.calc
-    e = quat.base
+    calc = quat
+    e = quat.base_module()
     alg = calc.algebra
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
@@ -131,18 +131,18 @@ def test_second_obstruction_leibniz_expansion(quat):
 # --- jets of all flavors ---------------------------------------------------------------
 
 def test_holonomic_dimensions(quat):
-    dims = [jet_module(quat.calc, quat.base, n).dim for n in range(4)]
+    dims = [jet_module(quat, quat.base_module(), n).dim for n in range(4)]
     assert dims == [4, 12, 16, 16]
 
 
 def test_prolongations_are_holonomic(quat):
     for n in (2, 3):
-        jet = jet_module(quat.calc, quat.base, n)
+        jet = jet_module(quat, quat.base_module(), n)
         assert jet.j.cols == 4  # defined on the base, lands in carrier coords
 
 
 def test_flavor_inclusions(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     h2 = jet_module(calc, e, 2, HOLONOMIC)
     s2 = jet_module(calc, e, 2, SESQUI)
     n2 = jet_module(calc, e, 2, NONHOLONOMIC)
@@ -158,7 +158,7 @@ def test_flavor_inclusions(quat):
 
 
 def test_nonholonomic_projection_keeps_prolongation(quat):
-    n2 = jet_module(quat.calc, quat.base, 2, NONHOLONOMIC)
+    n2 = jet_module(quat, quat.base_module(), 2, NONHOLONOMIC)
     assert n2.pi * n2.j == n2.lower.j
 
 
@@ -166,12 +166,12 @@ def test_projection_of_prolongation_every_flavor_and_fixture(all_fixtures):
     for fx in all_fixtures:
         for flavor in (HOLONOMIC, SESQUI, NONHOLONOMIC):
             for n in (1, 2):
-                jet = jet_module(fx.calc, fx.base, n, flavor)
+                jet = jet_module(fx, fx.base_module(), n, flavor)
                 assert jet.pi * jet.j == jet.lower.j, (fx.name, flavor, n)
 
 
 def test_holonomic_is_sesqui_cut_by_second_obstruction(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     h2 = jet_module(calc, e, 2, HOLONOMIC)
     s2 = jet_module(calc, e, 2, SESQUI)
     _, d2m = dtilde_maps(calc, e)
@@ -182,7 +182,7 @@ def test_holonomic_is_sesqui_cut_by_second_obstruction(quat):
 
 
 def test_two_point_sesqui_vs_holonomic(two_point):
-    calc, e = two_point.calc, two_point.base
+    calc, e = two_point, two_point.base_module()
     h2 = jet_module(calc, e, 2, HOLONOMIC)
     s2 = jet_module(calc, e, 2, SESQUI)
     assert h2.carrier.dim <= s2.carrier.dim
@@ -192,12 +192,12 @@ def test_two_point_sesqui_vs_holonomic(two_point):
 # --- symmetric forms -------------------------------------------------------------------
 
 def test_sym_dims(quat):
-    dims = [sym_module(quat.calc, quat.base, n).dim for n in range(4)]
+    dims = [sym_module(quat, quat.base_module(), n).dim for n in range(4)]
     assert dims == [4, 8, 4, 0]
 
 
 def test_sym2_is_the_metric_line(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     s2 = sym_module(calc, e, 2)
     _, tsE = calc.form_module(1, e)
     _, tsS1 = calc.form_module(1, s2.lower.mod)
@@ -215,7 +215,7 @@ def test_sym2_is_the_metric_line(quat):
 
 
 def test_sym1_is_form_module(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     s1 = sym_module(calc, e, 1)
     fm, _ = calc.form_module(1, e)
     assert s1.mod is fm
@@ -225,7 +225,7 @@ def test_sym1_is_form_module(quat):
 
 def test_delta_squares_to_zero(quat, two_point):
     for fx in (quat, two_point):
-        calc, e = fx.calc, fx.base
+        calc, e = fx, fx.base_module()
         for h, k in ((2, 0), (2, 1)):
             d1 = delta_contraction(calc, e, h, k)
             d2 = delta_contraction(calc, e, h - 1, k + 1)
@@ -235,14 +235,14 @@ def test_delta_squares_to_zero(quat, two_point):
 def test_sym_module_is_the_kernel_of_the_contraction(quat, two_point):
     # matrix2 is left out: it adds about 8 s
     for fx in (quat, two_point):
-        calc, e = fx.calc, fx.base
+        calc, e = fx, fx.base_module()
         for n in (2, 3):
             ker = kernel_of(delta_contraction(calc, e, n - 1, 1))
             assert ker == image_of(sym_module(calc, e, n).iota_wedge)
 
 
 def test_delta_at_degree_zero_is_the_inclusion(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     s2 = sym_module(calc, e, 2)
     assert delta_contraction(calc, e, 2, 0) == s2.iota_wedge
 
@@ -251,7 +251,7 @@ def test_delta_at_degree_zero_is_the_inclusion(quat):
 
 def test_spencer_on_iota_image(quat):
     # S^{1,1}(di (x) iota1(dj)) = di ^ dj
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     j1 = jet_module(calc, e, 1)
     s11 = spencer_operator(calc, j1, 1)
     _, ts1e = calc.form_module(1, e)
@@ -267,7 +267,7 @@ def test_spencer_on_iota_image(quat):
 
 def test_spencer_kills_prolongations_all_fixtures(all_fixtures):
     for fx in all_fixtures:
-        calc, e = fx.calc, fx.base
+        calc, e = fx, fx.base_module()
         for n in (1, 2):
             jet = jet_module(calc, e, n)
             assert (spencer_operator(calc, jet, 0) * jet.j).is_zero()
@@ -275,7 +275,7 @@ def test_spencer_kills_prolongations_all_fixtures(all_fixtures):
 
 def test_spencer_squares_to_zero_all_fixtures(all_fixtures):
     for fx in all_fixtures:
-        calc, e = fx.calc, fx.base
+        calc, e = fx, fx.base_module()
         for n, m in ((2, 0), (2, 1)):
             if m + 2 > calc.max_degree:
                 continue
@@ -286,7 +286,7 @@ def test_spencer_squares_to_zero_all_fixtures(all_fixtures):
 
 def test_spencer_order_one_surjective(all_fixtures):
     for fx in all_fixtures:
-        calc, e = fx.calc, fx.base
+        calc, e = fx, fx.base_module()
         j1 = jet_module(calc, e, 1)
         for m in range(calc.max_degree):
             s = spencer_operator(calc, j1, m)
@@ -295,7 +295,7 @@ def test_spencer_order_one_surjective(all_fixtures):
 
 def test_kernel_of_spencer_is_prolongation_image(all_fixtures):
     for fx in all_fixtures:
-        calc, e = fx.calc, fx.base
+        calc, e = fx, fx.base_module()
         for n in (1, 2):
             jet = jet_module(calc, e, n)
             s = spencer_operator(calc, jet, 0)
@@ -304,7 +304,7 @@ def test_kernel_of_spencer_is_prolongation_image(all_fixtures):
 
 def test_spencer_complex_quaternion_exact(quat):
     for n in (1, 2, 3):
-        sc = spencer_complex(quat.calc, quat.base, n)
+        sc = spencer_complex(quat, quat.base_module(), n)
         assert sc["is_complex"]
         assert all(d == 0 for d in sc["cohomology"])
 
@@ -312,7 +312,7 @@ def test_spencer_complex_quaternion_exact(quat):
 def test_spencer_complex_other_fixtures(two_point, matrix2):
     for fx in (two_point, matrix2):
         for n in (1, 2):
-            sc = spencer_complex(fx.calc, fx.base, n)
+            sc = spencer_complex(fx, fx.base_module(), n)
             assert sc["is_complex"]
             # degrees 0, 1 and n+1 are always exact
             assert sc["cohomology"][0] == 0
@@ -322,7 +322,7 @@ def test_spencer_complex_other_fixtures(two_point, matrix2):
 
 def test_spencer_flavor_compatibility_at_order_two(quat):
     # Omega^{m+1}(t) o S = S^{flavor} o Omega^m(t) for the flavor inclusions
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     h2 = jet_module(calc, e, 2, HOLONOMIC)
     s2 = jet_module(calc, e, 2, SESQUI)
     n2 = jet_module(calc, e, 2, NONHOLONOMIC)
@@ -337,7 +337,7 @@ def test_spencer_flavor_compatibility_at_order_two(quat):
 
 
 def test_spencer_restriction_symbols(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     j1 = jet_module(calc, e, 1)
     j2 = jet_module(calc, e, 2)
     for jet, m in ((j1, 0), (j1, 1), (j2, 0)):
@@ -348,7 +348,7 @@ def test_spencer_restriction_symbols(quat):
 # --- nu operator -------------------------------------------------------------------------
 
 def test_nu_zero_is_projection(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     numat, tw, m1dim = nu_operator(calc, e, 0)
     _, ts2e = calc.form_module(2, e)
     assert numat.cols == tw.dim
@@ -358,7 +358,7 @@ def test_nu_zero_is_projection(quat):
 
 def test_nu_composition_identities(quat):
     # S^{1,m+1} o S^{1,m}_{J1} = -nu^m o (forms of the obstruction pair)
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
     d1m, d2m = dtilde_maps(calc, e)
@@ -381,7 +381,7 @@ def test_nu_composition_identities(quat):
 
 def test_holonomic_via_spencer(quat, two_point):
     for fx in (quat, two_point):
-        calc, e = fx.calc, fx.base
+        calc, e = fx, fx.base_module()
         for n in (2, 3) if fx is quat else (2,):
             jet = jet_module(calc, e, n)
             assert holonomic_via_spencer(calc, e, n) == jet.carrier
@@ -390,17 +390,17 @@ def test_holonomic_via_spencer(quat, two_point):
 def test_elemental_span_equality(quat, two_point):
     for fx, orders in ((quat, (1, 2, 3)), (two_point, (1, 2))):
         for n in orders:
-            jet = jet_module(fx.calc, fx.base, n)
-            assert elemental_span(fx.calc, jet).dim == jet.dim
+            jet = jet_module(fx, fx.base_module(), n)
+            assert elemental_span(fx, jet).dim == jet.dim
 
 
 def test_exactness_reports(all_fixtures):
     for fx in all_fixtures:
         for n in (1, 2):
-            rep = jet_exactness(fx.calc, fx.base, n)
+            rep = jet_exactness(fx, fx.base_module(), n)
             assert rep["exact"]
             assert rep["pullback_square"]
-            assert rep["pullback_dim"] == fx.base.dim
+            assert rep["pullback_dim"] == fx.base_module().dim
 
 
 def test_jet_of_a_module_and_jet_module_keep_separate_entries():
@@ -419,7 +419,7 @@ def test_jet_of_a_module_and_jet_module_keep_separate_entries():
 
 
 def test_quaternion_exactness_dims(quat):
-    rep = jet_exactness(quat.calc, quat.base, 2)
+    rep = jet_exactness(quat, quat.base_module(), 2)
     assert rep["dims"] == (4, 16, 12)
 
 
@@ -427,17 +427,17 @@ def test_quaternion_exactness_dims(quat):
 
 def test_bicomplex_all_fixtures(all_fixtures):
     for fx in all_fixtures:
-        rep = bicomplex_report(fx.calc, fx.base, 2)
+        rep = bicomplex_report(fx, fx.base_module(), 2)
         assert rep["all_pass"], [c for c in rep["cells"] if not c[1]]
 
 
 def test_bicomplex_quaternion_order_three(quat):
-    rep = bicomplex_report(quat.calc, quat.base, 3)
+    rep = bicomplex_report(quat, quat.base_module(), 3)
     assert rep["all_pass"]
 
 
 def test_bicomplex_sign_flip_is_detected(quat):
-    rep = bicomplex_report(quat.calc, quat.base, 2, corrupt_sign=True)
+    rep = bicomplex_report(quat, quat.base_module(), 2, corrupt_sign=True)
     assert not rep["all_pass"]
     failing = [name for name, ok in rep["cells"] if not ok]
     assert any("left square" in name for name in failing)
@@ -445,7 +445,7 @@ def test_bicomplex_sign_flip_is_detected(quat):
 
 def test_degree_overflow_raises(quat):
     with pytest.raises(CalculusError):
-        spencer_operator(quat.calc, jet_module(quat.calc, quat.base, 1), 3)
+        spencer_operator(quat, jet_module(quat, quat.base_module(), 1), 3)
 
 
 def test_degenerate_calculus_yields_zero_objects():

@@ -6,6 +6,14 @@ import pytest
 
 from ncjet.linalg import Mat, ZERO, rat, vec
 from ncjet.calculus import CalculusError
+from ncjet.fixtures import (
+    FIXTURE_NAMES,
+    base_connection,
+    braided_connection,
+    fixture,
+    quantization_of,
+    star_generators,
+)
 from ncjet.jets import jet_module, sym_module
 from ncjet.quantization import (
     GradedSymbol,
@@ -16,6 +24,7 @@ from ncjet.quantization import (
     partial_operators,
     retraction_solver,
 )
+from ncjet.specio import parse_calculus_spec, serialize_calculus
 
 
 def right_mult(alg, x):
@@ -24,17 +33,17 @@ def right_mult(alg, x):
 
 @pytest.fixture(scope="module")
 def q(quat):
-    return quat.quantization()
+    return quantization_of(quat)
 
 
 @pytest.fixture(scope="module")
 def gens(quat):
-    return quat.star_generators()
+    return star_generators(quat)
 
 
 @pytest.fixture(scope="module")
 def lk(quat):
-    return quat.calc.algebra.left_mult(quat.calc.algebra.basis_vector(3))
+    return quat.algebra.left_mult(quat.algebra.basis_vector(3))
 
 
 # --- orders and lifts ---------------------------------------------------------------
@@ -44,15 +53,15 @@ def test_order_of_left_multiplication_by_k(q, lk):
 
 
 def test_order_of_module_linear_maps_is_zero(quat, q):
-    alg = quat.calc.algebra
+    alg = quat.algebra
     assert q.ctx.op_order(right_mult(alg, alg.basis_vector(2))) == 0
 
 
 def test_order_of_differential_is_one(quat):
-    calc = quat.calc
-    e = quat.base
+    calc = quat
+    e = quat.base_module()
     ctx = OperatorContext(calc, e)
-    conn = quat.base_conn()
+    conn = base_connection(quat)
     fm, _ = calc.form_module(1, e)
     # d: E -> one-forms (x) E is not module-linear but factors at order 1
     with pytest.raises(LiftError):
@@ -84,7 +93,7 @@ def test_op_lift_does_not_answer_for_a_freed_target():
 
 
 def test_lift_of_prolongation_is_identity(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     ctx = OperatorContext(calc, e)
     for n in (1, 2):
         jet = jet_module(calc, e, n)
@@ -93,9 +102,9 @@ def test_lift_of_prolongation_is_identity(quat):
 
 
 def test_lift_of_order_zero_op_factors_through_projection(quat, q):
-    alg = quat.calc.algebra
+    alg = quat.algebra
     op = right_mult(alg, alg.basis_vector(1))
-    jet = jet_module(quat.calc, quat.base, 2)
+    jet = jet_module(quat, quat.base_module(), 2)
     lift = q.ctx.op_lift(op, 2)
     # pi^{2,0} = pi^{1,0} o pi^{2,1}
     pi20 = jet.lower.pi * jet.pi
@@ -104,7 +113,7 @@ def test_lift_of_order_zero_op_factors_through_projection(quat, q):
 
 def test_lift_of_lk_on_metric_symbol_value(quat, q, lk):
     # the order-2 lift evaluated on the included metric gives -4
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     jet = jet_module(calc, e, 2)
     lift = q.ctx.op_lift(lk, 2)
     g_s2 = q.chain[2].col(3)  # the universal operator sends k to the metric
@@ -115,12 +124,12 @@ def test_lift_of_lk_on_metric_symbol_value(quat, q, lk):
 def test_symbol_of_connection_is_identity(quat, q):
     # the chain splittings restrict to the identity on every symbol module
     for k in range(q.cap + 1):
-        jet = jet_module(quat.calc, quat.base, k)
-        assert q.chain_lift(k) * jet.iota == Mat.identity(sym_module(quat.calc, quat.base, k).dim)
+        jet = jet_module(quat, quat.base_module(), k)
+        assert q.chain_lift(k) * jet.iota == Mat.identity(sym_module(quat, quat.base_module(), k).dim)
 
 
 def test_symbol_of_lower_order_operator_vanishes(quat, q):
-    alg = quat.calc.algebra
+    alg = quat.algebra
     op = right_mult(alg, alg.basis_vector(1))  # order 0
     assert q.zeta(op, 1).is_zero()
     assert q.zeta(op, 2).is_zero()
@@ -135,7 +144,7 @@ def test_degree_two_symbol_of_lk_on_metric(q, lk):
 # --- retractions ----------------------------------------------------------------------
 
 def test_retraction_exists_and_retracts(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     s = retraction_solver(calc, e, 1)
     assert s is not None
     s2 = sym_module(calc, e, 2)
@@ -143,20 +152,20 @@ def test_retraction_exists_and_retracts(quat):
 
 
 def test_retraction_at_vanishing_degree_is_zero_map(quat):
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     s = retraction_solver(calc, e, 2)  # S^3 = 0
     assert s is not None and s.rows == 0
 
 
 def test_half_sum_with_braiding_is_a_retraction(quat):
     # see also the demo; here: check it satisfies the solver's constraints
-    calc, e = quat.calc, quat.base
+    calc, e = quat, quat.base_module()
     from ncjet.connections import _omega_pair
     from ncjet.demo import quaternion_metric
     from ncjet.linalg import image_of, kernel_of
 
     om11, ts = _omega_pair(calc)
-    bc = quat.braided_conn()
+    bc = braided_connection(quat)
     p = (Mat.identity(ts.dim) + bc.sigma).scale(rat(1, 2))
     ker = kernel_of(calc.wedge_map(1, 1))
     assert ker.contains_space(image_of(p))
@@ -170,14 +179,14 @@ def module_linear_symbols(quat, k, count=3):
     """A few module-linear maps from the degree-k symbols to the base."""
     from ncjet.algebra import solve_module_maps
 
-    sk = sym_module(quat.calc, quat.base, k)
-    sol = solve_module_maps(sk.mod, quat.base, "left")
+    sk = sym_module(quat, quat.base_module(), k)
+    sol = solve_module_maps(sk.mod, quat.base_module(), "left")
     out = []
     flat = list(sol.particular)
-    out.append(Symbol(k, mat_from_flat_local(flat, quat.base.dim, sk.dim)))
+    out.append(Symbol(k, mat_from_flat_local(flat, quat.base_module().dim, sk.dim)))
     for row in sol.direction.basis.data[:count]:
         shifted = [a + b for a, b in zip(flat, row)]
-        out.append(Symbol(k, mat_from_flat_local(shifted, quat.base.dim, sk.dim)))
+        out.append(Symbol(k, mat_from_flat_local(shifted, quat.base_module().dim, sk.dim)))
     return out
 
 
@@ -196,9 +205,9 @@ def test_section_law_on_symbols(quat, q):
 
 
 def test_q1_of_identity_symbol_is_the_connection(quat, q):
-    s1 = sym_module(quat.calc, quat.base, 1)
+    s1 = sym_module(quat, quat.base_module(), 1)
     op = q.q(Symbol(1, Mat.identity(s1.dim)))
-    assert op == quat.base_conn().mat
+    assert op == base_connection(quat).mat
 
 
 def test_chain_values_on_basis(quat, q):
@@ -213,7 +222,7 @@ def test_chain_values_on_basis(quat, q):
 # --- truncations ------------------------------------------------------------------------------
 
 def test_truncation_laws(quat, q, lk):
-    alg = quat.calc.algebra
+    alg = quat.algebra
     ops = [lk, alg.left_mult(alg.basis_vector(1)), right_mult(alg, alg.basis_vector(2))]
     for op in ops:
         order = q.ctx.op_order(op)
@@ -237,16 +246,16 @@ def test_truncation_laws(quat, q, lk):
 
 def test_truncation_of_differential_like_operator(quat, q):
     # partial_i has pure order 1: its 0-truncation vanishes
-    dd = partial_operators(quat.calc)
+    dd = partial_operators(quat)
     assert q.truncate(dd[0], 0).is_zero()
     assert q.truncate(dd[1], 0).is_zero()
 
 
 def test_truncation_of_the_differential_itself(quat, q):
     # the connection d: E -> one-forms (x) E is purely order 1
-    calc = quat.calc
-    conn = quat.base_conn()
-    fm, _ = calc.form_module(1, quat.base)
+    calc = quat
+    conn = base_connection(quat)
+    fm, _ = calc.form_module(1, quat.base_module())
     assert q.ctx.op_order(conn.mat, target=fm) == 1
     assert q.truncate(conn.mat, 0, target=fm).is_zero()
     # and its degree-1 symbol is the identity on the one-forms
@@ -257,7 +266,7 @@ def test_truncation_of_the_differential_itself(quat, q):
 def test_kronecker_law(quat, q):
     # [q^n(sigma)]^k = delta^{n,k} sigma on module-linear symbols
     for n in range(q.cap + 1):
-        if sym_module(quat.calc, quat.base, n).dim == 0:
+        if sym_module(quat, quat.base_module(), n).dim == 0:
             continue
         for sigma in module_linear_symbols(quat, n, count=2):
             op = q.q(sigma)
@@ -271,7 +280,7 @@ def test_kronecker_law(quat, q):
 
 def test_total_symbol_inverts_quantization(quat, q, gens, lk):
     # q(total_symbol(op)) = op and total_symbol(q(sigma)) = sigma
-    for op in (lk, quat.calc.algebra.left_mult(quat.calc.algebra.basis_vector(2))):
+    for op in (lk, quat.algebra.left_mult(quat.algebra.basis_vector(2))):
         ts = q.total_symbol(op)
         assert q.q_graded(ts) == op
     for name, sym in gens.items():
@@ -288,7 +297,7 @@ def test_reconstruction_from_homogeneous_components(quat, q, lk):
 
 
 def test_homogeneous_components_of_lk(quat, q, lk):
-    alg = quat.calc.algebra
+    alg = quat.algebra
     expect2 = {0: vec([0, 0, 0, 0]), 1: vec([0, 0, 0, 0]),
                2: vec([0, 0, 0, 0]), 3: vec([-4, 0, 0, 0])}
     h2 = q.homogeneous_component(lk, 2)
@@ -438,7 +447,7 @@ def test_momentum_relations(q, gens):
 
 
 def test_position_subalgebra_is_opposite(quat, q, gens):
-    alg = quat.calc.algebra
+    alg = quat.algebra
     ij = alg.mul(alg.basis_vector(1), alg.basis_vector(2))
     for hbar in (rat(0), rat(1), rat(2, 3)):
         got = q.star_eval(gens["x_i"], gens["x_j"], hbar)
@@ -453,7 +462,7 @@ def test_order_two_component_versus_partial_commutator(quat, q, lk):
     # the order-2 component equals twice the reversed commutator of the
     # frame coefficient operators (the forward commutator has the opposite
     # sign, which is worth pinning down as data)
-    dd = partial_operators(quat.calc)
+    dd = partial_operators(quat)
     h2 = q.homogeneous_component(lk, 2)
     reversed_comm = (dd[1] * dd[0] - dd[0] * dd[1]).scale(2)
     forward_comm = (dd[0] * dd[1] - dd[1] * dd[0]).scale(2)
@@ -463,15 +472,15 @@ def test_order_two_component_versus_partial_commutator(quat, q, lk):
 
 
 def test_partials_read_the_frame(quat):
-    dd = partial_operators(quat.calc)
+    dd = partial_operators(quat)
     assert dd[0].col(3) == vec([0, 0, -1, 0])  # value -j at k
     assert dd[1].col(3) == vec([0, 1, 0, 0])   # value i at k
-    assert all(not x for x in dd[0].apply(quat.calc.algebra.unit))
-    assert all(not x for x in dd[1].apply(quat.calc.algebra.unit))
+    assert all(not x for x in dd[0].apply(quat.algebra.unit))
+    assert all(not x for x in dd[1].apply(quat.algebra.unit))
 
 
 def test_differential_reconstitutes_from_partials(quat):
-    calc = quat.calc
+    calc = quat
     dd = partial_operators(calc)
     d0 = calc.d[0]
     for t in range(4):
@@ -488,15 +497,15 @@ def test_differential_reconstitutes_from_partials(quat):
 
 def test_partials_require_frame(two_point):
     with pytest.raises(CalculusError):
-        partial_operators(two_point.calc)
+        partial_operators(two_point)
 
 
 # --- other fixtures -------------------------------------------------------------------------------
 
 def test_quantization_on_universal_fixture(two_point):
-    q2 = two_point.quantization()
+    q2 = quantization_of(two_point)
     assert q2.cap == 2
-    alg = two_point.calc.algebra
+    alg = two_point.algebra
     op = alg.left_mult(alg.basis_vector(0))
     order = q2.ctx.op_order(op)
     assert order is not None
@@ -508,9 +517,9 @@ def test_quantization_on_universal_fixture(two_point):
 
 def test_quantization_on_matrix_fixture(matrix2):
     # the canonical braided connection of the solver yields a working chain
-    q2 = matrix2.quantization()
+    q2 = quantization_of(matrix2)
     assert q2.cap == 2
-    alg = matrix2.calc.algebra
+    alg = matrix2.algebra
     op = alg.left_mult(alg.basis_vector(1))  # left multiplication by E12
     order = q2.ctx.op_order(op)
     assert order == 1
@@ -518,3 +527,25 @@ def test_quantization_on_matrix_fixture(matrix2):
     for k in range(order + 1):
         total = total + q2.homogeneous_component(op, k)
     assert total == op
+
+
+# --- memoized per calculus ------------------------------------------------------------------------
+
+def test_fixtures_are_built_once():
+    for name in FIXTURE_NAMES:
+        assert fixture(name) is fixture(name)
+
+
+def test_quantization_data_is_memoized_on_the_calculus(quat):
+    for build in (base_connection, braided_connection, quantization_of, star_generators):
+        assert build(quat) is build(quat), build.__name__
+
+
+def test_separate_calculi_get_separate_quantizations(two_point):
+    doc = serialize_calculus(two_point)
+    first, second = parse_calculus_spec(doc), parse_calculus_spec(doc)
+    q1, q2 = quantization_of(first), quantization_of(second)
+    assert q1 is not q2
+    assert q1.ctx.calc is first and q2.ctx.calc is second
+    assert quantization_of(two_point) not in (q1, q2)
+
