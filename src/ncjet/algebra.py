@@ -241,10 +241,6 @@ def regular_bimodule(a: Algebra, label=None) -> Bimodule:
     return Bimodule(a, a.dim, a.lmat, a.rmat, label or a.name)
 
 
-def regular_left_module(a: Algebra, label=None) -> LeftModule:
-    return LeftModule(a, a.dim, a.lmat, label or a.name)
-
-
 LINEARITY_FLAGS = ("k", "left", "right", "bilinear")
 
 

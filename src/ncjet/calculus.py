@@ -28,9 +28,7 @@ from .algebra import (
     TensorSpace,
     module_closure,
     regular_bimodule,
-    tensor_bimodule,
     tensor_left_module,
-    tensor_space,
     validate_algebra,
 )
 
@@ -103,7 +101,6 @@ class Calculus:
         self.step_sec = step_sec
         self.relation_space = relation_space  # degree-1 relations inside A (x) A
         self.name = name
-        self.max_degree = len(omega) - 1
         self.left_frame_size = None   # size of a declared free left frame of omega1
         self._memo = {}
 
@@ -114,6 +111,11 @@ class Calculus:
     @property
     def omega1(self) -> Bimodule:
         return self.omega[1]
+
+    @property
+    def max_degree(self):
+        """Top degree of the tower; it grows as build_calculus appends degrees."""
+        return len(self.omega) - 1
 
     def base_module(self) -> Bimodule:
         """The algebra as a bimodule over itself (cached, identity-stable)."""
@@ -154,8 +156,8 @@ class Calculus:
         )
 
     def tensor_pq(self, p, q) -> TensorSpace:
-        """Presentation of omega_p (x)_A omega_q."""
-        return self.memo(("tensor_pq", p, q), lambda: tensor_space(self.omega[p], self.omega[q]))
+        """Presentation of omega_p (x)_A omega_q, p >= 1: the one form_module keeps."""
+        return self.form_module(p, self.omega[q])[1]
 
     def wedge_map(self, p, q) -> Mat:
         """Wedge as a matrix on omega_p (x)_A omega_q coordinates."""
@@ -165,7 +167,13 @@ class Calculus:
     # -- module-valued forms -----------------------------------------------
 
     def form_module(self, m, mod: LeftModule):
-        """(omega_m (x)_A mod as a left module, tensor presentation); m >= 1."""
+        """(omega_m (x)_A mod as a left module, tensor presentation); m >= 1.
+
+        The one builder of every presentation of omega_m (x)_A X, each made
+        once per (m, X) and kept in the memo: the tower's pre-quotient
+        modules, tensor_pq and the callers all read the same entry.  The
+        result is a bimodule when mod is one.
+        """
         if m < 1:
             raise ValueError("form_module needs m >= 1; use the module itself at m = 0")
         self.check_degree(m)
@@ -242,6 +250,8 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
     mult_mat = Mat.from_cols(mult_cols, dA)
     to_omega = Mat.from_cols(to_omega_cols, o1)
     relation_space = intersect(kernel_of(mult_mat), kernel_of(to_omega))
+    # the tower is appended to calc.omega, so max_degree admits each degree as it lands
+    calc = Calculus(alg, omega, [d0], step_proj, step_sec, relation_space, name=name)
 
     def quotient_bimodule(pre_mod, pre_ts, rel, degree):
         projq, secq = quotient_data(rel)
@@ -258,7 +268,7 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
     # the tower stops at max_degree, so omega, d and max_degree agree
     if max_degree >= 2:
         # degree-2 relations: two-sided action closure of d applied to them
-        pre2_mod, pre2_ts = tensor_bimodule(omega1, omega1, label="O1(x)O1")
+        pre2_mod, pre2_ts = calc.form_module(1, omega1)
         dgens = []
         dcols = d0.transpose().nz
         for row in relation_space.basis.nz:
@@ -279,7 +289,7 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         rel2_plain = (rel2.basis * pre2_ts.sec.transpose()).nz
 
     for n in range(3, max_degree + 1):
-        pre_mod, pre_ts = tensor_bimodule(omega[n - 1], omega1, label="O%d(x)O1" % (n - 1))
+        pre_mod, pre_ts = calc.form_module(n - 1, omega1)
         sb = SpanBuilder(pre_ts.dim)
         prev_cols = step_proj[n - 1].transpose().nz
         for u in range(omega[n - 2].dim):
@@ -297,8 +307,6 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         omega.append(omn)
         step_proj[n] = spn
         step_sec[n] = ssn
-
-    calc = Calculus(alg, omega, [d0], step_proj, step_sec, relation_space, name=name)
 
     # differentials in higher degree, solved on the spanning set
     basis_d = [d0.apply(alg.basis_vector(i)) for i in range(dA)]

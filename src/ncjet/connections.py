@@ -26,7 +26,6 @@ from .algebra import (
     LeftModule,
     add_intertwining_rows,
     mat_from_flat,
-    tensor_bimodule,
 )
 from .calculus import Calculus, CalculusError
 from .jets import (
@@ -97,7 +96,7 @@ class BimoduleConnection:
     def violations(self):
         calc = self.calc
         out = []
-        om11, ts11 = _omega_pair(calc)
+        om11, ts11 = calc.form_module(1, calc.omega1)
         alg = calc.algebra
         for a in range(alg.dim):
             if self.sigma * om11.left[a] != om11.left[a] * self.sigma:
@@ -113,16 +112,10 @@ class BimoduleConnection:
         return out
 
 
-def _omega_pair(calc: Calculus):
-    """One-forms (x)_A one-forms as a bimodule (cached)."""
-    return calc.memo("omega_pair",
-                     lambda: tensor_bimodule(calc.omega1, calc.omega1, label="O1(x)O1"))
-
-
 def _d_right_mats(calc: Calculus):
     """D_a(w) = class of w (x) d(e_a) in one-forms (x) one-forms."""
     def build():
-        _, ts = _omega_pair(calc)
+        _, ts = calc.form_module(1, calc.omega1)
         o1 = calc.omega1.dim
         mats = []
         for a in range(calc.algebra.dim):
@@ -143,11 +136,6 @@ def solve_connections(calc: Calculus, module: LeftModule) -> AffineSpace:
     return sys.solve()
 
 
-def connection_from_vector(calc: Calculus, module: LeftModule, flat) -> Connection:
-    fm, _ = calc.form_module(1, module)
-    return Connection(calc, module, mat_from_flat(list(flat), fm.dim, module.dim))
-
-
 def bimodule_connection_system(calc: Calculus) -> AffineSystem:
     """Joint linear system for (connection, braiding) pairs on the one-forms.
 
@@ -156,7 +144,7 @@ def bimodule_connection_system(calc: Calculus) -> AffineSystem:
     braiding, and two-sided linearity of the braiding.
     """
     om1 = calc.omega1
-    om11, _ = _omega_pair(calc)
+    om11, _ = calc.form_module(1, calc.omega1)
     twist = _twist_mats(calc, om1)
     d_right = _d_right_mats(calc)
     o1, qq = om1.dim, om11.dim
@@ -213,7 +201,7 @@ def solve_bimodule_connections(calc: Calculus) -> AffineSpace:
 
 
 def bimodule_connection_from_vector(calc: Calculus, flat) -> BimoduleConnection:
-    om11, _ = _omega_pair(calc)
+    om11, _ = calc.form_module(1, calc.omega1)
     o1, qq = calc.omega1.dim, om11.dim
     n_nabla = qq * o1
     nabla = mat_from_flat(list(flat[:n_nabla]), qq, o1)
@@ -237,7 +225,7 @@ def tensor_connection(calc: Calculus, bconn: BimoduleConnection, connf: Connecti
     f = connf.module
     fm, ts_f = calc.form_module(1, f)      # O1 (x) F
     _, ts_v = calc.form_module(1, fm)      # O1 (x) (O1 (x) F)
-    _, ts11 = _omega_pair(calc)
+    _, ts11 = calc.form_module(1, calc.omega1)
     o1 = calc.omega1.dim
     sigma_plain = ts11.sec * bconn.sigma * ts11.proj
     eye_f = Mat.identity(f.dim)

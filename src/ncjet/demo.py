@@ -13,7 +13,6 @@ from __future__ import annotations
 from .linalg import Mat, ZERO, ONE, rat, left_inverse, kernel_of, image_of
 from .calculus import CalculusError
 from .connections import (
-    _omega_pair,
     curvature,
     metric_compatibility,
     solve_bimodule_connections,
@@ -42,7 +41,7 @@ def demo_quaternion(corrupt=False):
     def claim(name, ok, detail=""):
         claims.append({"claim": name, "pass": bool(ok), "detail": str(detail)})
 
-    om11, ts11 = _omega_pair(calc)
+    om11, ts11 = calc.form_module(1, calc.omega1)
     di, dj = frame_vectors(calc)
     g = quaternion_metric(calc)
 

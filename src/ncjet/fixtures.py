@@ -17,7 +17,6 @@ from .calculus import Calculus, CalculusError, memo, quaternion_calculus, univer
 from .connections import (
     BimoduleConnection,
     Connection,
-    _omega_pair,
     bimodule_connection_from_vector,
     bimodule_connection_system,
     solve_bimodule_connections,
@@ -59,7 +58,7 @@ def frame_parallel_bimodule_connection(calc: Calculus) -> BimoduleConnection:
     the connection pinned to zero; raises if that pinning is infeasible or
     leaves residual freedom.
     """
-    om11, _ = _omega_pair(calc)
+    om11, _ = calc.form_module(1, calc.omega1)
     o1, qq = calc.omega1.dim, om11.dim
     sys = bimodule_connection_system(calc)
     for fv in frame_vectors(calc):

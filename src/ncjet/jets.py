@@ -219,10 +219,6 @@ class JetModule:
     def dim(self):
         return self.mod.dim
 
-    def spencer0(self) -> Mat:
-        """Order-lowering differential J^n -> one-forms (x) J^{n-1}."""
-        return -self.rho
-
     def __repr__(self):
         return "JetModule(%s, n=%d, dim %d)" % (self.flavor, self.n, self.dim)
 
@@ -346,7 +342,7 @@ def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
     smat = spencer_operator(calc, jet, m)
     dom = calc.form_module(m, jet.mod)[0] if m >= 1 else jet.mod
     tgt_mod = calc.form_module(m + 1, jet.lower.mod)[0]
-    j1dom = jet_module_of(calc, dom)
+    j1dom = jet_module(calc, dom, 1)
     sol = solve_module_maps(j1dom.mod, tgt_mod, "left", compose_eq=[(j1dom.j, smat)])
     if sol.empty:
         raise CalculusError("Spencer operator admits no order-1 lift")
@@ -363,20 +359,6 @@ def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
             for b in range(calc.omega1.dim) for u in range(dom.dim)]
     expected = Mat.from_cols(cols, ts_tgt.dim) * ts_dom1.sec
     return got, expected
-
-
-def jet_module_of(calc: Calculus, mod: LeftModule) -> JetModule:
-    """Order-1 jet of an arbitrary left module (used for lifts of operators)."""
-    return calc.memo(("jet_of", mod), lambda: _jet_module_of(calc, mod))
-
-
-def _jet_module_of(calc: Calculus, mod: LeftModule) -> JetModule:
-    pd = pair_module(calc, mod)
-    lower = JetModule(calc, mod, 0, HOLONOMIC, mod, None, None, Mat.identity(mod.dim),
-                      iota=Mat.identity(mod.dim))
-    return JetModule(calc, mod, 1, HOLONOMIC, pd.mod, lower,
-                     Mat.identity(pd.mod.dim), pd.j, iota=pd.iota,
-                     carrier=Subspace.full(pd.mod.dim), sym=None)
 
 
 def delta_contraction(calc: Calculus, e: LeftModule, h: int, k: int) -> Mat:

@@ -673,12 +673,18 @@ def inverse(m: Mat) -> Mat:
 
 
 def left_inverse(m: Mat) -> Mat:
-    """Left inverse of an injective matrix (m^T m is invertible over Q)."""
-    mt = m.transpose()
-    return inverse(mt * m) * mt
+    """Left inverse of an injective matrix.
+
+    The inverse of m's first independent rows, applied at those rows; zero
+    on the others.  Raises ValueError when m is not injective.
+    """
+    piv = rref_pivots(m.transpose())[1]
+    if len(piv) != m.cols:
+        raise ValueError("matrix is not injective")
+    inv = inverse(m.submatrix(piv, range(m.cols)))
+    return Mat._of(m.cols, m.rows, [{piv[k]: x for k, x in row.items()} for row in inv.nz])
 
 
 def right_inverse(m: Mat) -> Mat:
     """Right inverse of a surjective matrix."""
-    mt = m.transpose()
-    return mt * inverse(m * mt)
+    return left_inverse(m.transpose()).transpose()

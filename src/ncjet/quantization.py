@@ -465,13 +465,7 @@ def build_quantization(calc: Calculus, e: LeftModule, bconn: BimoduleConnection,
     if cap >= 1:
         chain[1] = conn_e.mat
     for k in range(2, cap + 1):
-        s = retractions.get(k - 1)
-        if s is None:
-            s = retraction_solver(calc, e, k - 1)
-            if s is None:
-                raise CalculusError("no retraction at degree %d" % (k - 1))
-            retractions[k - 1] = s
-        chain[k] = s * conns[k - 1].mat * chain[k - 1]
+        chain[k] = retractions[k - 1] * conns[k - 1].mat * chain[k - 1]
     return Quantization(ctx, chain, conns, retractions)
 
 

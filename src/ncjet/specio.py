@@ -25,7 +25,7 @@ def _rat_in(x):
             return rat(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecParseError("bad rational %r: %s" % (x, exc))
-    if isinstance(x, int):
+    if type(x) is int:  # not bool, which JSON true/false parse to
         return rat(x)
     raise SpecParseError("rationals must be strings or integers, got %r" % (x,))
 
@@ -68,6 +68,8 @@ def parse_calculus_spec(doc) -> Calculus:
         raise SpecParseError("algebra dim must be a positive integer")
     if len(unit) != dim or not isinstance(names, list) or len(names) != dim:
         raise SpecParseError("algebra unit/basis length mismatch")
+    if not all(isinstance(x, str) for x in names):
+        raise SpecParseError("algebra basis names must be strings")
     if not isinstance(mult_rows, list) or len(mult_rows) != dim:
         raise SpecParseError("mult must be a rank-3 array of shape dim^3")
     mult = []

@@ -15,7 +15,6 @@ import time
 from ncjet.linalg import Mat, ZERO, image_of, kernel_of, rank, rat, vec, left_inverse
 from ncjet.algebra import mat_from_flat, solve_module_maps
 from ncjet.connections import (
-    _omega_pair,
     associated_connection,
     covariant_exterior,
     covariant_exterior_of_section,
@@ -90,7 +89,7 @@ def test_criterion_1_distinguished_solution(quat):
         calc = quat
         t0 = time.time()
         bc = braided_connection(quat)
-        om11, ts = _omega_pair(calc)
+        om11, ts = calc.form_module(1, calc.omega1)
         di, dj = frame_form(calc, 0), frame_form(calc, 1)
         assert all(not x for x in bc.base.mat.apply(di))
         assert all(not x for x in bc.base.mat.apply(dj))
@@ -125,7 +124,7 @@ def test_criterion_2_jet_tower(quat):
         assert sym_module(calc, e, 3).dim == 0
         # (identity + braiding)/2 is a retraction of the wedge-kernel inclusion
         bc = braided_connection(quat)
-        om11, ts = _omega_pair(calc)
+        om11, ts = calc.form_module(1, calc.omega1)
         p = (Mat.identity(ts.dim) + bc.sigma).scale(rat(1, 2))
         wker = kernel_of(calc.wedge_map(1, 1))
         assert wker.contains_space(image_of(p))

@@ -141,6 +141,12 @@ def test_wedge_relation_and_kernel(quat):
     assert kernel_of(w).dim == 4
 
 
+def test_tensor_pq_reads_the_form_module_entry(quat):
+    calc = quat
+    assert calc.tensor_pq(1, 1) is calc.form_module(1, calc.omega1)[1]
+    assert calc.tensor_pq(1, 2) is calc.form_module(1, calc.omega[2])[1]
+
+
 def test_wedge_with_degree_zero_is_module_action(quat):
     calc = quat
     w01 = calc.wedge_plain(0, 1)

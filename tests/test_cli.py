@@ -68,6 +68,10 @@ _ZERO_FORMS = {"dim": 0, "left": [[]], "right": [[]], "d": []}
                      id="frame-too-large"),
         pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS, "maxDegree": True},
                      id="max-degree-bool"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=[1]), "omega1": _ZERO_FORMS},
+                     id="basis-name-not-a-string"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, unit=[True]), "omega1": _ZERO_FORMS},
+                     id="unit-bool"),
     ],
 )
 def test_validate_schema_error(tmp_path, doc):
@@ -76,6 +80,28 @@ def test_validate_schema_error(tmp_path, doc):
     code, out = run(["validate", str(path)])
     assert code == EXIT_PARSE
     assert out.startswith("parse error:")
+
+
+def test_each_tensor_presentation_is_built_once(monkeypatch):
+    """The tower and the braided solver share every presentation of a module pair."""
+    import ncjet.algebra
+    import ncjet.cli
+    from ncjet.algebra import matrix_algebra
+    from ncjet.calculus import universal_calculus
+
+    built = []
+    tensor_space = ncjet.algebra.tensor_space
+
+    def spy(m, n):
+        built.append((m, n))
+        return tensor_space(m, n)
+
+    monkeypatch.setattr(ncjet.algebra, "tensor_space", spy)
+    calc = universal_calculus(matrix_algebra(2))
+    monkeypatch.setattr(ncjet.cli, "_load_calculus", lambda ref: calc)
+    code, _ = run(["connections", "matrix2-universal", "--bimodule", "--json"])
+    assert code == EXIT_PASS
+    assert built and len(set(built)) == len(built)
 
 
 def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, two_point):

@@ -9,7 +9,6 @@ from ncjet.algebra import Bimodule, mat_from_flat, solve_module_maps
 from ncjet.connections import (
     Connection,
     InvalidConnection,
-    _omega_pair,
     associated_connection,
     bimodule_connection_from_vector,
     covariant_exterior,
@@ -86,7 +85,7 @@ def test_bimodule_family_contains_frame_parallel_point(quat):
 def test_frame_parallel_connection_is_unique_and_flips(quat):
     calc = quat
     bc = frame_parallel_bimodule_connection(calc)
-    om11, ts = _omega_pair(calc)
+    om11, ts = calc.form_module(1, calc.omega1)
     di, dj = frame_form(calc, 0), frame_form(calc, 1)
     assert all(not x for x in bc.base.mat.apply(di))
     assert all(not x for x in bc.base.mat.apply(dj))
@@ -99,7 +98,7 @@ def test_braiding_satisfies_defect_formula(quat):
     calc = quat
     bc = braided_connection(quat)
     om1 = calc.omega1
-    om11, ts = _omega_pair(calc)
+    om11, ts = calc.form_module(1, calc.omega1)
     alg = calc.algebra
     for t in range(8):
         theta = [ZERO] * 8
@@ -149,7 +148,7 @@ def test_torsion_of_frame_parallel_connection_vanishes(quat):
 def test_torsion_shifts_by_wedge_of_difference(quat):
     calc = quat
     bc = braided_connection(quat)
-    om11, ts = _omega_pair(calc)
+    om11, ts = calc.form_module(1, calc.omega1)
     # gamma: module-linear perturbation supported on the frame
     sol = solve_module_maps(calc.omega1, om11, "left")
     gamma = mat_from_flat(
@@ -180,7 +179,7 @@ def test_curvature_of_grassmann_connection_vanishes(quat):
 def test_curvature_detects_nonflat_perturbation(quat):
     calc = quat
     bc = braided_connection(quat)
-    om11, ts = _omega_pair(calc)
+    om11, ts = calc.form_module(1, calc.omega1)
     di = frame_form(calc, 0)
     k = calc.algebra.basis_vector(3)
     # gamma(q d theta) = q * delta_{theta,di} * (k di (x) di)
@@ -232,7 +231,7 @@ def test_square_of_covariant_exterior_is_wedge_with_curvature(quat):
     # generic statement on a connection with curvature
     calc = quat
     bc = braided_connection(quat)
-    om11, ts = _omega_pair(calc)
+    om11, ts = calc.form_module(1, calc.omega1)
     di = frame_form(calc, 0)
     k = calc.algebra.basis_vector(3)
     kdidi = ts.class_of(calc.omega1.act_left(k, di), di)
@@ -279,7 +278,7 @@ def test_tensor_connection_preserves_parallel_tensors(quat):
     calc = quat
     bc = braided_connection(quat)
     conn2 = tensor_connection(calc, bc, bc.base)
-    om11, ts = _omega_pair(calc)
+    om11, ts = calc.form_module(1, calc.omega1)
     for w, v in itertools.product((frame_form(calc, 0), frame_form(calc, 1)), repeat=2):
         # the tensor connection uses the identified coordinates of 1-1 tensors
         x = conn2.module  # forms (x) forms module
@@ -307,6 +306,13 @@ def canonical_two_connection(quat):
     q = quantization_of(quat)
     j2 = jet_module(quat, quat.base_module(), 2)
     return higher_connection_from_split(quat, j2, q.chain_lift(2))
+
+
+def test_split_that_does_not_retract_the_symbols_is_refused(quat):
+    q = quantization_of(quat)
+    j2 = jet_module(quat, quat.base_module(), 2)
+    with pytest.raises(InvalidConnection):
+        higher_connection_from_split(quat, j2, q.chain_lift(2).scale(2))
 
 
 def test_one_connection_from_connection(quat):

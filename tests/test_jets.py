@@ -368,9 +368,7 @@ def test_nu_composition_identities(quat):
     lhs0 = s11 * (-p2.rho)
     assert lhs0 == -(num0 * dtilde)
     # m = 1
-    from ncjet.jets import jet_module_of
-
-    outer = jet_module_of(calc, j1.mod)
+    outer = jet_module(calc, j1.mod, 1)
     num1, tw1, _ = nu_operator(calc, e, 1)
     omega_dt = calc.omega_lift(1, dtilde, p2.mod, tw)
     lhs1 = spencer_operator(calc, j1, 2) * spencer_operator(calc, outer, 1)
@@ -404,15 +402,13 @@ def test_exactness_reports(all_fixtures):
 
 
 def test_jet_of_a_module_and_jet_module_keep_separate_entries():
-    # jet_module_of builds an order-1 jet without symbols; it must not be
-    # what jet_module (and so jet_exactness) finds for the same module.
+    # Each (module, order, flavor) has one entry; the order-1 jet carries its
+    # symbols, which jet_exactness reads, and flavor aliases share the entry.
     from ncjet.algebra import functions_on_points
     from ncjet.calculus import universal_calculus
-    from ncjet.jets import jet_module_of
 
     calc = universal_calculus(functions_on_points(2))
     e = calc.base_module()
-    jet_module_of(calc, e)
     assert jet_exactness(calc, e, 1)["exact"]
     assert jet_module(calc, e, 2) is jet_module(calc, e, 2, HOLONOMIC)
     assert jet_module(calc, e, 1, SESQUI) is jet_module(calc, e, 1)

@@ -315,6 +315,14 @@ def test_one_sided_inverses():
     assert left_inverse(tall) * tall == Mat.identity(3)
     wide = tall.transpose()
     assert wide * right_inverse(wide) == Mat.identity(3)
+    # dependent and zero rows ahead of the independent ones are skipped
+    padded = Mat.zeros(1, 3).vstack(tall.submatrix([0, 0], range(3))).vstack(tall)
+    assert left_inverse(padded) * padded == Mat.identity(3)
+    flat = tall.hstack(tall.submatrix(range(5), [1]))
+    with pytest.raises(ValueError, match="not injective"):
+        left_inverse(flat)
+    with pytest.raises(ValueError):
+        right_inverse(flat.transpose())
 
 
 def test_span_builder_matches_dense_span():

@@ -160,11 +160,10 @@ def test_retraction_at_vanishing_degree_is_zero_map(quat):
 def test_half_sum_with_braiding_is_a_retraction(quat):
     # see also the demo; here: check it satisfies the solver's constraints
     calc, e = quat, quat.base_module()
-    from ncjet.connections import _omega_pair
     from ncjet.demo import quaternion_metric
     from ncjet.linalg import image_of, kernel_of
 
-    om11, ts = _omega_pair(calc)
+    om11, ts = calc.form_module(1, calc.omega1)
     bc = braided_connection(quat)
     p = (Mat.identity(ts.dim) + bc.sigma).scale(rat(1, 2))
     ker = kernel_of(calc.wedge_map(1, 1))
