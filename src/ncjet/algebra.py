@@ -8,8 +8,11 @@ plain tensor products by the balancing relations x·a ⊗ y − x ⊗ a·y.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import (
     AffineSystem,
+    DimensionCapError,
     Mat,
     Subspace,
     SpanBuilder,
@@ -17,7 +20,7 @@ from .linalg import (
     ONE,
     int_row,
     nonzeros,
-    kron,
+    max_dim,
     quotient_data,
     rat,
     vec,
@@ -75,6 +78,24 @@ class Algebra:
         v = [ZERO] * self.dim
         v[i] = ONE
         return v
+
+    @cached_property
+    def generators(self):
+        """Basis indices that generate the algebra as a unital algebra.
+
+        Picked greedily: index i is kept when e_i lies outside the subalgebra
+        generated by the unit and the indices kept before it.  A condition
+        that is linear in a and holds at ab once it holds at a and b
+        (balancing, intertwining, Leibniz) holds on all of A once it holds on
+        these, for modules on which the unit acts as the identity.
+        """
+        gens = []
+        sub = _closure(self.dim, [self.unit], [])
+        for i in range(self.dim):
+            if sub.coords(self.basis_vector(i)) is None:
+                gens.append(i)
+                sub = _closure(self.dim, [self.unit], [self.lmat[g] for g in gens])
+        return tuple(gens)
 
     def __repr__(self):
         return "Algebra(%s, dim %d)" % (self.name, self.dim)
@@ -299,11 +320,10 @@ class TensorSpace:
 
     def project(self, plain):
         """Class of the plain tensor given by its nonzeros {index: value}."""
-        den, plain = int_row(plain)
-        return self._classes(plain, den)
+        return self._classes(*int_row(plain))
 
-    def _classes(self, plain, den):
-        """Class of the plain tensor plain / den, for {index: int} plain and an int den > 0."""
+    def _classes(self, den, plain):
+        """Class of the plain tensor plain / den, for an int den > 0 and {index: int} plain."""
         out = [ZERO] * self.dim
         pcols = self.pcols
         for k, v in plain.items():
@@ -317,25 +337,56 @@ class TensorSpace:
                 out[r] = x // d if not x % d else rat(x, d)
         return out
 
-    def class_of(self, x, y):
-        """Class of the pure tensor x (x) y, from the nonzeros of x and y."""
+    def pure(self, x, y):
+        """x (x) y as an integer plain tensor (den, {index: int}), from the nonzeros of x and y."""
         rd = self.right_dim
         dx, x = int_row(nonzeros(x))
         dy, y = int_row(nonzeros(y))
         ynz = y.items()
-        return self._classes({i * rd + j: xi * yj for i, xi in x.items() for j, yj in ynz},
-                             dx * dy)
+        return dx * dy, {i * rd + j: xi * yj for i, xi in x.items() for j, yj in ynz}
+
+    def class_of(self, x, y):
+        """Class of the pure tensor x (x) y, from the nonzeros of x and y."""
+        return self._classes(*self.pure(x, y))
+
+    def kron_between(self, f: Mat, g: Mat, src: "TensorSpace") -> Mat:
+        """proj * kron(f, g) * src.sec: f (x) g from src's quotient to this one.
+
+        Each section column of src is a plain basis tensor e_i (x) e_j, whose
+        image is the class of f e_i (x) g e_j; it is gathered over integer
+        numerators and divided once per output entry.
+        """
+        if (f.rows, g.rows, f.cols, g.cols) != (self.left_dim, self.right_dim,
+                                                 src.left_dim, src.right_dim):
+            raise ValueError("kron_between: factor shapes do not match the tensor spaces")
+        fcols = [int_row(c) for c in f.transpose().nz]
+        gcols = [int_row(c) for c in g.transpose().nz]
+        rd, srd = self.right_dim, src.right_dim
+        cols = []
+        for c, sel in enumerate(src.sec.nz):
+            if sel:
+                (df, fc), (dg, gc) = fcols[c // srd], gcols[c % srd]
+                gnz = gc.items()
+                cols.append(self._classes(df * dg, {i * rd + j: x * y for i, x in fc.items()
+                                                    for j, y in gnz}))
+        return Mat.from_cols(cols, self.dim)
 
 
 def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
-    """Quotient of the plain tensor m (x) n by x·a (x) y - x (x) a·y."""
+    """Quotient of the plain tensor m (x) n by x·a (x) y - x (x) a·y.
+
+    Relations at the algebra's generators a span those at every a.  The
+    plain size is checked against the cap before any relation is built.
+    """
     if m.algebra is not n.algebra:
         raise ValueError("tensor factors live over different algebras")
     dm, dn = m.dim, n.dim
     amb = dm * dn
+    if amb > max_dim():
+        raise DimensionCapError("plain tensor product %d x %d exceeds cap %d"
+                                % (dm, dn, max_dim()))
     sb = SpanBuilder(amb)
-    alg = m.algebra
-    for a in range(alg.dim):
+    for a in m.algebra.generators:
         rcols = m.right[a].transpose().nz
         lcols = n.left[a].transpose().nz
         for x in range(dm):
@@ -351,47 +402,32 @@ def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
 
 
 def tensor_left_module(m: Bimodule, n: LeftModule, label="") -> tuple:
-    """(left module m (x)_A n, tensor space presentation)."""
+    """(left module m (x)_A n, tensor space presentation); a bimodule when n is one."""
     ts = tensor_space(m, n)
     alg = m.algebra
+    label = label or "%s(x)%s" % (m.label, n.label)
     eye_n = Mat.identity(n.dim)
+    left = [ts.kron_between(m.left[a], eye_n, ts) for a in range(alg.dim)]
+    if not isinstance(n, Bimodule):
+        return LeftModule(alg, ts.dim, left, label), ts
     eye_m = Mat.identity(m.dim)
-    left = [ts.proj * (kron(m.left[a], eye_n) * ts.sec) for a in range(alg.dim)]
-    if isinstance(n, Bimodule):
-        right = [ts.proj * (kron(eye_m, n.right[a]) * ts.sec) for a in range(alg.dim)]
-        mod = Bimodule(alg, ts.dim, left, right, label or "%s(x)%s" % (m.label, n.label))
-    else:
-        mod = LeftModule(alg, ts.dim, left, label or "%s(x)%s" % (m.label, n.label))
-    return mod, ts
+    right = [ts.kron_between(eye_m, n.right[a], ts) for a in range(alg.dim)]
+    return Bimodule(alg, ts.dim, left, right, label), ts
 
 
 def tensor_bimodule(m: Bimodule, n: Bimodule, label="") -> tuple:
     """(bimodule m (x)_A n, tensor space presentation)."""
-    ts = tensor_space(m, n)
-    alg = m.algebra
-    eye_m = Mat.identity(m.dim)
-    eye_n = Mat.identity(n.dim)
-    left = [ts.proj * (kron(m.left[a], eye_n) * ts.sec) for a in range(alg.dim)]
-    right = [ts.proj * (kron(eye_m, n.right[a]) * ts.sec) for a in range(alg.dim)]
-    mod = Bimodule(alg, ts.dim, left, right, label or "%s(x)%s" % (m.label, n.label))
-    return mod, ts
+    return tensor_left_module(m, n, label)
 
 
-def module_closure(mod: LeftModule, generators, use_right=False) -> Subspace:
-    """Smallest action-stable subspace containing the generators.
-
-    Iterates action images to a fixpoint; with use_right the right action
-    of a bimodule is applied as well.
-    """
-    sb = SpanBuilder(mod.dim)
+def _closure(dim, seeds, mats) -> Subspace:
+    """Smallest subspace containing the seeds and stable under the matrices."""
+    sb = SpanBuilder(dim)
     queue = []
-    for g in generators:
-        g = vec(g)
-        if sb.add(g):
-            queue.append(g)
-    mats = list(mod.left)
-    if use_right:
-        mats += list(mod.right)
+    for v in seeds:
+        v = vec(v)
+        if sb.add(v):
+            queue.append(v)
     while queue:
         v = queue.pop()
         for mat in mats:
@@ -401,18 +437,34 @@ def module_closure(mod: LeftModule, generators, use_right=False) -> Subspace:
     return sb.subspace()
 
 
-def add_intertwining_rows(sys, src_mats, tgt_mats, rhs_mats=None):
+def module_closure(mod: LeftModule, seeds, use_right=False) -> Subspace:
+    """Smallest submodule containing the seeds.
+
+    Iterates the actions of the algebra's generators to a fixpoint; with
+    use_right the right action of a bimodule is applied as well.
+    """
+    gens = mod.algebra.generators
+    mats = [mod.left[a] for a in gens]
+    if use_right:
+        mats += [mod.right[a] for a in gens]
+    return _closure(mod.dim, seeds, mats)
+
+
+def add_intertwining_rows(sys, alg, src_mats, tgt_mats, rhs_mats=None):
     """Rows (X s_a - t_a X)[i][j] = rhs_a[i][j] on the flattened unknowns of X.
 
-    X maps source (ds) to target (dt), flattened row-major; rhs_mats default
-    to zero.  A row is skipped only when it has neither coefficients nor a
+    X maps source (ds) to target (dt), flattened row-major; s and t are
+    actions of alg and rhs_mats (default zero) obey Leibniz,
+    rhs_ab = rhs_a s_b + t_a rhs_b, so rows for a in alg.generators imply
+    the rest.  A row is skipped only when it has neither coefficients nor a
     right-hand side: an empty row with rhs != 0 makes the system inconsistent.
     """
     dt, ds = tgt_mats[0].rows, src_mats[0].rows
-    for a, (s_a, t_a) in enumerate(zip(src_mats, tgt_mats)):
-        scols = s_a.transpose().nz
+    for a in alg.generators:
+        scols = src_mats[a].transpose().nz
+        tnz = tgt_mats[a].nz
         for i in range(dt):
-            trow = t_a.nz[i]
+            trow = tnz[i]
             for j in range(ds):
                 coeffs = {i * ds + k: v for k, v in scols[j].items()}
                 for k, v in trow.items():
@@ -432,10 +484,11 @@ def solve_module_maps(source, target, linearity="left", compose_eq=(), entry_eq=
     """
     ds, dt = source.dim, target.dim
     sys = AffineSystem(dt * ds)
+    alg = source.algebra
     if linearity in ("left", "bilinear"):
-        add_intertwining_rows(sys, source.left, target.left)
+        add_intertwining_rows(sys, alg, source.left, target.left)
     if linearity in ("right", "bilinear"):
-        add_intertwining_rows(sys, source.right, target.right)
+        add_intertwining_rows(sys, alg, source.right, target.right)
     for P, Q in compose_eq:
         if P.rows != ds or Q.rows != dt or P.cols != Q.cols:
             raise ValueError("compose_eq shape mismatch")

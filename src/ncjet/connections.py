@@ -132,7 +132,7 @@ def solve_connections(calc: Calculus, module: LeftModule) -> AffineSpace:
     fm, _ = calc.form_module(1, module)
     twist = _twist_mats(calc, module)
     sys = AffineSystem(fm.dim * module.dim)
-    add_intertwining_rows(sys, module.left, fm.left, twist)
+    add_intertwining_rows(sys, calc.algebra, module.left, fm.left, twist)
     return sys.solve()
 
 
@@ -162,9 +162,11 @@ def bimodule_connection_system(calc: Calculus) -> AffineSystem:
     def add(coeffs, key, v):
         coeffs[key] = coeffs.get(key, ZERO) + v
 
-    # left Leibniz for the connection
-    add_intertwining_rows(sys, om1.left, om11.left, twist)
-    for a in range(alg.dim):
+    # left Leibniz for the connection; every row family is imposed on the
+    # generators of A only, since braiding linearity and right Leibniz at
+    # ab follow from those at a and b
+    add_intertwining_rows(sys, alg, om1.left, om11.left, twist)
+    for a in alg.generators:
         # right Leibniz: nabla R_a - R_a nabla - sigma D_a = 0
         r_src = om1.right[a].transpose().nz
         r_tgt = om11.right[a].nz

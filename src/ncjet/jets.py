@@ -9,7 +9,9 @@ obstruction only; nonholonomic jets are the full pair space.
 
 from __future__ import annotations
 
-from .linalg import (Mat, Subspace, ZERO, ONE, image_of, intersect, kernel_of, kron, rank,
+from math import lcm
+
+from .linalg import (Mat, Subspace, ONE, image_of, int_row, intersect, kernel_of, kron, rank,
                      span_of)
 from .algebra import Bimodule, LeftModule, module_closure
 from .calculus import Calculus, CalculusError
@@ -112,28 +114,47 @@ def exterior_operator(calc: Calculus, m: int, dom: LeftModule, low: LeftModule,
     cols = []
     for b, dwb in enumerate(calc.d[m].transpose().nz):
         for t in range(dom.dim):
-            col = [ZERO] * ts_tgt.dim
+            terms = []
             if dwb and pi_cols[t]:
-                col = ts_tgt.class_of(dwb, pi_cols[t])
+                terms.append((ONE, ts_tgt.pure(dwb, pi_cols[t])))
             if d0_plain[t]:
-                wedge = _wedge_prepend(calc, m, b, d0_plain[t], low.dim, ts_tgt)
-                col = [x + sign * y for x, y in zip(col, wedge)]
-            cols.append(col)
+                terms.append((sign, _wedge_prepend(calc, m, b, d0_plain[t], low.dim)))
+            cols.append(ts_tgt._classes(*_plain_sum(terms)))
     plain = Mat.from_cols(cols, ts_tgt.dim)
     return calc.descend(plain, ts_dom, what)
 
 
-def _wedge_prepend(calc, k, b_idx, w_plain, t_dim, ts_out, q=1):
-    """Class of w_b ^ (plain q-form-valued vector {index: value}) in (k+q)-forms (x) T."""
-    wcols = calc.memo(("wedge_cols", k, q), lambda: calc.wedge_plain(k, q).transpose().nz)
+def _plain_sum(terms):
+    """sum(c * plain / d) over terms (c, (d, plain)) as an integer plain (den, {index: int})."""
+    den = lcm(*[int(c.denominator) * d for c, (d, _) in terms])
+    acc = {}
+    for c, (d, plain) in terms:
+        f = int(c.numerator) * (den // (int(c.denominator) * d))
+        for k, v in plain.items():
+            acc[k] = acc.get(k, 0) + f * v
+    return den, acc
+
+
+def _wedge_prepend(calc, k, b_idx, w_plain, t_dim, q=1):
+    """w_b ^ (plain q-form-valued vector {index: value}) as an integer plain tensor.
+
+    Returns (den, {index: int}) in plain (k+q)-forms (x) T; the wedge columns
+    are kept in integer form, so nothing divides before the projection.
+    """
+    wcols = calc.memo(("wedge_cols", k, q), lambda: [
+        int_row(col) for col in calc.wedge_plain(k, q).transpose().nz])
     base = b_idx * calc.omega[q].dim
+    dv, w_plain = int_row(w_plain)
+    den = lcm(*[wcols[base + idx // t_dim][0] for idx in w_plain])
     acc = {}
     for idx, v in w_plain.items():
         c, e = divmod(idx, t_dim)
-        for r, vv in wcols[base + c].items():
+        d, col = wcols[base + c]
+        v *= den // d
+        for r, vv in col.items():
             key = r * t_dim + e
-            acc[key] = acc.get(key, ZERO) + v * vv
-    return ts_out.project(acc)
+            acc[key] = acc.get(key, 0) + v * vv
+    return dv * den, acc
 
 
 class SymModule:
@@ -355,7 +376,7 @@ def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
     _, ts_inner = calc.form_module(m, jet.mod)
     _, ts_tgt = calc.form_module(m + 1, jet.lower.mod)
     pi_plain = (kron(Mat.identity(calc.omega[m].dim), jet.pi) * ts_inner.sec).transpose().nz
-    cols = [_wedge_prepend(calc, 1, b, pi_plain[u], jet.lower.mod.dim, ts_tgt, q=m)
+    cols = [ts_tgt._classes(*_wedge_prepend(calc, 1, b, pi_plain[u], jet.lower.mod.dim, q=m))
             for b in range(calc.omega1.dim) for u in range(dom.dim)]
     expected = Mat.from_cols(cols, ts_tgt.dim) * ts_dom1.sec
     return got, expected
@@ -428,21 +449,20 @@ def nu_operator(calc: Calculus, e: LeftModule, m: int):
         for t in range(tw.dim):
             if t < m1.dim:
                 # (-1)^m dw ^ alpha with alpha in one-forms (x) E
-                col = [ZERO] * ts_tgt.dim
-                for r1, v1 in dwb.items():
-                    w = _wedge_prepend(calc, m + 1, r1, alpha_plain[t], e.dim, ts_tgt)
-                    col = [x + sign * v1 * y for x, y in zip(col, w)]
-                cols.append(col)
+                terms = [(sign * v1, _wedge_prepend(calc, m + 1, r1, alpha_plain[t], e.dim))
+                         for r1, v1 in dwb.items()]
+                cols.append(ts_tgt._classes(*_plain_sum(terms)))
             else:
-                cols.append(_wedge_prepend(calc, m, b, beta_plain[t - m1.dim], e.dim, ts_tgt, q=2))
+                cols.append(ts_tgt._classes(
+                    *_wedge_prepend(calc, m, b, beta_plain[t - m1.dim], e.dim, q=2)))
     plain = Mat.from_cols(cols, ts_tgt.dim)
     return calc.descend(plain, ts_dom, "nu operator"), tw, m1.dim
 
 
 def elemental_span(calc: Calculus, jet: JetModule) -> Subspace:
     """Left-action closure of the prolongation image inside the carrier."""
-    gens = [jet.j.col(t) for t in range(jet.j.cols)]
-    return module_closure(jet.mod, gens)
+    seeds = [jet.j.col(t) for t in range(jet.j.cols)]
+    return module_closure(jet.mod, seeds)
 
 
 def holonomic_via_spencer(calc: Calculus, e: LeftModule, n: int) -> Subspace:

@@ -1,9 +1,11 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from cayley import cayley_spec
 from ncjet.fixtures import fixture
-from ncjet.specio import serialize_calculus
+from ncjet.specio import parse_calculus_spec, serialize_calculus
 
 
 @pytest.fixture(scope="session")
@@ -99,3 +101,33 @@ def sheared_spec(doc, alg_shears, form_shears):
 def sheared_quat_doc(quat):
     """The quaternion calculus as a spec in fixed integer-sheared bases."""
     return sheared_spec(serialize_calculus(quat), QUAT_ALGEBRA_SHEARS, QUAT_FORM_SHEARS)
+
+
+@pytest.fixture(scope="session", params=["sheared-quat", "cayley-z4", "matrix2"])
+def oracle_calc(request):
+    """The calculi on which the generator reduction is checked against every basis element."""
+    if request.param == "sheared-quat":
+        return parse_calculus_spec(request.getfixturevalue("sheared_quat_doc"))
+    if request.param == "cayley-z4":
+        return parse_calculus_spec(cayley_spec(4, [1, 3]))
+    return request.getfixturevalue("matrix2")
+
+
+@contextmanager
+def _every_basis_element(alg):
+    alg.__dict__["generators"] = tuple(range(alg.dim))
+    try:
+        yield
+    finally:
+        del alg.__dict__["generators"]
+
+
+@pytest.fixture
+def every_basis_element():
+    """Context manager: run the engine with every basis element of an algebra as a generator.
+
+    This is the all-basis reference for the reductions over
+    Algebra.generators: inside the block every balancing, intertwining and
+    Leibniz row is imposed once per basis element, as before the reduction.
+    """
+    return _every_basis_element

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ncjet.linalg import Mat, SpanBuilder, ZERO, kron, rank, rat, vec
+from ncjet.linalg import Mat, SpanBuilder, ZERO, kron, rank, rat, span_of, vec
 from ncjet.algebra import (
     Algebra,
     Bimodule,
@@ -15,8 +15,10 @@ from ncjet.algebra import (
     regular_bimodule,
     solve_module_maps,
     tensor_bimodule,
+    tensor_space,
     validate_algebra,
 )
+from ncjet.jets import pair_module
 
 
 # --- validation ----------------------------------------------------------------
@@ -212,3 +214,82 @@ def test_compose_eq_constraints_hold(quat):
     sol = solve_module_maps(reg, reg, "k", compose_eq=[(Mat.identity(4), target)])
     got = mat_from_flat(sol.particular, 4, 4)
     assert got == target
+
+
+# --- generators, and the reductions over them ---------------------------------------
+
+@pytest.mark.parametrize("alg, names", [
+    (quaternion_algebra(), ["i", "j"]),
+    (matrix_algebra(2), ["E11", "E12", "E21"]),
+    (matrix_algebra(3), ["E11", "E12", "E13", "E21", "E31"]),
+    (functions_on_points(1), []),
+    (functions_on_points(3), ["e1", "e2"]),
+])
+def test_generators_are_picked_greedily(alg, names):
+    assert [alg.basis_names[i] for i in alg.generators] == names
+    assert alg.generators is alg.generators  # computed once
+    # the words in the generators span A
+    assert module_closure(regular_bimodule(alg), [alg.unit]).dim == alg.dim
+
+
+def all_basis_relations(m, n):
+    """Reference: the balancing relations x.a (x) y - x (x) a.y for every basis element a."""
+    dn = n.dim
+    rels = []
+    for a in range(m.algebra.dim):
+        for x in range(m.dim):
+            for y in range(n.dim):
+                rel = {}
+                for mm in range(m.dim):
+                    rel[mm * dn + y] = rel.get(mm * dn + y, ZERO) + m.right[a].entry(mm, x)
+                for nn in range(dn):
+                    rel[x * dn + nn] = rel.get(x * dn + nn, ZERO) - n.left[a].entry(nn, y)
+                rels.append(rel)
+    return span_of(rels, m.dim * dn)
+
+
+def all_basis_closure(mod, seeds, use_right=False):
+    """Reference: the span of the seeds closed under every basis element's action."""
+    mats = list(mod.left) + (list(mod.right) if use_right else [])
+    sub = span_of(seeds, mod.dim)
+    while True:
+        rows = [sub.basis.row(i) for i in range(sub.dim)]
+        grown = span_of(rows + [mat.apply(r) for mat in mats for r in rows], mod.dim)
+        if grown == sub:
+            return sub
+        sub = grown
+
+
+def test_tensor_relations_match_every_basis_element(oracle_calc):
+    calc = oracle_calc
+    om = calc.omega
+    pair = pair_module(calc, calc.base_module()).mod  # a left module only
+    for m, n in [(om[1], om[0]), (om[1], om[1]), (om[1], om[2]), (om[2], om[1]), (om[1], pair)]:
+        assert tensor_space(m, n).relations == all_basis_relations(m, n)
+
+
+def test_module_closure_matches_every_basis_element(oracle_calc):
+    calc = oracle_calc
+    om11, ts = calc.form_module(1, calc.omega1)
+    d = [calc.d_of_basis(a) for a in range(calc.algebra.dim)]
+    seed_sets = [[ts.class_of(d[1], d[-1])], [ts.class_of(d[-1], d[1]), [1] + [0] * (om11.dim - 1)]]
+    for seeds in seed_sets:
+        for use_right in (False, True):
+            assert (module_closure(om11, seeds, use_right)
+                    == all_basis_closure(om11, seeds, use_right))
+    pair = pair_module(calc, calc.omega1)
+    seeds = [pair.j.col(t) for t in range(0, pair.j.cols, 3)]
+    assert module_closure(pair.mod, seeds) == all_basis_closure(pair.mod, seeds)
+
+
+def test_module_maps_match_every_basis_element(oracle_calc, every_basis_element):
+    calc = oracle_calc
+    om1 = calc.omega1
+    om11, _ = calc.form_module(1, om1)
+    cases = [(om1, om11, "left"), (om1, om1, "bilinear"), (om11, om11, "right"),
+             (calc.base_module(), om1, "bilinear")]
+    got = [solve_module_maps(*case) for case in cases]
+    with every_basis_element(calc.algebra):
+        want = [solve_module_maps(*case) for case in cases]
+    for g, w in zip(got, want):
+        assert (g.empty, g.particular, g.direction) == (w.empty, w.particular, w.direction)

@@ -115,6 +115,31 @@ def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, t
     assert out.startswith("invalid input:") and "exceeds cap 16" in out
 
 
+def test_oversized_tensor_product_is_refused_before_eliminating(quat_spec_path, quat,
+                                                               monkeypatch):
+    import ncjet.algebra
+    from ncjet.linalg import DimensionCapError, SpanBuilder
+
+    added = []
+
+    class Spy(SpanBuilder):
+        def add(self, v):
+            added.append(self.ambient)
+            return super().add(v)
+
+    monkeypatch.setattr(ncjet.algebra, "SpanBuilder", Spy)
+    # Omega^1 has dimension 8: A (x) A and every matrix before the first
+    # tensor product fit under 63, and Omega^1 (x) Omega^1 is 64 plain
+    monkeypatch.setenv("NCJET_MAX_DIM", "63")
+    with pytest.raises(DimensionCapError, match="8 x 8 exceeds cap 63"):
+        parse_calculus_spec(serialize_calculus(quat))
+    assert added == []
+    code, out = run(["validate", quat_spec_path])
+    assert code == EXIT_INVALID
+    assert out == "invalid input: plain tensor product 8 x 8 exceeds cap 63\n"
+    assert added == []
+
+
 def test_max_degree_one_spec_stops_the_tower(tmp_path, two_point):
     doc = serialize_calculus(two_point)
     doc["maxDegree"] = 1

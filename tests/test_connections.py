@@ -139,6 +139,22 @@ def test_two_point_universal_has_braided_connections(two_point):
     bimodule_connection_from_vector(two_point, sol.particular)
 
 
+# --- the reduction to generators ----------------------------------------------------------
+
+def same_affine(a, b):
+    return (a.empty, a.particular, a.direction) == (b.empty, b.particular, b.direction)
+
+
+def test_connection_solvers_match_every_basis_element(oracle_calc, every_basis_element):
+    calc = oracle_calc
+    modules = [calc.base_module(), calc.omega1, calc.omega[2]]
+    got = [solve_connections(calc, m) for m in modules] + [solve_bimodule_connections(calc)]
+    with every_basis_element(calc.algebra):
+        want = [solve_connections(calc, m) for m in modules] + [solve_bimodule_connections(calc)]
+    assert all(same_affine(g, w) for g, w in zip(got, want))
+    assert not got[-1].empty
+
+
 # --- torsion, metric, curvature --------------------------------------------------------------
 
 def test_torsion_of_frame_parallel_connection_vanishes(quat):

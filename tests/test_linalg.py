@@ -733,3 +733,27 @@ def test_projection_and_class_of_match_proj_apply(data):
         assert got == want
         assert all(type(v) is int or v.denominator != 1 for v in got)
     assert ts.project({}) == [0] * ts.dim
+
+
+@st.composite
+def _quotients(draw):
+    """A TensorSpace over a random subspace of rational vectors."""
+    from ncjet.algebra import TensorSpace
+
+    dl, dr = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = dl * dr
+    sub = span_of(draw(st.lists(st.lists(_ratl, min_size=n, max_size=n), max_size=n)), n)
+    return TensorSpace(dl, dr, *quotient_data(sub), sub)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_kron_between_matches_proj_kron_sec(data):
+    src, dst = data.draw(_quotients()), data.draw(_quotients())
+    f = data.draw(_sparse_mats(dst.left_dim, src.left_dim))
+    g = data.draw(_sparse_mats(dst.right_dim, src.right_dim))
+    got = dst.kron_between(f, g, src)
+    assert got == dst.proj * (kron(f, g) * src.sec)
+    assert _int_first(got) and _honest(got)
+    with pytest.raises(ValueError, match="shapes"):
+        dst.kron_between(f, g.vstack(g), src)
