@@ -350,7 +350,7 @@ class TensorSpace:
         return self._classes(*self.pure(x, y))
 
     def kron_between(self, f: Mat, g: Mat, src: "TensorSpace") -> Mat:
-        """proj * kron(f, g) * src.sec: f (x) g from src's quotient to this one.
+        """f (x) g from src's quotient to this one: proj * (f (x) g) * src.sec.
 
         Each section column of src is a plain basis tensor e_i (x) e_j, whose
         image is the class of f e_i (x) g e_j; it is gathered over integer

@@ -18,8 +18,8 @@ from .linalg import (
     kernel_of,
     intersect,
     kron,
+    nonzeros,
     quotient_data,
-    vec,
 )
 from .algebra import (
     Algebra,
@@ -149,11 +149,14 @@ class Calculus:
                                  self.omega[p].dim)
         if q == 1:
             return self.step_proj[p + 1]
-        return (
-            self.step_proj[p + q]
-            * kron(self.wedge_plain(p, q - 1), Mat.identity(self.omega1.dim))
-            * kron(Mat.identity(self.omega[p].dim), self.step_sec[q])
-        )
+        # the section of y in omega_q is one plain basis tensor u (x) k of
+        # omega_{q-1} x omega1, so column (x, y) gathers (x ^ u) (x) k, then projects
+        o1, low = self.omega1.dim, self.omega[q - 1].dim
+        wcols = self.wedge_plain(p, q - 1).transpose().nz
+        picks = [divmod(c, o1) for c, sel in enumerate(self.step_sec[q].nz) if sel]
+        gather = [{r * o1 + k: v for r, v in wcols[x * low + u].items()}
+                  for x in range(self.omega[p].dim) for u, k in picks]
+        return self.step_proj[p + q] * Mat.from_cols(gather, self.omega[p + q - 1].dim * o1)
 
     def tensor_pq(self, p, q) -> TensorSpace:
         """Presentation of omega_p (x)_A omega_q, p >= 1: the one form_module keeps."""
@@ -403,11 +406,12 @@ def quaternion_calculus(max_degree=3) -> Calculus:
         [0, 0, -1, 0],
         [0, 0, 0, 1],
     ]
+    reg = regular_bimodule(alg)
     left = []
     right = []
     for s in range(4):
         left.append(kron(Mat.identity(2), alg.lmat[s]))
-        right.append(kron(Mat.identity(2), _right_mult(alg, vec(phi[s]))))
+        right.append(kron(Mat.identity(2), reg.right_mult(phi[s])))
     om1 = Bimodule(alg, 8, left, right, label="O1(H)")
     dcols = [
         [0, 0, 0, 0, 0, 0, 0, 0],    # d(1) = 0
@@ -419,15 +423,6 @@ def quaternion_calculus(max_degree=3) -> Calculus:
     calc = build_calculus(alg, om1, d0, max_degree, name="quaternion")
     calc.left_frame_size = 2
     return calc
-
-
-def _right_mult(a: Algebra, x) -> Mat:
-    """Matrix of right multiplication by the coordinate vector x."""
-    acc = Mat.zeros(a.dim, a.dim)
-    for j, xj in enumerate(x):
-        if xj:
-            acc = acc + a.rmat[j].scale(xj)
-    return acc
 
 
 def twisted_pair(calc: Calculus, e: LeftModule):
@@ -442,13 +437,13 @@ def twisted_pair(calc: Calculus, e: LeftModule):
     alg = calc.algebra
     o1 = calc.omega1.dim
     w11 = calc.wedge_plain(1, 1)
-    eye_e = Mat.identity(e.dim)
     left = []
     for a in range(alg.dim):
-        da = calc.d_of_basis(a)
-        da_col = Mat(o1, 1, [[x] for x in da])
-        prepend = kron(da_col, Mat.identity(o1 * e.dim))
-        wda = ts2.proj * kron(w11, eye_e) * prepend * ts1.sec
+        da = nonzeros(calc.d_of_basis(a))
+        # L_da: w -> da ^ w on plain one-forms
+        l_da = w11 * Mat.from_cols([{s * o1 + w: x for s, x in da.items()} for w in range(o1)],
+                                   o1 * o1)
+        wda = ts2.kron_between(l_da, Mat.identity(e.dim), ts1)
         top = m1.left[a].hstack(Mat.zeros(m1.dim, m2.dim))
         bot = wda.hstack(m2.left[a])
         left.append(top.vstack(bot))

@@ -16,7 +16,6 @@ from .linalg import (
     ZERO,
     ONE,
     image_of,
-    kron,
     left_inverse,
     right_inverse,
     vec,
@@ -228,29 +227,29 @@ def tensor_connection(calc: Calculus, bconn: BimoduleConnection, connf: Connecti
     fm, ts_f = calc.form_module(1, f)      # O1 (x) F
     _, ts_v = calc.form_module(1, fm)      # O1 (x) (O1 (x) F)
     _, ts11 = calc.form_module(1, calc.omega1)
-    o1 = calc.omega1.dim
-    sigma_plain = ts11.sec * bconn.sigma * ts11.proj
-    eye_f = Mat.identity(f.dim)
-    to_v = ts_v.proj * kron(Mat.identity(o1), ts_f.proj)
-    term2_map = to_v * kron(sigma_plain, eye_f)
-    cols = []
-    # plain lifts of nabla(w_b) and nabla(f_t), as {index: value}
+    o1, fd = calc.omega1.dim, f.dim
+    # plain lifts of nabla(w_b), nabla(f_t) and of sigma on plain pairs, as {index: value}
     nb_plain = (ts11.sec * bconn.base.mat).transpose().nz
     nf_plain = (ts_f.sec * connf.mat).transpose().nz
+    sigma_plain = (ts11.sec * (bconn.sigma * ts11.proj)).transpose().nz
+    cols = []
     for b in range(o1):
-        for t in range(f.dim):
-            # term 1: nabla(w_b) (x) f_t
-            acc = [ZERO] * (o1 * o1 * f.dim)
-            for idx, v in nb_plain[b].items():
-                acc[idx * f.dim + t] = v
-            col = to_v.apply(acc)
-            # term 2: (sigma (x) id)(w_b (x) nabla f_t)
-            acc2 = [ZERO] * (o1 * o1 * f.dim)
-            base = b * o1 * f.dim
+        for t in range(fd):
+            # nabla(w_b) (x) f_t + (sigma (x) id)(w_b (x) nabla f_t), as terms
+            # (plain pair, index u in F, coefficient)
+            terms = [(nb_plain[b], t, ONE)]
             for idx, v in nf_plain[t].items():
-                acc2[base + idx] = v
-            col2 = term2_map.apply(acc2)
-            cols.append([x + y for x, y in zip(col, col2)])
+                j, u = divmod(idx, fd)
+                terms.append((sigma_plain[b * o1 + j], u, v))
+            # the plain O1 (x) O1 (x) F sum, one O1 (x) F part per outer index i
+            inner = [{} for _ in range(o1)]
+            for pairs, u, v in terms:
+                for pair, s in pairs.items():
+                    i, k = divmod(pair, o1)
+                    inner[i][k * fd + u] = inner[i].get(k * fd + u, ZERO) + s * v
+            # project the inner factor through ts_f, then the outer one through ts_v
+            cols.append(ts_v.project({i * ts_f.dim + k: x for i, part in enumerate(inner) if part
+                                      for k, x in enumerate(ts_f.project(part)) if x}))
     plain = Mat.from_cols(cols, ts_v.dim)
     mat = calc.descend(plain, ts_f, "tensor connection")
     return Connection(calc, fm, mat)

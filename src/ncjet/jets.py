@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .linalg import (Mat, Subspace, ONE, image_of, int_row, intersect, kernel_of, kron, rank,
+from .linalg import (Mat, Subspace, ONE, image_of, int_row, intersect, kernel_of, rank,
                      span_of)
 from .algebra import Bimodule, LeftModule, module_closure
 from .calculus import Calculus, CalculusError
@@ -373,9 +373,9 @@ def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
     if m == 0:
         return got, calc.omega_lift(1, jet.pi, jet.mod, jet.lower.mod)
     _, ts_dom1 = calc.form_module(1, dom)
-    _, ts_inner = calc.form_module(m, jet.mod)
+    _, ts_low = calc.form_module(m, jet.lower.mod)
     _, ts_tgt = calc.form_module(m + 1, jet.lower.mod)
-    pi_plain = (kron(Mat.identity(calc.omega[m].dim), jet.pi) * ts_inner.sec).transpose().nz
+    pi_plain = (ts_low.sec * calc.omega_lift(m, jet.pi, jet.mod, jet.lower.mod)).transpose().nz
     cols = [ts_tgt._classes(*_wedge_prepend(calc, 1, b, pi_plain[u], jet.lower.mod.dim, q=m))
             for b in range(calc.omega1.dim) for u in range(dom.dim)]
     expected = Mat.from_cols(cols, ts_tgt.dim) * ts_dom1.sec
@@ -388,8 +388,9 @@ def delta_contraction(calc: Calculus, e: LeftModule, h: int, k: int) -> Mat:
         raise ValueError("need h >= 1")
     calc.check_degree(k + 1)
     sh = sym_module(calc, e, h)
-    return exterior_operator(calc, k, sh.mod, sym_module(calc, e, h - 1).mod, None,
-                             sh.iota_wedge, "wedge contraction")
+    return calc.memo(("delta", e, h, k), lambda: exterior_operator(
+        calc, k, sh.mod, sym_module(calc, e, h - 1).mod, None, sh.iota_wedge,
+        "wedge contraction"))
 
 
 def spencer_complex(calc: Calculus, e: LeftModule, n: int, flavor=HOLONOMIC):

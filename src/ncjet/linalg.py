@@ -451,8 +451,9 @@ class Subspace:
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient, basis_rows, *, reduced=False):
-        if ambient > max_dim():
-            raise DimensionCapError("ambient dimension exceeds cap")
+        cap = max_dim()
+        if ambient > cap:
+            raise DimensionCapError("ambient dimension %d exceeds cap %d" % (ambient, cap))
         if reduced:
             rows = [nonzeros(r) for r in basis_rows]
             pivots = [min(r) if r else None for r in rows]

@@ -59,15 +59,16 @@ def parse_calculus_spec(doc) -> Calculus:
         raise SpecParseError("maxDegree must be a positive integer")
     try:
         dim = alg_doc["dim"]
-        names = alg_doc.get("basis") or ["e%d" % i for i in range(dim)]
-        unit = [_rat_in(x) for x in alg_doc["unit"]]
+        unit = alg_doc["unit"]
         mult_rows = alg_doc["mult"]
     except (KeyError, TypeError):
         raise SpecParseError("algebra section needs dim, unit, mult")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # not bool, which JSON true/false parse to
         raise SpecParseError("algebra dim must be a positive integer")
-    if len(unit) != dim or not isinstance(names, list) or len(names) != dim:
-        raise SpecParseError("algebra unit/basis length mismatch")
+    names = alg_doc.get("basis") or ["e%d" % i for i in range(dim)]
+    if not all(isinstance(x, list) and len(x) == dim for x in (unit, names)):
+        raise SpecParseError("algebra unit and basis must be lists of length dim")
+    unit = [_rat_in(x) for x in unit]
     if not all(isinstance(x, str) for x in names):
         raise SpecParseError("algebra basis names must be strings")
     if not isinstance(mult_rows, list) or len(mult_rows) != dim:
@@ -85,7 +86,7 @@ def parse_calculus_spec(doc) -> Calculus:
         d_doc = om_doc["d"]
     except (KeyError, TypeError):
         raise SpecParseError("omega1 section needs dim, left, right, d")
-    if not isinstance(odim, int) or odim < 0:
+    if type(odim) is not int or odim < 0:
         raise SpecParseError("omega1 dim must be a nonnegative integer")
     frame = doc.get("leftFrameSize")
     if frame is not None and (type(frame) is not int or frame < 1 or frame * dim > odim):

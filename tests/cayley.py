@@ -1,35 +1,43 @@
-"""Cayley-graph calculi on cyclic groups, written as spec documents.
+"""Cayley-graph calculi on finite groups, written as spec documents.
 
-For Z/n and a generating set C, the algebra is the functions on Z/n with
-the point basis delta_x.  Omega^1 is free on e_c for c in C, with the
-relation e_c f = R_c(f) e_c where R_c(f)(x) = f(x + c), and
-df = sum_c (R_c f - f) e_c.  The one-forms delta_x e_c sit at index
-t * n + x for the t-th generator c, so C is a declared left frame.
+For a finite group G given by its multiplication table and a generating
+set C, the algebra is the functions on G with the point basis delta_x.
+Omega^1 is free on e_c for c in C, with the relation e_c f = R_c(f) e_c
+where R_c(f)(x) = f(xc), and df = sum_c (R_c f - f) e_c (Beggs-Majid,
+Quantum Riemannian Geometry, ch. 1).  The one-forms delta_x e_c sit at
+index t * |G| + x for the t-th generator c, so C is a declared left frame.
 """
 
+from itertools import permutations
 
-def cayley_spec(n, gens, max_degree=3):
-    """Spec document of the Cayley-graph calculus of Z/n with generators `gens`."""
+
+def group_spec(table, gens, max_degree=3):
+    """Spec document of the Cayley-graph calculus of the group with table[x][y] = xy."""
+    n = len(table)
     m = len(gens) * n
 
     def zeros(rows, cols):
         return [["0"] * cols for _ in range(rows)]
 
     def at(t, x):
-        return t * n + x % n
+        return t * n + x
 
     left, right = [], []
     for b in range(n):
         lm, rm = zeros(m, m), zeros(m, m)
         for t, c in enumerate(gens):
-            lm[at(t, b)][at(t, b)] = "1"          # delta_b delta_x e_c = [x = b] delta_x e_c
-            rm[at(t, b - c)][at(t, b - c)] = "1"  # delta_x e_c delta_b = [x = b - c] delta_x e_c
+            lm[at(t, b)][at(t, b)] = "1"      # delta_b delta_x e_c = [x = b] delta_x e_c
+            for x in range(n):
+                if table[x][c] == b:         # delta_x e_c delta_b = [xc = b] delta_x e_c
+                    rm[at(t, x)][at(t, x)] = "1"
         left.append(lm)
         right.append(rm)
     d = zeros(m, n)
     for b in range(n):
         for t, c in enumerate(gens):
-            d[at(t, b - c)][b] = "1"              # d delta_b = sum_c (delta_{b-c} - delta_b) e_c
+            for x in range(n):
+                if table[x][c] == b:         # d delta_b = sum_c (delta_{bc^-1} - delta_b) e_c
+                    d[at(t, x)][b] = "1"
             d[at(t, b)][b] = "-1"
     return {
         "algebra": {
@@ -43,3 +51,19 @@ def cayley_spec(n, gens, max_degree=3):
         "maxDegree": max_degree,
         "leftFrameSize": len(gens),
     }
+
+
+def cayley_spec(n, gens, max_degree=3):
+    """Spec document of the Cayley-graph calculus of Z/n with generators `gens`."""
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    return group_spec(table, [c % n for c in gens], max_degree)
+
+
+def symmetric_group(k):
+    """(multiplication table, transposition indices) of S_k on the permutations in
+    lexicographic order, with (pq)(i) = p(q(i))."""
+    perms = list(permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(k))] for q in perms] for p in perms]
+    swaps = [i for i, p in enumerate(perms) if sum(p[j] != j for j in range(k)) == 2]
+    return table, swaps

@@ -103,14 +103,29 @@ def sheared_quat_doc(quat):
     return sheared_spec(serialize_calculus(quat), QUAT_ALGEBRA_SHEARS, QUAT_FORM_SHEARS)
 
 
-@pytest.fixture(scope="session", params=["sheared-quat", "cayley-z4", "matrix2"])
+@pytest.fixture(scope="session")
+def sheared_quat(sheared_quat_doc):
+    return parse_calculus_spec(sheared_quat_doc)
+
+
+@pytest.fixture(scope="session")
+def cayley_z4():
+    return parse_calculus_spec(cayley_spec(4, [1, 3]))
+
+
+_ORACLE_CALCS = {"sheared-quat": "sheared_quat", "cayley-z4": "cayley_z4", "matrix2": "matrix2"}
+
+
+@pytest.fixture(scope="session", params=list(_ORACLE_CALCS))
 def oracle_calc(request):
     """The calculi on which the generator reduction is checked against every basis element."""
-    if request.param == "sheared-quat":
-        return parse_calculus_spec(request.getfixturevalue("sheared_quat_doc"))
-    if request.param == "cayley-z4":
-        return parse_calculus_spec(cayley_spec(4, [1, 3]))
-    return request.getfixturevalue("matrix2")
+    return request.getfixturevalue(_ORACLE_CALCS[request.param])
+
+
+@pytest.fixture(scope="session", params=["quaternion", *_ORACLE_CALCS])
+def kron_oracle_calc(request):
+    """The calculi on which the gathers are checked against their plain Kronecker formulas."""
+    return request.getfixturevalue(dict(_ORACLE_CALCS, quaternion="quat")[request.param])
 
 
 @contextmanager

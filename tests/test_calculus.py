@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from ncjet.linalg import Mat, ZERO, kernel_of, rat
+from cayley import cayley_spec
+from ncjet.linalg import Mat, ZERO, kernel_of, kron, rat
 from ncjet.algebra import Algebra, functions_on_points, module_closure, tensor_bimodule
 from ncjet.calculus import (
     CalculusError,
@@ -13,6 +14,7 @@ from ncjet.calculus import (
     universal_calculus,
     validate_fodc,
 )
+from ncjet.specio import parse_calculus_spec
 
 
 def frame_form(calc, t):
@@ -246,6 +248,52 @@ def test_twisted_pair_is_associative_on_all_pairs(quat):
     for a, b in itertools.product(range(4), repeat=2):
         ab = calc.algebra.mul(calc.algebra.basis_vector(a), calc.algebra.basis_vector(b))
         assert tw.left_mult(ab) == tw.left[a] * tw.left[b]
+
+
+def _twisted_left_by_kron(calc, e):
+    """The twisted pair's action matrices through plain Kronecker products (the reference)."""
+    m1, ts1 = calc.form_module(1, e)
+    m2, ts2 = calc.form_module(2, e)
+    o1 = calc.omega1.dim
+    w11_e = kron(calc.wedge_plain(1, 1), Mat.identity(e.dim))
+    left = []
+    for a in range(calc.algebra.dim):
+        da_col = Mat(o1, 1, [[x] for x in calc.d_of_basis(a)])
+        wda = ts2.proj * w11_e * kron(da_col, Mat.identity(o1 * e.dim)) * ts1.sec
+        left.append(m1.left[a].hstack(Mat.zeros(m1.dim, m2.dim)).vstack(wda.hstack(m2.left[a])))
+    return left
+
+
+def test_twisted_pair_matches_kron_formula(kron_oracle_calc):
+    calc = kron_oracle_calc
+    for e in (calc.base_module(), calc.omega1):
+        assert twisted_pair(calc, e)[0].left == _twisted_left_by_kron(calc, e)
+
+
+def _wedge_plain_by_kron(calc, p, q):
+    """Plain wedge omega_p x omega_q -> omega_{p+q} through Kronecker products (the reference)."""
+    if q == 1:
+        return calc.step_proj[p + 1]
+    return (calc.step_proj[p + q]
+            * kron(_wedge_plain_by_kron(calc, p, q - 1), Mat.identity(calc.omega1.dim))
+            * kron(Mat.identity(calc.omega[p].dim), calc.step_sec[q]))
+
+
+def _check_wedge_plain(calc):
+    top = calc.max_degree
+    pairs = [(p, q) for p in range(1, top) for q in range(2, top - p + 1)]
+    assert pairs
+    for p, q in pairs:
+        assert calc.wedge_plain(p, q) == _wedge_plain_by_kron(calc, p, q)
+
+
+def test_wedge_plain_matches_kron_formula(kron_oracle_calc):
+    _check_wedge_plain(kron_oracle_calc)
+
+
+def test_wedge_plain_matches_kron_formula_to_degree_five():
+    """(1, 3), (2, 2), (1, 4), (2, 3) and (3, 2) recurse through the gather."""
+    _check_wedge_plain(parse_calculus_spec(cayley_spec(4, [1, 3], 5)))
 
 
 # --- descending through a quotient presentation --------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cayley import cayley_spec
+from cayley import cayley_spec, group_spec, symmetric_group
 from ncjet.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PARSE, EXIT_PASS, main
 from ncjet.specio import dump_json, parse_calculus_spec, serialize_calculus
 
@@ -48,8 +48,15 @@ def test_validate_malformed_json(tmp_path):
     assert code == EXIT_PARSE
 
 
+ROOT = Path(__file__).resolve().parents[1]
 _ONE_DIM_ALGEBRA = {"dim": 1, "unit": ["1"], "mult": [[["1"]]]}
 _ZERO_FORMS = {"dim": 0, "left": [[]], "right": [[]], "d": []}
+# functions on two points with one one-form w = e0 d(e1): e0 w = w = w e1, d(e1) = w = -d(e0)
+_TWO_POINTS = {"dim": 2, "unit": ["1", "1"],
+               "mult": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]}
+_ONE_EDGE_FORMS = {"dim": 1, "left": [[["1"]], [["0"]]], "right": [[["0"]], [["1"]]],
+                   "d": [["-1", "1"]]}
+_QUAT_SPEC = json.loads((ROOT / "perfbench" / "quaternion.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -72,6 +79,12 @@ _ZERO_FORMS = {"dim": 0, "left": [[]], "right": [[]], "d": []}
                      id="basis-name-not-a-string"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, unit=[True]), "omega1": _ZERO_FORMS},
                      id="unit-bool"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, dim=True), "omega1": _ZERO_FORMS},
+                     id="algebra-dim-bool"),
+        pytest.param({"algebra": _TWO_POINTS, "omega1": dict(_ONE_EDGE_FORMS, dim=True)},
+                     id="omega1-dim-bool"),
+        pytest.param(dict(_QUAT_SPEC, algebra=dict(_QUAT_SPEC["algebra"], unit="1000")),
+                     id="unit-string"),
     ],
 )
 def test_validate_schema_error(tmp_path, doc):
@@ -80,6 +93,15 @@ def test_validate_schema_error(tmp_path, doc):
     code, out = run(["validate", str(path)])
     assert code == EXIT_PARSE
     assert out.startswith("parse error:")
+
+
+def test_schema_error_documents_are_valid_once_repaired(tmp_path):
+    """The bool and string cases above differ from valid specs only in that one value."""
+    for doc in ({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS},
+                {"algebra": _TWO_POINTS, "omega1": _ONE_EDGE_FORMS}, _QUAT_SPEC):
+        path = tmp_path / "valid.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)]) == (EXIT_PASS, "ok\n")
 
 
 def test_each_tensor_presentation_is_built_once(monkeypatch):
@@ -102,6 +124,30 @@ def test_each_tensor_presentation_is_built_once(monkeypatch):
     code, _ = run(["connections", "matrix2-universal", "--bimodule", "--json"])
     assert code == EXIT_PASS
     assert built and len(set(built)) == len(built)
+
+
+def test_second_spencer_pass_builds_no_wedge_contraction(monkeypatch):
+    """bicomplex_report reads each delta contraction from the calculus memo."""
+    import ncjet.cli
+    import ncjet.jets
+    from ncjet.calculus import quaternion_calculus
+
+    built = []
+    exterior_operator = ncjet.jets.exterior_operator
+
+    def spy(calc, m, dom, low, pi, d0, what):
+        if what == "wedge contraction":
+            built.append((m, dom))
+        return exterior_operator(calc, m, dom, low, pi, d0, what)
+
+    monkeypatch.setattr(ncjet.jets, "exterior_operator", spy)
+    calc = quaternion_calculus()
+    monkeypatch.setattr(ncjet.cli, "_load_calculus", lambda ref: calc)
+    first = run(["spencer", "quaternion", "--order", "3", "--json"])
+    assert first[0] == EXIT_PASS and built
+    del built[:]
+    assert run(["spencer", "quaternion", "--order", "3", "--json"]) == first
+    assert built == []
 
 
 def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, two_point):
@@ -443,7 +489,41 @@ def test_star_gens_need_a_left_frame():
     assert "calculus has no declared left frame" in out
 
 
-GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+_S3_COMMANDS = {"connections": ["--bimodule", "--json"], "quantize": ["--star-gens", "--json"]}
+
+
+@pytest.fixture(scope="module")
+def s3_spec_path(tmp_path_factory):
+    """The Cayley calculus of S3 with its three transpositions: 6 points, 18 one-forms."""
+    path = tmp_path_factory.mktemp("specs") / "s3.json"
+    path.write_text(dump_json(group_spec(*symmetric_group(3))))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def s3_reports(s3_spec_path):
+    return {cmd: run([cmd, s3_spec_path] + extra) for cmd, extra in _S3_COMMANDS.items()}
+
+
+def test_s3_braided_connections_and_quantization_at_the_default_cap(s3_reports):
+    (code_c, conn), (code_q, quant) = s3_reports["connections"], s3_reports["quantize"]
+    assert (code_c, code_q) == (EXIT_PASS, EXIT_PASS), conn + quant
+    assert json.loads(conn)["affine_dim"] == 162
+    assert json.loads(quant)["order_cap"] == 3
+
+
+def test_s3_cap_bounds_the_braided_unknowns_not_kronecker_intermediates(
+        s3_spec_path, s3_reports, monkeypatch):
+    """The largest matrix either S3 command builds is the braided system's 3,888 unknowns."""
+    for cmd, extra in _S3_COMMANDS.items():
+        monkeypatch.setenv("NCJET_MAX_DIM", "3887")
+        assert run([cmd, s3_spec_path] + extra) == (
+            EXIT_INVALID, "invalid input: ambient dimension 3888 exceeds cap 3887\n")
+        monkeypatch.setenv("NCJET_MAX_DIM", "3888")
+        assert run([cmd, s3_spec_path] + extra) == s3_reports[cmd]
+
+
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))

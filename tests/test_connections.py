@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from ncjet.linalg import Mat, ZERO, image_of, rat, vec
+from ncjet.linalg import Mat, ZERO, image_of, kron, rat, vec
 from ncjet.algebra import Bimodule, mat_from_flat, solve_module_maps
 from ncjet.connections import (
     Connection,
@@ -314,6 +314,26 @@ def test_tensor_connection_with_base(quat):
     calc = quat
     conn = tensor_connection(calc, braided_connection(quat), base_connection(quat))
     assert conn.leibniz_violations() == []
+
+
+def _tensor_connection_by_kron(calc, bconn, connf):
+    """The induced connection through plain Kronecker products (the reference)."""
+    f = connf.module
+    fm, ts_f = calc.form_module(1, f)
+    _, ts_v = calc.form_module(1, fm)
+    _, ts11 = calc.form_module(1, calc.omega1)
+    eye_o, eye_f = Mat.identity(calc.omega1.dim), Mat.identity(f.dim)
+    to_v = ts_v.proj * kron(eye_o, ts_f.proj)
+    term1 = kron(ts11.sec * bconn.base.mat, eye_f)
+    term2 = kron(ts11.sec * bconn.sigma * ts11.proj, eye_f) * kron(eye_o, ts_f.sec * connf.mat)
+    return to_v * (term1 + term2) * ts_f.sec
+
+
+def test_tensor_connection_matches_kron_formula(kron_oracle_calc):
+    calc = kron_oracle_calc
+    bc = braided_connection(calc)
+    for connf in (base_connection(calc), bc.base):
+        assert tensor_connection(calc, bc, connf).mat == _tensor_connection_by_kron(calc, bc, connf)
 
 
 # --- higher-order connections -------------------------------------------------------------------
