@@ -140,7 +140,7 @@ def bimodule_connection_system(calc: Calculus) -> AffineSystem:
 
     Unknowns are the connection entries followed by the braiding entries;
     rows impose the left Leibniz rule, the right Leibniz rule through the
-    braiding, and two-sided linearity of the braiding.
+    braiding, and right linearity of the braiding.
     """
     om1 = calc.omega1
     om11, _ = calc.form_module(1, calc.omega1)
@@ -180,19 +180,20 @@ def bimodule_connection_system(calc: Calculus) -> AffineSystem:
                 for k, v in d_a[j].items():
                     add(coeffs, sig(i, k), -v)
                 sys.add_row(coeffs)
-        # braiding linearity on both sides
-        for mats in (om11.left, om11.right):
-            m_rows = mats[a].nz
-            m_cols = mats[a].transpose().nz
-            for i in range(qq):
-                for j in range(qq):
-                    coeffs = {}
-                    for k, v in m_cols[j].items():
-                        add(coeffs, sig(i, k), v)
-                    for k, v in m_rows[i].items():
-                        add(coeffs, sig(k, j), -v)
-                    if coeffs:
-                        sys.add_row(coeffs)
+        # braiding linearity on the right only: left linearity follows, as
+        # sigma(b xi (x) da) = nabla(b xi a) - nabla(b xi) a = b sigma(xi (x) da)
+        # by left Leibniz, and the xi (x) da span since one-forms are A.dA
+        # (validate_fodc)
+        r_cols = om11.right[a].transpose().nz
+        for i in range(qq):
+            for j in range(qq):
+                coeffs = {}
+                for k, v in r_cols[j].items():
+                    add(coeffs, sig(i, k), v)
+                for k, v in r_tgt[i].items():
+                    add(coeffs, sig(k, j), -v)
+                if coeffs:
+                    sys.add_row(coeffs)
     return sys
 
 

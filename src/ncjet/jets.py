@@ -436,11 +436,7 @@ def nu_operator(calc: Calculus, e: LeftModule, m: int):
     _, ts2e = calc.form_module(2, e)
     if m == 0:
         # projection onto the second summand
-        zero = Mat.zeros(ts_tgt.dim, m1.dim)
-        second = Mat.identity(m2.dim) if ts_tgt.dim == m2.dim else None
-        if second is None:
-            raise CalculusError("degree-2 target misaligned")
-        return zero.hstack(second), tw, m1.dim
+        return Mat.zeros(m2.dim, m1.dim).hstack(Mat.identity(m2.dim)), tw, m1.dim
     _, ts_dom = calc.form_module(m, tw)
     sign = ONE if m % 2 == 0 else -ONE
     alpha_plain = ts1e.sec.transpose().nz

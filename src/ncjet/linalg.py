@@ -343,16 +343,6 @@ class Mat:
             for i in row_idx])
 
 
-def _integral(v):
-    """Nonzeros of v as a fresh {col: int} dict: v times the lcm of its denominators."""
-    row = nonzeros(v)
-    dens = [x.denominator for x in row.values() if type(x) is not int]
-    if dens:
-        m = lcm(*dens)
-        row = {c: int(x * m) for c, x in row.items()}
-    return row
-
-
 def _eliminate(row, piv, p):
     """Clear row[p] over the ints: row <- d*row - f*piv for f = row[p], d = piv[p] > 0."""
     f, d = row[p], piv[p]
@@ -389,7 +379,7 @@ class SpanBuilder:
 
     def add(self, v):
         """Add one vector (list or dict); returns True if rank grew."""
-        row = _integral(v)
+        row = int_row(nonzeros(v))[1]
         rows = self.rows
         while row:
             p = min(row)

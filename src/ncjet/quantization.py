@@ -4,9 +4,9 @@ An operator E -> F is any linear map; its order is the least n admitting a
 module-linear factorization through the order-n jet prolongation.  A
 quantization assigns to every degree-n symbol an order-n operator through a
 chain of connections on the symmetric-form modules, split by retractions of
-the wedge-kernel inclusions.  The star product deforms symbol
-multiplication by quantize-compose-resymbolize, graded by a central formal
-variable.
+the wedge-kernel inclusions.  The total symbol inverts the quantization, and
+the star product is a * b = sigma(q(a) o q(b)), with a central formal
+variable hbar counting the order the composite loses.
 """
 
 from __future__ import annotations
@@ -22,23 +22,23 @@ class LiftError(CalculusError):
     pass
 
 
-class OperatorContext:
-    """Jet/symbol data for operators from a fixed module to itself or another.
+# Operators are searched for an order up to this bound when the symmetric
+# forms do not vanish below it.
+MAX_ORDER = 4
 
-    order_cap defaults to the first degree with vanishing symmetric forms
-    (jet stabilization), else to max_order.
+
+class OperatorContext:
+    """Jet/symbol data for operators on a fixed module.
+
+    order_cap is the first degree with vanishing symmetric forms (jet
+    stabilization), else MAX_ORDER.
     """
 
-    def __init__(self, calc: Calculus, e: LeftModule, f: LeftModule = None, max_order=4):
+    def __init__(self, calc: Calculus, e: LeftModule):
         self.calc = calc
         self.e = e
-        self.f = f if f is not None else e
-        cap = None
-        for n in range(max_order + 1):
-            if sym_module(calc, e, n).dim == 0:
-                cap = n
-                break
-        self.order_cap = cap if cap is not None else max_order
+        self.order_cap = next((n for n in range(MAX_ORDER + 1)
+                               if sym_module(calc, e, n).dim == 0), MAX_ORDER)
         self._memo = {}
 
     def jet(self, n) -> JetModule:
@@ -60,7 +60,7 @@ class OperatorContext:
 
         Raises LiftError when the operator has order above n.
         """
-        target = target if target is not None else self.f
+        target = target if target is not None else self.e
 
         def build():
             jet = self.jet(n)
@@ -114,9 +114,6 @@ class Symbol:
             raise ValueError("cannot add symbols of different degree")
         return Symbol(self.degree, self.mat + other.mat)
 
-    def __neg__(self):
-        return Symbol(self.degree, -self.mat)
-
     def scale(self, c):
         return Symbol(self.degree, self.mat.scale(c))
 
@@ -148,9 +145,6 @@ class GradedSymbol:
             out._add(s)
         return out
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c):
         c = rat(c)
         if not c:
@@ -181,7 +175,9 @@ class HPoly:
     """Polynomial in a central variable with graded-symbol coefficients.
 
     Negative powers are admitted only when allow_negative is set (the
-    localized variant used by the deformed total symbol).
+    localized variant used by the formal total symbol).  The star product
+    re-wraps that total symbol without it, so a product that loses more
+    order than its degree allows is refused.
     """
 
     def __init__(self, coeffs=None, allow_negative=False):
@@ -203,20 +199,8 @@ class HPoly:
         cur = self.coeffs.get(p, GradedSymbol())
         self._set(p, cur + gs)
 
-    def __add__(self, other):
-        out = HPoly(dict(self.coeffs), allow_negative=self.allow_negative or other.allow_negative)
-        for p, gs in other.coeffs.items():
-            out.add_term(p, gs)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, HPoly) and self.coeffs == other.coeffs
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def powers(self):
-        return sorted(self.coeffs)
 
     def evaluate(self, hbar) -> GradedSymbol:
         hbar = rat(hbar)
@@ -231,7 +215,12 @@ class HPoly:
         return out
 
     def __repr__(self):
-        return "HPoly(powers %s)" % self.powers()
+        return "HPoly(powers %s)" % sorted(self.coeffs)
+
+    @staticmethod
+    def of(x):
+        """A symbol or graded symbol as a constant polynomial."""
+        return HPoly({0: GradedSymbol.of(x) if isinstance(x, Symbol) else x})
 
 
 class Quantization:
@@ -268,25 +257,44 @@ class Quantization:
             raise ValueError("degree beyond quantization cap")
         return sym.mat * self.chain[sym.degree]
 
-    def q_graded(self, gs: GradedSymbol) -> Mat:
-        out = Mat.zeros(self.ctx.f.dim, self.ctx.e.dim)
-        for s in gs.parts.values():
-            out = out + self.q(s)
+    def q_formal(self, hp: HPoly) -> dict:
+        """Formal deformed quantization: hbar^p s_k goes to power p + k."""
+        out = {}
+        for p, gs in hp.coeffs.items():
+            for k, s in gs.parts.items():
+                mat = self.q(s)
+                key = p + k
+                out[key] = out.get(key, Mat.zeros(mat.rows, mat.cols)) + mat
+        return {p: m for p, m in out.items() if not m.is_zero()}
+
+    def q_deformed(self, gs: GradedSymbol, hbar) -> Mat:
+        """Sum of hbar^k-weighted degree-k quantizations."""
+        hbar = rat(hbar)
+        out = Mat.zeros(self.ctx.e.dim, self.ctx.e.dim)
+        for p, mat in self.q_formal(HPoly.of(gs)).items():
+            out = out + mat.scale(hbar**p)
         return out
+
+    def q_graded(self, gs: GradedSymbol) -> Mat:
+        return self.q_deformed(gs, 1)
 
     def zeta(self, mat: Mat, k: int, target=None) -> Symbol:
         """Degree-k symbol of an operator of order <= k."""
-        return memo(self._memo, ("zeta", mat, k, target), lambda: Symbol(
-            k, self.ctx.op_lift(mat, k, target=target) * self.ctx.jet(k).iota))
+        return memo(self._memo, ("zeta", mat, k, target),
+                    lambda: self.ctx.symbol_of(mat, k, target))
+
+    def _order(self, mat: Mat, target=None) -> int:
+        """Order of an operator; LiftError when it has none within the cap."""
+        order = self.ctx.op_order(mat, target=target)
+        if order is None:
+            raise LiftError("operator has no finite order within the cap")
+        return order
 
     def truncate(self, mat: Mat, k: int, target=None) -> Mat:
         """Order-<=k remainder after stripping quantized top symbols."""
         def build():
-            order = self.ctx.op_order(mat, target=target)
-            if order is None:
-                raise LiftError("operator has no finite order within the cap")
             cur = mat
-            for j in range(order, k, -1):
+            for j in range(self._order(mat, target), k, -1):
                 cur = cur - self.q(self.zeta(cur, j, target=target))
             return cur
 
@@ -295,105 +303,53 @@ class Quantization:
     def graded_piece(self, mat: Mat, k: int, target=None) -> Symbol:
         return self.zeta(self.truncate(mat, k, target=target), k, target=target)
 
-    def total_symbol(self, mat: Mat, target=None) -> GradedSymbol:
-        order = self.ctx.op_order(mat, target=target)
-        if order is None:
-            raise LiftError("operator has no finite order within the cap")
-        return GradedSymbol(
-            [self.graded_piece(mat, k, target=target) for k in range(order + 1)]
-        )
-
     def homogeneous_component(self, mat: Mat, k: int, target=None) -> Mat:
         return self.q(self.graded_piece(mat, k, target=target))
 
-    def star_formal(self, a: Symbol, b: Symbol) -> HPoly:
-        """Formal star product of two pure symbols."""
-        comp = self.q(a) * self.q(b)
-        n = a.degree + b.degree
-        out = HPoly()
-        for k in range(n + 1):
-            piece = self.graded_piece(comp, n - k)
-            if not piece.is_zero():
-                out.add_term(k, GradedSymbol.of(piece))
+    def total_symbol_formal_deformed(self, op_poly: dict, target=None) -> HPoly:
+        """Formal localized total symbol, the inverse of q_formal.
+
+        op_poly maps powers to operator matrices; the degree-k graded piece
+        of the power-p operator lands at power p - k (possibly negative).
+        """
+        out = HPoly(allow_negative=True)
+        for p, mat in op_poly.items():
+            for k in range(self._order(mat, target) + 1):
+                out.add_term(p - k, GradedSymbol.of(self.graded_piece(mat, k, target=target)))
         return out
 
-    def star_formal_graded(self, a: GradedSymbol, b: GradedSymbol) -> HPoly:
-        out = HPoly()
-        for da in sorted(a.parts):
-            for db in sorted(b.parts):
-                out = out + self.star_formal(a.parts[da], b.parts[db])
-        return out
+    def total_symbol(self, mat: Mat, target=None) -> GradedSymbol:
+        return self.total_symbol_formal_deformed({0: mat}, target).evaluate(1)
+
+    def total_symbol_deformed(self, mat: Mat, hbar) -> GradedSymbol:
+        """Inverse of the deformed quantization (hbar must be invertible)."""
+        return self.total_symbol_formal_deformed({0: mat}).evaluate(hbar)
 
     def star_poly(self, a: HPoly, b: HPoly) -> HPoly:
-        """Bilinear extension of the formal star to polynomial arguments."""
-        out = HPoly(allow_negative=a.allow_negative or b.allow_negative)
-        for pa, ga in a.coeffs.items():
-            for pb, gb in b.coeffs.items():
-                inner = self.star_formal_graded(ga, gb)
-                for p, gs in inner.coeffs.items():
-                    out.add_term(pa + pb + p, gs)
-        return out
+        """The star product: a * b is the total symbol of q(a) o q(b).
+
+        hbar counts the order lost by the composite; a plain HPoly refuses
+        negative powers, so this also checks the filtration bound.
+        """
+        qb = self.q_formal(b)
+        comp = {}
+        for pa, ma in self.q_formal(a).items():
+            for pb, mb in qb.items():
+                prod = ma * mb
+                comp[pa + pb] = comp[pa + pb] + prod if pa + pb in comp else prod
+        return HPoly(self.total_symbol_formal_deformed(comp).coeffs)
+
+    def star_formal(self, a, b) -> HPoly:
+        """Formal star product of two symbols or graded symbols."""
+        return self.star_poly(HPoly.of(a), HPoly.of(b))
 
     def star_eval(self, a, b, hbar) -> GradedSymbol:
         """Parametrized star product (evaluation of the formal one)."""
-        if isinstance(a, Symbol):
-            a = GradedSymbol.of(a)
-        if isinstance(b, Symbol):
-            b = GradedSymbol.of(b)
-        return self.star_formal_graded(a, b).evaluate(hbar)
+        return self.star_formal(a, b).evaluate(hbar)
 
     def symbol_product(self, a: Symbol, b: Symbol) -> Symbol:
         """Top-degree symbol of the composite of quantized operators."""
         return self.graded_piece(self.q(a) * self.q(b), a.degree + b.degree)
-
-    def q_deformed(self, gs: GradedSymbol, hbar) -> Mat:
-        """Sum of hbar^k-weighted degree-k quantizations."""
-        hbar = rat(hbar)
-        out = Mat.zeros(self.ctx.f.dim, self.ctx.e.dim)
-        for k, s in gs.parts.items():
-            out = out + self.q(s).scale(hbar**k)
-        return out
-
-    def total_symbol_deformed(self, mat: Mat, hbar) -> GradedSymbol:
-        """Inverse of the deformed quantization (hbar must be invertible)."""
-        hbar = rat(hbar)
-        if not hbar:
-            raise ZeroDivisionError("deformed total symbol needs nonzero parameter")
-        order = self.ctx.op_order(mat)
-        if order is None:
-            raise LiftError("operator has no finite order within the cap")
-        out = GradedSymbol()
-        for k in range(order + 1):
-            piece = self.graded_piece(mat, k)
-            out = out + GradedSymbol.of(piece).scale(rat(ONE, hbar**k))
-        return out
-
-    def total_symbol_formal_deformed(self, op_poly: dict) -> HPoly:
-        """Formal localized total symbol of a polynomial of operators.
-
-        op_poly maps powers to operator matrices; the result carries the
-        graded pieces at shifted (possibly negative) powers.
-        """
-        out = HPoly(allow_negative=True)
-        for p, mat in op_poly.items():
-            order = self.ctx.op_order(mat)
-            if order is None:
-                raise LiftError("operator has no finite order within the cap")
-            for k in range(order + 1):
-                piece = self.graded_piece(mat, k)
-                if not piece.is_zero():
-                    out.add_term(p - k, GradedSymbol.of(piece))
-        return out
-
-    def q_formal(self, hp: HPoly) -> dict:
-        """Formal deformed quantization of a symbol polynomial."""
-        out = {}
-        for p, gs in hp.coeffs.items():
-            for k, s in gs.parts.items():
-                mat = self.q(s)
-                key = p + k
-                out[key] = out.get(key, Mat.zeros(mat.rows, mat.cols)) + mat
-        return {p: m for p, m in out.items() if not m.is_zero()}
 
 
 def retraction_solver(calc: Calculus, e: LeftModule, k: int):
@@ -452,9 +408,9 @@ def sym_connection_chain(calc: Calculus, e: LeftModule, bconn: BimoduleConnectio
 
 
 def build_quantization(calc: Calculus, e: LeftModule, bconn: BimoduleConnection,
-                       conn_e: Connection, max_order=4) -> Quantization:
+                       conn_e: Connection) -> Quantization:
     """Full quantization from a braided connection and a base connection."""
-    ctx = OperatorContext(calc, e, max_order=max_order)
+    ctx = OperatorContext(calc, e)
     cap = ctx.order_cap
     for n in range(cap + 1):
         if not ctx.lift_unique(n):

@@ -12,7 +12,7 @@ import json
 
 from .linalg import Mat, rat, rat_str
 from .algebra import Algebra, Bimodule
-from .calculus import Calculus, CalculusError, build_calculus, validate_fodc
+from .calculus import Calculus, build_calculus
 
 
 class SpecParseError(Exception):
@@ -65,7 +65,7 @@ def parse_calculus_spec(doc) -> Calculus:
         raise SpecParseError("algebra section needs dim, unit, mult")
     if type(dim) is not int or dim < 1:  # not bool, which JSON true/false parse to
         raise SpecParseError("algebra dim must be a positive integer")
-    names = alg_doc.get("basis") or ["e%d" % i for i in range(dim)]
+    names = alg_doc.get("basis", ["e%d" % i for i in range(dim)])
     if not all(isinstance(x, list) and len(x) == dim for x in (unit, names)):
         raise SpecParseError("algebra unit and basis must be lists of length dim")
     unit = [_rat_in(x) for x in unit]
@@ -98,9 +98,6 @@ def parse_calculus_spec(doc) -> Calculus:
     right = [_matrix_in(m, odim, odim, "omega1.right[%d]" % i) for i, m in enumerate(right_docs)]
     omega1 = Bimodule(algebra, odim, left, right, label="O1")
     d0 = _matrix_in(d_doc, odim, dim, "omega1.d")
-    problems = validate_fodc(algebra, omega1, d0)
-    if problems:
-        raise CalculusError("; ".join(problems))
     calc = build_calculus(algebra, omega1, d0, max_degree)
     calc.left_frame_size = frame
     return calc

@@ -38,6 +38,7 @@ def test_validate_broken_leibniz_names_the_pair(tmp_path, quat):
     path.write_text(dump_json(doc))
     code, out = run(["validate", str(path)])
     assert code == EXIT_INVALID
+    assert out.startswith("invalid calculus: invalid first-order calculus: ")
     assert "Leibniz" in out and "(" in out
 
 
@@ -77,6 +78,8 @@ _QUAT_SPEC = json.loads((ROOT / "perfbench" / "quaternion.json").read_text())
                      id="max-degree-bool"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=[1]), "omega1": _ZERO_FORMS},
                      id="basis-name-not-a-string"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=[]), "omega1": _ZERO_FORMS},
+                     id="basis-empty"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, unit=[True]), "omega1": _ZERO_FORMS},
                      id="unit-bool"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, dim=True), "omega1": _ZERO_FORMS},

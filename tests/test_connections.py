@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from cayley import group_spec, symmetric_group
 from ncjet.linalg import Mat, ZERO, image_of, kron, rat, vec
 from ncjet.algebra import Bimodule, mat_from_flat, solve_module_maps
 from ncjet.connections import (
@@ -11,6 +12,7 @@ from ncjet.connections import (
     InvalidConnection,
     associated_connection,
     bimodule_connection_from_vector,
+    bimodule_connection_system,
     covariant_exterior,
     covariant_exterior_of_section,
     curvature,
@@ -34,6 +36,7 @@ from ncjet.fixtures import (
     quantization_of,
 )
 from ncjet.jets import delta_contraction, jet_module, spencer_operator, sym_module
+from ncjet.specio import parse_calculus_spec
 
 
 def frame_form(calc, t):
@@ -153,6 +156,41 @@ def test_connection_solvers_match_every_basis_element(oracle_calc, every_basis_e
         want = [solve_connections(calc, m) for m in modules] + [solve_bimodule_connections(calc)]
     assert all(same_affine(g, w) for g, w in zip(got, want))
     assert not got[-1].empty
+
+
+def solve_with_two_sided_braiding(calc):
+    """Reference solve: the braided system with two-sided linearity of the braiding.
+
+    The engine imposes right linearity only, since left linearity follows;
+    this reference imposes sigma M_a = M_a sigma for the left and the right
+    action of every generator.
+    """
+    sys = bimodule_connection_system(calc)
+    om11, _ = calc.form_module(1, calc.omega1)
+    qq, n_nabla = om11.dim, om11.dim * calc.omega1.dim
+    for a, mats in itertools.product(calc.algebra.generators, (om11.left, om11.right)):
+        m = mats[a].data
+        for i, j in itertools.product(range(qq), repeat=2):
+            coeffs = {}
+            for k in range(qq):
+                for col, v in ((n_nabla + i * qq + k, m[k][j]), (n_nabla + k * qq + j, -m[i][k])):
+                    coeffs[col] = coeffs.get(col, ZERO) + v
+            sys.add_row(coeffs)
+    return sys.solve()
+
+
+def check_against_two_sided_braiding(calc):
+    got = solve_bimodule_connections(calc)
+    assert not got.empty
+    assert same_affine(got, solve_with_two_sided_braiding(calc))
+
+
+def test_braided_system_matches_two_sided_braiding_rows(oracle_calc):
+    check_against_two_sided_braiding(oracle_calc)
+
+
+def test_braided_system_matches_two_sided_braiding_rows_on_s3():
+    check_against_two_sided_braiding(parse_calculus_spec(group_spec(*symmetric_group(3))))
 
 
 # --- torsion, metric, curvature --------------------------------------------------------------

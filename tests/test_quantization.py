@@ -313,6 +313,41 @@ def test_homogeneous_components_of_lk(quat, q, lk):
 
 # --- star products ----------------------------------------------------------------------------
 
+def star_by_pairs(q, a, b):
+    """Reference star of pure symbols: sum_k hbar^k graded_piece(q(a) q(b), m + n - k)."""
+    comp = q.q(a) * q.q(b)
+    n = a.degree + b.degree
+    out = HPoly()
+    for k in range(n + 1):
+        out.add_term(k, GradedSymbol.of(q.graded_piece(comp, n - k)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["quat", "cayley_z4"])
+def test_star_matches_the_per_pair_formula(request, name):
+    calc = request.getfixturevalue(name)
+    q, gens = quantization_of(calc), star_generators(calc)
+    for a, b in itertools.product(gens.values(), repeat=2):
+        want = star_by_pairs(q, a, b)
+        assert q.star_formal(a, b) == want
+        for hbar in (rat(0), rat(1), rat(2, 3)):
+            assert q.star_eval(a, b, hbar) == want.evaluate(hbar)
+
+
+def test_star_of_graded_symbols_is_the_sum_over_pairs(q, gens):
+    parts = (gens["p_i"], gens["x_j"])
+    mixed = GradedSymbol.of(parts[0]) + GradedSymbol.of(parts[1])
+    for hbar in (rat(0), rat(1), rat(2, 3)):
+        def ref(lefts, rights):
+            return sum((star_by_pairs(q, u, v).evaluate(hbar)
+                        for u, v in itertools.product(lefts, rights)), GradedSymbol())
+
+        for b in gens.values():
+            assert q.star_eval(mixed, b, hbar) == ref(parts, [b])
+            assert q.star_eval(b, mixed, hbar) == ref([b], parts)
+        assert q.star_eval(mixed, mixed, hbar) == ref(parts, parts)
+
+
 def test_star_constant_term_is_symbol_product(q, gens):
     for a, b in itertools.product(gens.values(), repeat=2):
         hp = q.star_formal(a, b)
