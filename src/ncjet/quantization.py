@@ -306,7 +306,7 @@ class Quantization:
     def homogeneous_component(self, mat: Mat, k: int, target=None) -> Mat:
         return self.q(self.graded_piece(mat, k, target=target))
 
-    def total_symbol_formal_deformed(self, op_poly: dict, target=None) -> HPoly:
+    def total_symbol_formal_deformed(self, op_poly: dict) -> HPoly:
         """Formal localized total symbol, the inverse of q_formal.
 
         op_poly maps powers to operator matrices; the degree-k graded piece
@@ -314,15 +314,19 @@ class Quantization:
         """
         out = HPoly(allow_negative=True)
         for p, mat in op_poly.items():
-            for k in range(self._order(mat, target) + 1):
-                out.add_term(p - k, GradedSymbol.of(self.graded_piece(mat, k, target=target)))
+            for k in range(self._order(mat) + 1):
+                out.add_term(p - k, GradedSymbol.of(self.graded_piece(mat, k)))
         return out
 
-    def total_symbol(self, mat: Mat, target=None) -> GradedSymbol:
-        return self.total_symbol_formal_deformed({0: mat}, target).evaluate(1)
+    def total_symbol(self, mat: Mat) -> GradedSymbol:
+        return self.total_symbol_formal_deformed({0: mat}).evaluate(1)
 
     def total_symbol_deformed(self, mat: Mat, hbar) -> GradedSymbol:
-        """Inverse of the deformed quantization (hbar must be invertible)."""
+        """Inverse of the deformed quantization.
+
+        At hbar = 0 this fails (ZeroDivisionError) only when a graded piece
+        of positive degree is nonzero.
+        """
         return self.total_symbol_formal_deformed({0: mat}).evaluate(hbar)
 
     def star_poly(self, a: HPoly, b: HPoly) -> HPoly:

@@ -80,6 +80,8 @@ _QUAT_SPEC = json.loads((ROOT / "perfbench" / "quaternion.json").read_text())
                      id="basis-name-not-a-string"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=[]), "omega1": _ZERO_FORMS},
                      id="basis-empty"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=None), "omega1": _ZERO_FORMS},
+                     id="basis-null"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, unit=[True]), "omega1": _ZERO_FORMS},
                      id="unit-bool"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, dim=True), "omega1": _ZERO_FORMS},
