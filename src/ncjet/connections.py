@@ -13,10 +13,15 @@ from __future__ import annotations
 from .linalg import (
     Mat,
     AffineSpace,
+    SpanBuilder,
+    Subspace,
     ZERO,
     ONE,
     image_of,
+    int_row,
     left_inverse,
+    nonzeros,
+    rat,
     right_inverse,
     vec,
 )
@@ -126,80 +131,208 @@ def _d_right_mats(calc: Calculus):
     return calc.memo("d_right", build)
 
 
-def solve_connections(calc: Calculus, module: LeftModule) -> AffineSpace:
-    """Affine space of all left connections on a module."""
+def _connection_system(calc: Calculus, module: LeftModule) -> AffineSystem:
+    """Left Leibniz rows for a connection on a module, flattened row-major."""
     fm, _ = calc.form_module(1, module)
     twist = _twist_mats(calc, module)
     sys = AffineSystem(fm.dim * module.dim)
     add_intertwining_rows(sys, calc.algebra, module.left, fm.left, twist)
-    return sys.solve()
+    return sys
 
 
-def bimodule_connection_system(calc: Calculus) -> AffineSystem:
-    """Joint linear system for (connection, braiding) pairs on the one-forms.
+def solve_connections(calc: Calculus, module: LeftModule) -> AffineSpace:
+    """Affine space of all left connections on a module."""
+    return _connection_system(calc, module).solve()
 
-    Unknowns are the connection entries followed by the braiding entries;
-    rows impose the left Leibniz rule, the right Leibniz rule through the
-    braiding, and right linearity of the braiding.
+
+class _Braiding:
+    """The braiding that right Leibniz assigns to a connection on the one-forms.
+
+    D = [D_0 | ... | D_{dim A - 1}] sends (xi_a)_a to sum_a xi_a (x) d(e_a),
+    over every basis element.  It is onto, since the one-forms are A.dA
+    (validate_fodc), so right Leibniz, sigma D = L(nabla) with
+    L(nabla) = [nabla R_a - R_a nabla]_a, fixes sigma, and a braiding
+    exists exactly when L(nabla) kills ker D.  Then sigma = L(nabla) D^+ =
+    nabla P - sum_a R_a nabla D^+_a for a right inverse D^+, with block
+    D^+_a its rows a * o1 onwards and P = sum_a R_a D^+_a.  One elimination
+    of [D^T | I] gives both: a row reduced to [e_p | x] has D x = e_p, and
+    one reduced to [0 | k] has k in ker D.  D^+ and P are kept in integer
+    form, times the common denominator den of D^+.
     """
-    om1 = calc.omega1
-    om11, _ = calc.form_module(1, calc.omega1)
-    twist = _twist_mats(calc, om1)
-    d_right = _d_right_mats(calc)
-    o1, qq = om1.dim, om11.dim
-    n_nabla = qq * o1
-    n_sigma = qq * qq
-    sys = AffineSystem(n_nabla + n_sigma)
-    alg = calc.algebra
 
-    def nab(i, j):
-        return i * o1 + j
+    def __init__(self, calc: Calculus):
+        om1 = calc.omega1
+        om11, _ = calc.form_module(1, om1)
+        self.o1, self.qq = o1, qq = om1.dim, om11.dim
+        # rows of [D^T | I]
+        dt = [{qq + c: ONE} for c in range(calc.algebra.dim * o1)]
+        for a, d_a in enumerate(_d_right_mats(calc)):
+            for q, row in enumerate(d_a.nz):
+                for w, x in row.items():
+                    dt[a * o1 + w][q] = x
+        sb = SpanBuilder(qq + len(dt))
+        for row in dt:
+            sb.add(row)
+        red = sb.reduced()
+        if any(p not in red for p in range(qq)):
+            raise CalculusError("one-forms (x) one-forms is not spanned by the w (x) da")
+        self.den, flat = int_row({(p, c): x for p in range(qq) for c, x in red[p].items() if c != p})
+        self.dplus = dplus = [{} for _ in range(sb.ambient - qq)]
+        for (p, c), x in flat.items():
+            dplus[c - qq][p] = x
+        self.prows = []
+        for c in range(o1):
+            acc = {}
+            for a, r in enumerate(om1.right):
+                for j, x in r.nz[c].items():
+                    for q, y in dplus[a * o1 + j].items():
+                        acc[q] = acc.get(q, ZERO) + x * y
+            self.prows.append(nonzeros(acc))
+        self.r11_cols = [m.transpose().nz for m in om11.right]
+        ker = [int_row({c - qq: x for c, x in red[p].items()})[1] for p in sorted(red) if p >= qq]
+        self.rows = self._well_defined_rows(om1, om11, ker)
 
-    def sig(i, j):
-        return n_nabla + i * qq + j
-
-    def add(coeffs, key, v):
-        coeffs[key] = coeffs.get(key, ZERO) + v
-
-    # left Leibniz for the connection; every row family is imposed on the
-    # generators of A only, since braiding linearity and right Leibniz at
-    # ab follow from those at a and b
-    add_intertwining_rows(sys, alg, om1.left, om11.left, twist)
-    for a in alg.generators:
-        # right Leibniz: nabla R_a - R_a nabla - sigma D_a = 0
-        r_src = om1.right[a].transpose().nz
-        r_tgt = om11.right[a].nz
-        d_a = d_right[a].transpose().nz
-        for i in range(qq):
-            for j in range(o1):
-                coeffs = {}
-                for k, v in r_src[j].items():
-                    add(coeffs, nab(i, k), v)
-                for k, v in r_tgt[i].items():
-                    add(coeffs, nab(k, j), -v)
-                for k, v in d_a[j].items():
-                    add(coeffs, sig(i, k), -v)
-                sys.add_row(coeffs)
-        # braiding linearity on the right only: left linearity follows, as
-        # sigma(b xi (x) da) = nabla(b xi a) - nabla(b xi) a = b sigma(xi (x) da)
-        # by left Leibniz, and the xi (x) da span since one-forms are A.dA
-        # (validate_fodc)
-        r_cols = om11.right[a].transpose().nz
-        for i in range(qq):
-            for j in range(qq):
-                coeffs = {}
-                for k, v in r_cols[j].items():
-                    add(coeffs, sig(i, k), v)
-                for k, v in r_tgt[i].items():
-                    add(coeffs, sig(k, j), -v)
+    def _well_defined_rows(self, om1, om11, ker):
+        """Rows (L(nabla) k)[i] = 0 over the connection entries, for k in ker D."""
+        o1, qq = self.o1, self.qq
+        rows = []
+        for k in ker:
+            # (L(nabla) k)[i] = (nabla u)[i] - sum_a (R_a nabla k_a)[i], u = sum_a R_a k_a
+            parts = {}
+            for c, x in k.items():
+                a, j = divmod(c, o1)
+                parts.setdefault(a, {})[j] = x
+            u = {}
+            for a, part in parts.items():
+                for m, row in enumerate(om1.right[a].nz):
+                    for j, v in row.items():
+                        if j in part:
+                            u[m] = u.get(m, ZERO) + v * part[j]
+            u = [(m, x) for m, x in u.items() if x]
+            for i in range(qq):
+                coeffs = {i * o1 + m: x for m, x in u}
+                for a, part in parts.items():
+                    for m, r in om11.right[a].nz[i].items():
+                        for j, x in part.items():
+                            key = m * o1 + j
+                            coeffs[key] = coeffs.get(key, ZERO) - r * x
+                coeffs = {c: x for c, x in coeffs.items() if x}
                 if coeffs:
-                    sys.add_row(coeffs)
+                    rows.append(coeffs)
+        return rows
+
+    def of(self, flats):
+        """The braiding of each connection in flats, flattened: {row * dim + col: value}.
+
+        The braiding is linear in the connection: the entry nabla[r][c]
+        contributes P[c] to row r of sigma and -R_a[i][r] D^+_a[c] to row
+        i.  That contribution is built once per entry in use, times den,
+        and each braiding sums them over integer forms, dividing once per
+        entry.
+        """
+        o1, qq, dplus = self.o1, self.qq, self.dplus
+        contrib = {}
+
+        def contribution(u):
+            r, c = divmod(u, o1)
+            row = {r * qq + q: y for q, y in self.prows[c].items()}
+            for a, cols in enumerate(self.r11_cols):
+                drow = dplus[a * o1 + c]
+                if drow:
+                    for i, x in cols[r].items():
+                        for q, y in drow.items():
+                            key = i * qq + q
+                            row[key] = row.get(key, ZERO) - x * y
+            return row
+
+        out = []
+        for flat in flats:
+            d, flat = int_row(flat)
+            acc = {}
+            for u, x in flat.items():
+                row = contrib.get(u)
+                if row is None:
+                    row = contrib[u] = contribution(u)
+                for k, y in row.items():
+                    acc[k] = acc.get(k, ZERO) + x * y
+            d *= self.den
+            out.append({k: rat(x, d) for k, x in acc.items() if x})
+        return out
+
+
+def _braiding(calc: Calculus) -> _Braiding:
+    return calc.memo("braiding", lambda: _Braiding(calc))
+
+
+def braiding_of(calc: Calculus, nabla: Mat) -> Mat:
+    """The braiding sigma = L(nabla) D^+ that right Leibniz assigns to nabla.
+
+    It is a braiding of nabla exactly when nabla satisfies the rows of
+    braided_connection_system (see _Braiding).
+    """
+    o1, qq = nabla.cols, nabla.rows
+    (flat,) = _braiding(calc).of([{i * o1 + j: x for i, row in enumerate(nabla.nz)
+                                   for j, x in row.items()}])
+    sigma = [{} for _ in range(qq)]
+    for k, x in flat.items():
+        i, q = divmod(k, qq)
+        sigma[i][q] = x
+    return Mat._of(qq, qq, sigma)
+
+
+def braided_connection_system(calc: Calculus) -> AffineSystem:
+    """Linear system for the connections on the one-forms that admit a braiding.
+
+    Unknowns are the connection entries; rows impose left Leibniz and
+    L(nabla) k = 0 for each k in ker D (see _Braiding).  Right linearity of
+    the braiding follows, as sigma(xi (x) (da) b) = sigma(xi (x) d(ab)) -
+    sigma(xi a (x) db) = sigma(xi (x) da) b; left linearity follows from
+    left Leibniz.
+    """
+    sys = _connection_system(calc, calc.omega1)
+    for row in _braiding(calc).rows:
+        sys.add_row(row)
     return sys
 
 
 def solve_bimodule_connections(calc: Calculus) -> AffineSpace:
-    """Affine space of (connection, braiding) pairs on the one-forms."""
-    return bimodule_connection_system(calc).solve()
+    """Affine space of (connection, braiding) pairs on the one-forms.
+
+    Solved over the connection alone (braided_connection_system) and mapped
+    to (nabla, sigma) coordinates, connection entries first, braiding
+    entries after.  The map is injective and keeps the connection block, so
+    the images of the connection family's canonical rows are the canonical
+    rows of the pair family.  The canonical point is zero on the free
+    columns of the pair system, which are the last nonzero columns of a
+    reverse echelon basis of the direction; it is any member with those
+    columns cleared.
+    """
+    sol = braided_connection_system(calc).solve()
+    if sol.empty:
+        return sol
+    br = _braiding(calc)
+    n_nabla = br.qq * br.o1
+    n = n_nabla + br.qq * br.qq
+    flats = list(sol.direction.basis.nz) + [nonzeros(sol.particular)]
+    lifted = [{**f, **{n_nabla + k: x for k, x in sigma.items()}}
+              for f, sigma in zip(flats, br.of(flats))]
+    point = lifted.pop()
+    direction = Subspace(n, lifted, reduced=True)
+    # reverse echelon: column c is keyed n - 1 - c, so a pivot is a last nonzero column
+    rev = SpanBuilder(n)
+    for r in lifted:
+        rev.add({n - 1 - c: x for c, x in r.items()})
+    for p in sorted(rev.rows):
+        x = point.get(n - 1 - p)
+        if x:
+            row = rev.rows[p]
+            f = rat(x, row[p])
+            for q, y in row.items():
+                point[n - 1 - q] = point.get(n - 1 - q, ZERO) - f * y
+    particular = [ZERO] * n
+    for c, x in point.items():
+        particular[c] = x
+    return AffineSpace(False, particular, direction)
 
 
 def bimodule_connection_from_vector(calc: Calculus, flat) -> BimoduleConnection:

@@ -12,13 +12,14 @@ of the calculus, each built once and kept in `calc.memo`.
 from __future__ import annotations
 
 from .linalg import Mat, ZERO
-from .algebra import functions_on_points, matrix_algebra
+from .algebra import functions_on_points, mat_from_flat, matrix_algebra
 from .calculus import Calculus, CalculusError, memo, quaternion_calculus, universal_calculus
 from .connections import (
     BimoduleConnection,
     Connection,
     bimodule_connection_from_vector,
-    bimodule_connection_system,
+    braided_connection_system,
+    braiding_of,
     solve_bimodule_connections,
 )
 from .quantization import Symbol, build_quantization, partial_operators
@@ -54,26 +55,23 @@ def frame_vectors(calc: Calculus):
 def frame_parallel_bimodule_connection(calc: Calculus) -> BimoduleConnection:
     """The braided connection with all frame one-forms parallel.
 
-    Solves the joint connection/braiding system with the frame columns of
-    the connection pinned to zero; raises if that pinning is infeasible or
-    leaves residual freedom.
+    Solves the braided connection system with the frame columns of the
+    connection pinned to zero, and reads the braiding off the solution;
+    raises if that pinning is infeasible or leaves residual freedom.
     """
     om11, _ = calc.form_module(1, calc.omega1)
     o1, qq = calc.omega1.dim, om11.dim
-    sys = bimodule_connection_system(calc)
+    sys = braided_connection_system(calc)
     for fv in frame_vectors(calc):
         for i in range(qq):
-            coeffs = {}
-            for j, v in enumerate(fv):
-                if v:
-                    coeffs[i * o1 + j] = v
-            sys.add_row(coeffs)
+            sys.add_row({i * o1 + j: v for j, v in enumerate(fv) if v})
     sol = sys.solve()
     if sol.empty:
         raise CalculusError("no frame-parallel braided connection exists")
     if sol.dim != 0:
         raise CalculusError("frame-parallel braided connection is not unique")
-    return bimodule_connection_from_vector(calc, sol.particular)
+    nabla = Connection(calc, calc.omega1, mat_from_flat(sol.particular, qq, o1))
+    return BimoduleConnection(calc, nabla, braiding_of(calc, nabla.mat))
 
 
 def braided_connection(calc: Calculus) -> BimoduleConnection:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayley import cayley_spec
+from cayley import cayley_spec, group_spec, symmetric_group
 from ncjet.fixtures import fixture
 from ncjet.specio import parse_calculus_spec, serialize_calculus
 
@@ -111,6 +111,19 @@ def sheared_quat(sheared_quat_doc):
 @pytest.fixture(scope="session")
 def cayley_z4():
     return parse_calculus_spec(cayley_spec(4, [1, 3]))
+
+
+@pytest.fixture(scope="session")
+def s3():
+    """The Cayley calculus of S3 with its three transpositions: 6 points, 18 one-forms."""
+    return parse_calculus_spec(group_spec(*symmetric_group(3)))
+
+
+@pytest.fixture(scope="session",
+                params=["quat", "two_point", "matrix2", "sheared_quat", "cayley_z4", "s3"])
+def braided_calc(request):
+    """The calculi on which the braided solver is checked against the joint system."""
+    return request.getfixturevalue(request.param)
 
 
 _ORACLE_CALCS = {"sheared-quat": "sheared_quat", "cayley-z4": "cayley_z4", "matrix2": "matrix2"}

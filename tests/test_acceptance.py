@@ -64,9 +64,9 @@ def frame_form(calc, t):
 def test_criterion_1_bimodule_solver(quat):
     """The literal criterion: a zero-dimensional solution family.
 
-    Known red: the joint solver finds a 24-dimensional family over exact
+    Known red: the braided solver finds a 24-dimensional family over exact
     rationals (quaternionic frame coefficients with vanishing real part all
-    satisfy the braiding consistency equations).  See DECISIONS.md.
+    admit a well-defined braiding).  See DECISIONS.md.
     """
 
     def body():

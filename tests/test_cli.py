@@ -519,12 +519,21 @@ def test_s3_braided_connections_and_quantization_at_the_default_cap(s3_reports):
 
 def test_s3_cap_bounds_the_braided_unknowns_not_kronecker_intermediates(
         s3_spec_path, s3_reports, monkeypatch):
-    """The largest matrix either S3 command builds is the braided system's 3,888 unknowns."""
+    """The largest object each S3 command builds, from a census of the cap.
+
+    `connections --bimodule` reports the (connection, braiding) family,
+    whose 3,888 unknowns are its ambient dimension.  `quantize --star-gens`
+    solves for the connection alone and reads the braiding off it, so its
+    largest object is a plain tensor product, 18 x 96 = 1,728.
+    """
+    largest = {"connections": ("ambient dimension 3888", 3888),
+               "quantize": ("plain tensor product 18 x 96", 1728)}
     for cmd, extra in _S3_COMMANDS.items():
-        monkeypatch.setenv("NCJET_MAX_DIM", "3887")
+        what, size = largest[cmd]
+        monkeypatch.setenv("NCJET_MAX_DIM", str(size - 1))
         assert run([cmd, s3_spec_path] + extra) == (
-            EXIT_INVALID, "invalid input: ambient dimension 3888 exceeds cap 3887\n")
-        monkeypatch.setenv("NCJET_MAX_DIM", "3888")
+            EXIT_INVALID, "invalid input: %s exceeds cap %d\n" % (what, size - 1))
+        monkeypatch.setenv("NCJET_MAX_DIM", str(size))
         assert run([cmd, s3_spec_path] + extra) == s3_reports[cmd]
 
 

@@ -4,15 +4,15 @@ import itertools
 
 import pytest
 
-from cayley import group_spec, symmetric_group
-from ncjet.linalg import Mat, ZERO, image_of, kron, rat, vec
-from ncjet.algebra import Bimodule, mat_from_flat, solve_module_maps
+from ncjet.linalg import AffineSystem, Mat, ZERO, image_of, kron, rat, vec
+from ncjet.algebra import Bimodule, add_intertwining_rows, mat_from_flat, solve_module_maps
 from ncjet.connections import (
     Connection,
     InvalidConnection,
+    _d_right_mats,
+    _twist_mats,
     associated_connection,
     bimodule_connection_from_vector,
-    bimodule_connection_system,
     covariant_exterior,
     covariant_exterior_of_section,
     curvature,
@@ -28,11 +28,14 @@ from ncjet.connections import (
     tensor_connection,
     torsion,
 )
+from conftest import QUAT_FORM_SHEARS, _shears
+from ncjet import fixtures
 from ncjet.demo import quaternion_metric
 from ncjet.fixtures import (
     base_connection,
     braided_connection,
     frame_parallel_bimodule_connection,
+    frame_vectors,
     quantization_of,
 )
 from ncjet.jets import delta_contraction, jet_module, spencer_operator, sym_module
@@ -158,12 +161,101 @@ def test_connection_solvers_match_every_basis_element(oracle_calc, every_basis_e
     assert not got[-1].empty
 
 
-def solve_with_two_sided_braiding(calc):
-    """Reference solve: the braided system with two-sided linearity of the braiding.
+def bimodule_connection_system(calc):
+    """Reference: the joint linear system for (connection, braiding) pairs on the one-forms.
 
-    The engine imposes right linearity only, since left linearity follows;
-    this reference imposes sigma M_a = M_a sigma for the left and the right
-    action of every generator.
+    Unknowns are the connection entries followed by the braiding entries;
+    rows impose the left Leibniz rule, the right Leibniz rule through the
+    braiding, and right linearity of the braiding, each on the generators of
+    A.  The engine solves over the connection alone and reads the braiding
+    off it; this system solves for both.
+    """
+    om1 = calc.omega1
+    om11, _ = calc.form_module(1, calc.omega1)
+    twist = _twist_mats(calc, om1)
+    d_right = _d_right_mats(calc)
+    o1, qq = om1.dim, om11.dim
+    n_nabla = qq * o1
+    sys = AffineSystem(n_nabla + qq * qq)
+    alg = calc.algebra
+
+    def nab(i, j):
+        return i * o1 + j
+
+    def sig(i, j):
+        return n_nabla + i * qq + j
+
+    def add(coeffs, key, v):
+        coeffs[key] = coeffs.get(key, ZERO) + v
+
+    add_intertwining_rows(sys, alg, om1.left, om11.left, twist)
+    for a in alg.generators:
+        # right Leibniz: nabla R_a - R_a nabla - sigma D_a = 0
+        r_src = om1.right[a].transpose().nz
+        r_tgt = om11.right[a].nz
+        d_a = d_right[a].transpose().nz
+        for i in range(qq):
+            for j in range(o1):
+                coeffs = {}
+                for k, v in r_src[j].items():
+                    add(coeffs, nab(i, k), v)
+                for k, v in r_tgt[i].items():
+                    add(coeffs, nab(k, j), -v)
+                for k, v in d_a[j].items():
+                    add(coeffs, sig(i, k), -v)
+                sys.add_row(coeffs)
+        # braiding linearity on the right; left linearity follows from left Leibniz
+        r_cols = om11.right[a].transpose().nz
+        for i in range(qq):
+            for j in range(qq):
+                coeffs = {}
+                for k, v in r_cols[j].items():
+                    add(coeffs, sig(i, k), v)
+                for k, v in r_tgt[i].items():
+                    add(coeffs, sig(k, j), -v)
+                if coeffs:
+                    sys.add_row(coeffs)
+    return sys
+
+
+def test_braided_solver_matches_joint_system(braided_calc):
+    """The connection-only solve gives the joint system's canonical direction and point."""
+    got = solve_bimodule_connections(braided_calc)
+    assert not got.empty
+    assert same_affine(got, bimodule_connection_system(braided_calc).solve())
+
+
+@pytest.fixture(scope="module", params=["quat", "sheared_quat", "cayley_z4"])
+def framed_calc(request, quat):
+    """(calculus, coordinate vectors of a left frame of its one-forms)."""
+    calc = request.getfixturevalue(request.param)
+    if request.param != "sheared_quat":
+        return calc, frame_vectors(calc)
+    # the quaternion frame in the sheared one-form basis: new coordinates are Q^-1 old
+    _, q_inv = _shears(calc.omega1.dim, QUAT_FORM_SHEARS)
+    return calc, [vec(Mat.from_rows(q_inv).apply(v)) for v in frame_vectors(quat)]
+
+
+def test_frame_parallel_connection_matches_pinned_joint_system(framed_calc, monkeypatch):
+    calc, frame = framed_calc
+    o1, qq = calc.omega1.dim, calc.form_module(1, calc.omega1)[0].dim
+    sys = bimodule_connection_system(calc)
+    for fv in frame:
+        for i in range(qq):
+            sys.add_row({i * o1 + j: v for j, v in enumerate(fv) if v})
+    want = sys.solve()
+    assert want.dim == 0
+    monkeypatch.setattr(fixtures, "frame_vectors", lambda _: frame)
+    bc = fixtures.frame_parallel_bimodule_connection(calc)
+    assert [x for m in (bc.base.mat, bc.sigma) for row in m.data for x in row] == want.particular
+
+
+def solve_with_two_sided_braiding(calc):
+    """Reference solve: the joint system with two-sided linearity of the braiding.
+
+    The joint system imposes right linearity only, since left linearity
+    follows; this reference imposes sigma M_a = M_a sigma for the left and
+    the right action of every generator.
     """
     sys = bimodule_connection_system(calc)
     om11, _ = calc.form_module(1, calc.omega1)
@@ -189,8 +281,8 @@ def test_braided_system_matches_two_sided_braiding_rows(oracle_calc):
     check_against_two_sided_braiding(oracle_calc)
 
 
-def test_braided_system_matches_two_sided_braiding_rows_on_s3():
-    check_against_two_sided_braiding(parse_calculus_spec(group_spec(*symmetric_group(3))))
+def test_braided_system_matches_two_sided_braiding_rows_on_s3(s3):
+    check_against_two_sided_braiding(s3)
 
 
 # --- torsion, metric, curvature --------------------------------------------------------------
