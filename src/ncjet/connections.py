@@ -228,7 +228,8 @@ class _Braiding:
         contributes P[c] to row r of sigma and -R_a[i][r] D^+_a[c] to row
         i.  That contribution is built once per entry in use, times den,
         and each braiding sums them over integer forms, dividing once per
-        entry.
+        entry; the map's matrix is never built, as it would have
+        dim(one-forms (x) one-forms) squared columns.
         """
         o1, qq, dplus = self.o1, self.qq, self.dplus
         contrib = {}

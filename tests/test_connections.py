@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from conftest import QUAT_FORM_SHEARS, _shears
 from ncjet.linalg import AffineSystem, Mat, ZERO, image_of, kron, rat, vec
 from ncjet.algebra import Bimodule, add_intertwining_rows, mat_from_flat, solve_module_maps
 from ncjet.connections import (
@@ -28,7 +29,6 @@ from ncjet.connections import (
     tensor_connection,
     torsion,
 )
-from conftest import QUAT_FORM_SHEARS, _shears
 from ncjet import fixtures
 from ncjet.demo import quaternion_metric
 from ncjet.fixtures import (
@@ -39,7 +39,6 @@ from ncjet.fixtures import (
     quantization_of,
 )
 from ncjet.jets import delta_contraction, jet_module, spencer_operator, sym_module
-from ncjet.specio import parse_calculus_spec
 
 
 def frame_form(calc, t):
