@@ -9,6 +9,7 @@ plain tensor products by the balancing relations x·a ⊗ y − x ⊗ a·y.
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 
 from .linalg import (
     AffineSystem,
@@ -450,37 +451,123 @@ def module_closure(mod: LeftModule, seeds, use_right=False) -> Subspace:
     return _closure(mod.dim, seeds, mats)
 
 
-def add_intertwining_rows(sys, alg, src_mats, tgt_mats, rhs_mats=None):
-    """Rows (X s_a - t_a X)[i][j] = rhs_a[i][j] on the flattened unknowns of X.
+def _product_shape(shape, terms):
+    """(p, q) for sum_l A_l X B_l with X of the given shape; every term must agree."""
+    m, n = shape
+    sizes = {(m if a is None else a.rows, n if b is None else b.cols) for a, b in terms}
+    if len(sizes) != 1 or any(a is not None and a.cols != m or b is not None and b.rows != n
+                              for a, b in terms):
+        raise ValueError("terms do not fit one %d x %d unknown" % shape)
+    return sizes.pop()
 
-    X maps source (ds) to target (dt), flattened row-major; s and t are
-    actions of alg and rhs_mats (default zero) obey Leibniz,
-    rhs_ab = rhs_a s_b + t_a rhs_b, so rows for a in alg.generators imply
-    the rest.  A row is skipped only when it has neither coefficients nor a
-    right-hand side: an empty row with rhs != 0 makes the system inconsistent.
+
+def matrix_rows(shape, terms, rhs=None):
+    """Rows (coeffs, rhs[i][j]) of sum_l A_l X B_l = rhs, one per entry (i, j), row-major.
+
+    X[k][l] is unknown k * n + l for X m x n; a term is a pair of Mats
+    (A_l, B_l), None for an identity factor; rhs is a Mat, default zero.
+    coeffs may keep entries that cancelled to zero.  A row is skipped only
+    when its coefficients all cancel and its rhs is zero: an empty row with
+    rhs != 0 makes the system inconsistent.
     """
-    dt, ds = tgt_mats[0].rows, src_mats[0].rows
+    p, q = _product_shape(shape, terms)
+    n = shape[1]
+    if rhs is not None and (rhs.rows, rhs.cols) != (p, q):
+        raise ValueError("right-hand side is not %d x %d" % (p, q))
+    # per term: row i of A as pairs (k * n, A[i][k]), column j of B as pairs
+    # (l, B[l][j]), None for an identity factor
+    parts = []
+    for a, b in terms:
+        if a is None and b is None:
+            b = Mat.identity(n)
+        parts.append((None if a is None else [[(k * n, x) for k, x in row.items()] for row in a.nz],
+                      None if b is None else [list(col.items()) for col in b.transpose().nz]))
+    rnz = rhs.nz if rhs is not None else [{}] * p
+    for i in range(p):
+        rrow = rnz[i]
+        base = i * n
+        for j in range(q):
+            coeffs = {}
+            get = coeffs.get
+            for arows, bcols in parts:
+                if arows is None:
+                    for l, y in bcols[j]:
+                        coeffs[base + l] = get(base + l, ZERO) + y
+                elif bcols is None:
+                    for kn, x in arows[i]:
+                        coeffs[kn + j] = get(kn + j, ZERO) + x
+                else:
+                    bcol = bcols[j]
+                    for kn, x in arows[i]:
+                        for l, y in bcol:
+                            coeffs[kn + l] = get(kn + l, ZERO) + x * y
+            r = rrow.get(j, ZERO)
+            if r or any(coeffs.values()):
+                yield coeffs, r
+
+
+def _int_form(m: Mat):
+    """(d, rows): the rows of m as {col: int} dicts over one positive denominator d."""
+    if m.integral:
+        return 1, m.nz
+    forms = [int_row(row) for row in m.nz]
+    d = lcm(*[f for f, _ in forms])
+    return d, [{c: x * (d // f) for c, x in row.items()} for f, row in forms]
+
+
+def sylvester_matrix(shape, terms, used) -> Mat:
+    """Images of the unknowns in used under X -> sum_l A_l X B_l, one row each.
+
+    The image of X[k][l], the sum of the outer products A_l[:, k] B_l[l, :],
+    is flattened as in matrix_rows: this is the transpose of the map's
+    matrix restricted to used.  It is summed over the factors' integer
+    forms and divided once per entry.
+    """
+    p, q = _product_shape(shape, terms)
+    n = shape[1]
+    # per term: the columns of A and the rows of B in integer form, None for an identity
+    forms = [((1, None) if a is None else _int_form(a.transpose()),
+              (1, None) if b is None else _int_form(b)) for a, b in terms]
+    den = lcm(*[da * db for (da, _), (db, _) in forms])
+    parts = [(acols, brows, den // (da * db)) for (da, acols), (db, brows) in forms]
+    rows = []
+    for u in used:
+        k, l = divmod(u, n)
+        acc = {}
+        get = acc.get
+        for acols, brows, f in parts:
+            brow = ((l, ONE),) if brows is None else brows[l].items()
+            for i, x in ((k, ONE),) if acols is None else acols[k].items():
+                x *= f
+                base = i * q
+                for j, y in brow:
+                    acc[base + j] = get(base + j, 0) + x * y
+        if den != 1 or not all(acc.values()):
+            acc = {c: rat(x, den) for c, x in acc.items() if x}
+        rows.append(acc)
+    return Mat._of(len(rows), p * q, rows)
+
+
+def add_intertwining_rows(sys, alg, src_mats, tgt_mats, rhs_mats=None):
+    """Rows X s_a - t_a X = rhs_a on the flattened unknowns of X (see matrix_rows).
+
+    X maps source (ds) to target (dt); s and t are actions of alg and
+    rhs_mats (default zero) obey Leibniz, rhs_ab = rhs_a s_b + t_a rhs_b,
+    so rows for a in alg.generators imply the rest.
+    """
+    shape = (tgt_mats[0].rows, src_mats[0].rows)
     for a in alg.generators:
-        scols = src_mats[a].transpose().nz
-        tnz = tgt_mats[a].nz
-        for i in range(dt):
-            trow = tnz[i]
-            for j in range(ds):
-                coeffs = {i * ds + k: v for k, v in scols[j].items()}
-                for k, v in trow.items():
-                    key = k * ds + j
-                    coeffs[key] = coeffs.get(key, ZERO) - v
-                rhs = rhs_mats[a].entry(i, j) if rhs_mats else ZERO
-                if coeffs or rhs:
-                    sys.add_row(coeffs, rhs)
+        terms = [(None, src_mats[a]), (-tgt_mats[a], None)]
+        for coeffs, rhs in matrix_rows(shape, terms, rhs_mats[a] if rhs_mats else None):
+            sys.add_row(coeffs, rhs)
 
 
-def solve_module_maps(source, target, linearity="left", compose_eq=(), entry_eq=()):
+def solve_module_maps(source, target, linearity="left", compose_eq=()):
     """Affine space of matrices X: source -> target with the given linearity.
 
     Unknowns are the entries of X flattened row-major (X[i][j] at
     i*source.dim + j).  compose_eq entries are pairs (P, Q) imposing
-    X * P = Q; entry_eq entries are (coeff dict over unknowns, rhs).
+    X * P = Q.
     """
     ds, dt = source.dim, target.dim
     sys = AffineSystem(dt * ds)
@@ -490,13 +577,8 @@ def solve_module_maps(source, target, linearity="left", compose_eq=(), entry_eq=
     if linearity in ("right", "bilinear"):
         add_intertwining_rows(sys, alg, source.right, target.right)
     for P, Q in compose_eq:
-        if P.rows != ds or Q.rows != dt or P.cols != Q.cols:
-            raise ValueError("compose_eq shape mismatch")
-        for w, pcol in enumerate(P.transpose().nz):
-            for i in range(dt):
-                sys.add_row({i * ds + j: v for j, v in pcol.items()}, Q.entry(i, w))
-    for coeffs, rhs in entry_eq:
-        sys.add_row(coeffs, rhs)
+        for coeffs, rhs in matrix_rows((dt, ds), [(None, P)], Q):
+            sys.add_row(coeffs, rhs)
     return sys.solve()
 
 

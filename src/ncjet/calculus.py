@@ -11,6 +11,8 @@ input calculus.
 
 from __future__ import annotations
 
+import itertools
+
 from .linalg import (
     Mat,
     SpanBuilder,
@@ -268,84 +270,71 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
             raise CalculusError("degree-%d forms are not a bimodule: %s" % (degree, bad[0]))
         return mod, sp, ss
 
-    # the tower stops at max_degree, so omega, d and max_degree agree
-    if max_degree >= 2:
-        # degree-2 relations: two-sided action closure of d applied to them
-        pre2_mod, pre2_ts = calc.form_module(1, omega1)
-        dgens = []
-        dcols = d0.transpose().nz
-        for row in relation_space.basis.nz:
-            plain = {}
-            for idx, c in row.items():
-                i, j = divmod(idx, dA)
-                for s, x in dcols[i].items():
-                    for t, y in dcols[j].items():
-                        plain[s * o1 + t] = plain.get(s * o1 + t, ZERO) + c * x * y
-            dgens.append(pre2_ts.project(plain))
-        rel2 = module_closure(pre2_mod, dgens, use_right=True)
-
-        om2, sp2, ss2 = quotient_bimodule(pre2_mod, pre2_ts, rel2, 2)
-        omega.append(om2)
-        step_proj[2] = sp2
-        step_sec[2] = ss2
-        # degree-2 relations as plain tensors in omega1 (x) omega1
-        rel2_plain = (rel2.basis * pre2_ts.sec.transpose()).nz
-
-    for n in range(3, max_degree + 1):
-        pre_mod, pre_ts = calc.form_module(n - 1, omega1)
-        sb = SpanBuilder(pre_ts.dim)
-        prev_cols = step_proj[n - 1].transpose().nz
-        for u in range(omega[n - 2].dim):
-            base = u * o1
-            for r_pl in rel2_plain:
-                acc = {}
-                for idx, c in r_pl.items():
-                    a_i, b_i = divmod(idx, o1)
-                    for ii, v in prev_cols[base + a_i].items():
-                        key = ii * o1 + b_i
-                        acc[key] = acc.get(key, ZERO) + c * v
-                sb.add(pre_ts.project(acc))
-        reln = sb.subspace()
-        omn, spn, ssn = quotient_bimodule(pre_mod, pre_ts, reln, n)
-        omega.append(omn)
-        step_proj[n] = spn
-        step_sec[n] = ssn
-
-    # differentials in higher degree, solved on the spanning set
     basis_d = [d0.apply(alg.basis_vector(i)) for i in range(dA)]
-    for n in range(1, max_degree):
-        vcols = []
-        wcols = []
 
-        def extend(cur, m, one_form):
-            dense = [ZERO] * (len(cur) * o1)
-            for i, x in enumerate(cur):
-                if x:
-                    base = i * o1
-                    for j, y in enumerate(one_form):
-                        if y:
-                            dense[base + j] = x * y
-            return step_proj[m + 1].apply(dense)
+    def extend(cur, m, one_form):
+        dense = [ZERO] * (len(cur) * o1)
+        for i, x in enumerate(cur):
+            if x:
+                base = i * o1
+                for j, y in enumerate(one_form):
+                    if y:
+                        dense[base + j] = x * y
+        return step_proj[m + 1].apply(dense)
 
-        import itertools
+    # each degree n lands, then d_{n-1} is solved into it, so the tower stops
+    # at the first degree that fails and omega, d and max_degree agree
+    for n in range(2, max_degree + 1):
+        pre_mod, pre_ts = calc.form_module(n - 1, omega1)
+        if n == 2:
+            # degree-2 relations: two-sided action closure of d applied to them
+            dgens = []
+            dcols = d0.transpose().nz
+            for row in relation_space.basis.nz:
+                plain = {}
+                for idx, c in row.items():
+                    i, j = divmod(idx, dA)
+                    for s, x in dcols[i].items():
+                        for t, y in dcols[j].items():
+                            plain[s * o1 + t] = plain.get(s * o1 + t, ZERO) + c * x * y
+                dgens.append(pre_ts.project(plain))
+            rel = module_closure(pre_mod, dgens, use_right=True)
+            # degree-2 relations as plain tensors in omega1 (x) omega1
+            rel2_plain = (rel.basis * pre_ts.sec.transpose()).nz
+        else:
+            sb = SpanBuilder(pre_ts.dim)
+            prev_cols = step_proj[n - 1].transpose().nz
+            for u in range(omega[n - 2].dim):
+                base = u * o1
+                for r_pl in rel2_plain:
+                    acc = {}
+                    for idx, c in r_pl.items():
+                        a_i, b_i = divmod(idx, o1)
+                        for ii, v in prev_cols[base + a_i].items():
+                            key = ii * o1 + b_i
+                            acc[key] = acc.get(key, ZERO) + c * v
+                    sb.add(pre_ts.project(acc))
+            rel = sb.subspace()
+        om, step_proj[n], step_sec[n] = quotient_bimodule(pre_mod, pre_ts, rel, n)
+        omega.append(om)
 
-        for tup in itertools.product(range(dA), repeat=n + 1):
+        # d in degree k = n - 1, solved on the spanning set a db_1 ^ ... ^ db_k
+        k = n - 1
+        vcols, wcols = [], []
+        for tup in itertools.product(range(dA), repeat=k + 1):
             cur = omega1.act_left(alg.basis_vector(tup[0]), basis_d[tup[1]])
-            for s in range(2, n + 1):
+            for s in range(2, k + 1):
                 cur = extend(cur, s - 1, basis_d[tup[s]])
             vcols.append(cur)
             w = basis_d[tup[0]]
-            for s in range(1, n + 1):
+            for s in range(1, k + 1):
                 w = extend(w, s, basis_d[tup[s]])
             wcols.append(w)
-        vmat = Mat.from_cols(vcols, omega[n].dim)
-        wmat = Mat.from_cols(wcols, omega[n + 1].dim)
-        calc.d.append(_solve_spanning(vmat, wmat, "differential in degree %d" % n))
-
-    # d^2 = 0 on every consecutive pair that exists
-    for n in range(max_degree - 1):
-        if not (calc.d[n + 1] * calc.d[n]).is_zero():
-            raise CalculusError("differential does not square to zero at degree %d" % n)
+        vmat = Mat.from_cols(vcols, omega[k].dim)
+        wmat = Mat.from_cols(wcols, omega[n].dim)
+        calc.d.append(_solve_spanning(vmat, wmat, "differential in degree %d" % k))
+        if not (calc.d[k] * calc.d[k - 1]).is_zero():
+            raise CalculusError("differential does not square to zero at degree %d" % (k - 1))
     return calc
 
 

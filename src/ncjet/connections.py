@@ -30,6 +30,8 @@ from .algebra import (
     LeftModule,
     add_intertwining_rows,
     mat_from_flat,
+    matrix_rows,
+    sylvester_matrix,
 )
 from .calculus import Calculus, CalculusError
 from .jets import (
@@ -47,11 +49,6 @@ from .jets import (
 
 class InvalidConnection(CalculusError):
     pass
-
-
-def _twist_mats(calc: Calculus, m: LeftModule):
-    """jets.twist_mats, cached per module for the Leibniz checks and solves."""
-    return calc.memo(("twist", m), lambda: twist_mats(calc, m))
 
 
 class Connection:
@@ -72,7 +69,7 @@ class Connection:
 
     def leibniz_violations(self):
         calc = self.calc
-        twist = _twist_mats(calc, self.module)
+        twist = twist_mats(calc, self.module)
         out = []
         for a in range(calc.algebra.dim):
             lhs = self.mat * self.module.left[a]
@@ -134,7 +131,7 @@ def _d_right_mats(calc: Calculus):
 def _connection_system(calc: Calculus, module: LeftModule) -> AffineSystem:
     """Left Leibniz rows for a connection on a module, flattened row-major."""
     fm, _ = calc.form_module(1, module)
-    twist = _twist_mats(calc, module)
+    twist = twist_mats(calc, module)
     sys = AffineSystem(fm.dim * module.dim)
     add_intertwining_rows(sys, calc.algebra, module.left, fm.left, twist)
     return sys
@@ -148,117 +145,47 @@ def solve_connections(calc: Calculus, module: LeftModule) -> AffineSpace:
 class _Braiding:
     """The braiding that right Leibniz assigns to a connection on the one-forms.
 
-    D = [D_0 | ... | D_{dim A - 1}] sends (xi_a)_a to sum_a xi_a (x) d(e_a),
-    over every basis element.  It is onto, since the one-forms are A.dA
-    (validate_fodc), so right Leibniz, sigma D = L(nabla) with
-    L(nabla) = [nabla R_a - R_a nabla]_a, fixes sigma, and a braiding
-    exists exactly when L(nabla) kills ker D.  Then sigma = L(nabla) D^+ =
-    nabla P - sum_a R_a nabla D^+_a for a right inverse D^+, with block
-    D^+_a its rows a * o1 onwards and P = sum_a R_a D^+_a.  One elimination
-    of [D^T | I] gives both: a row reduced to [e_p | x] has D x = e_p, and
-    one reduced to [0 | k] has k in ker D.  D^+ and P are kept in integer
-    form, times the common denominator den of D^+.
+    For M with row blocks M_a of dim(one-forms) rows, a over the basis of A,
+
+        L(nabla) M = nabla (sum_a R_a M_a) - sum_a R11_a nabla M_a,
+
+    with R_a and R11_a the right actions on the one-forms and on one-forms
+    (x) one-forms.  Right Leibniz reads sigma D = L(nabla) D for D = [D_0 |
+    ... | D_{dim A - 1}], D_a(xi) = xi (x) d(e_a), and D is onto since the
+    one-forms are A.dA (validate_fodc).  So a braiding exists exactly when
+    L(nabla) kills M = ker D, and then it is L(nabla) at M = D^+, a right
+    inverse.  One elimination of [D^T | I] gives both: a row reduced to
+    [e_p | x] has D x = e_p, and one reduced to [0 | k] has k in ker D.
+    `rows` (built once per calculus) and `sigma_terms` are these two over
+    the connection's entries (see algebra.matrix_rows).
     """
 
     def __init__(self, calc: Calculus):
         om1 = calc.omega1
         om11, _ = calc.form_module(1, om1)
-        self.o1, self.qq = o1, qq = om1.dim, om11.dim
-        # rows of [D^T | I]
-        dt = [{qq + c: ONE} for c in range(calc.algebra.dim * o1)]
-        for a, d_a in enumerate(_d_right_mats(calc)):
-            for q, row in enumerate(d_a.nz):
-                for w, x in row.items():
-                    dt[a * o1 + w][q] = x
-        sb = SpanBuilder(qq + len(dt))
-        for row in dt:
-            sb.add(row)
+        o1, qq = om1.dim, om11.dim
+        dcols = [col for d_a in _d_right_mats(calc) for col in d_a.transpose().nz]
+        n = len(dcols)
+        sb = SpanBuilder(qq + n)
+        for c, col in enumerate(dcols):  # the rows of [D^T | I]
+            sb.add({**col, qq + c: ONE})
         red = sb.reduced()
         if any(p not in red for p in range(qq)):
             raise CalculusError("one-forms (x) one-forms is not spanned by the w (x) da")
-        self.den, flat = int_row({(p, c): x for p in range(qq) for c, x in red[p].items() if c != p})
-        self.dplus = dplus = [{} for _ in range(sb.ambient - qq)]
-        for (p, c), x in flat.items():
-            dplus[c - qq][p] = x
-        self.prows = []
-        for c in range(o1):
-            acc = {}
-            for a, r in enumerate(om1.right):
-                for j, x in r.nz[c].items():
-                    for q, y in dplus[a * o1 + j].items():
-                        acc[q] = acc.get(q, ZERO) + x * y
-            self.prows.append(nonzeros(acc))
-        self.r11_cols = [m.transpose().nz for m in om11.right]
-        ker = [int_row({c - qq: x for c, x in red[p].items()})[1] for p in sorted(red) if p >= qq]
-        self.rows = self._well_defined_rows(om1, om11, ker)
+        kers = [int_row({c - qq: x for c, x in red[p].items()})[1] for p in sorted(red) if p >= qq]
+        ker = Mat._of(len(kers), n, kers).transpose()
+        dplus = Mat._of(qq, n, [{c - qq: x for c, x in red[p].items() if c >= qq}
+                                for p in range(qq)]).transpose()
 
-    def _well_defined_rows(self, om1, om11, ker):
-        """Rows (L(nabla) k)[i] = 0 over the connection entries, for k in ker D."""
-        o1, qq = self.o1, self.qq
-        rows = []
-        for k in ker:
-            # (L(nabla) k)[i] = (nabla u)[i] - sum_a (R_a nabla k_a)[i], u = sum_a R_a k_a
-            parts = {}
-            for c, x in k.items():
-                a, j = divmod(c, o1)
-                parts.setdefault(a, {})[j] = x
-            u = {}
-            for a, part in parts.items():
-                for m, row in enumerate(om1.right[a].nz):
-                    for j, v in row.items():
-                        if j in part:
-                            u[m] = u.get(m, ZERO) + v * part[j]
-            u = [(m, x) for m, x in u.items() if x]
-            for i in range(qq):
-                coeffs = {i * o1 + m: x for m, x in u}
-                for a, part in parts.items():
-                    for m, r in om11.right[a].nz[i].items():
-                        for j, x in part.items():
-                            key = m * o1 + j
-                            coeffs[key] = coeffs.get(key, ZERO) - r * x
-                coeffs = {c: x for c, x in coeffs.items() if x}
-                if coeffs:
-                    rows.append(coeffs)
-        return rows
+        def leibniz_terms(m):  # L(nabla) M
+            blocks = [Mat._of(o1, m.cols, m.nz[a * o1:(a + 1) * o1])
+                      for a in range(calc.algebra.dim)]
+            u = sum((r * b for r, b in zip(om1.right, blocks)), Mat.zeros(o1, m.cols))
+            return [(None, u)] + [(r, -b) for r, b in zip(om11.right, blocks) if not b.is_zero()]
 
-    def of(self, flats):
-        """The braiding of each connection in flats, flattened: {row * dim + col: value}.
-
-        The braiding is linear in the connection: the entry nabla[r][c]
-        contributes P[c] to row r of sigma and -R_a[i][r] D^+_a[c] to row
-        i.  That contribution is built once per entry in use, times den,
-        and each braiding sums them over integer forms, dividing once per
-        entry; the map's matrix is never built, as it would have
-        dim(one-forms (x) one-forms) squared columns.
-        """
-        o1, qq, dplus = self.o1, self.qq, self.dplus
-        contrib = {}
-
-        def contribution(u):
-            r, c = divmod(u, o1)
-            row = {r * qq + q: y for q, y in self.prows[c].items()}
-            for a, cols in enumerate(self.r11_cols):
-                drow = dplus[a * o1 + c]
-                if drow:
-                    for i, x in cols[r].items():
-                        for q, y in drow.items():
-                            key = i * qq + q
-                            row[key] = row.get(key, ZERO) - x * y
-            return row
-
-        out = []
-        for flat in flats:
-            d, flat = int_row(flat)
-            acc = {}
-            for u, x in flat.items():
-                row = contrib.get(u)
-                if row is None:
-                    row = contrib[u] = contribution(u)
-                for k, y in row.items():
-                    acc[k] = acc.get(k, ZERO) + x * y
-            d *= self.den
-            out.append({k: rat(x, d) for k, x in acc.items() if x})
-        return out
+        self.shape = (qq, o1)
+        self.rows = [coeffs for coeffs, _ in matrix_rows(self.shape, leibniz_terms(ker))]
+        self.sigma_terms = leibniz_terms(dplus)
 
 
 def _braiding(calc: Calculus) -> _Braiding:
@@ -271,14 +198,8 @@ def braiding_of(calc: Calculus, nabla: Mat) -> Mat:
     It is a braiding of nabla exactly when nabla satisfies the rows of
     braided_connection_system (see _Braiding).
     """
-    o1, qq = nabla.cols, nabla.rows
-    (flat,) = _braiding(calc).of([{i * o1 + j: x for i, row in enumerate(nabla.nz)
-                                   for j, x in row.items()}])
-    sigma = [{} for _ in range(qq)]
-    for k, x in flat.items():
-        i, q = divmod(k, qq)
-        sigma[i][q] = x
-    return Mat._of(qq, qq, sigma)
+    return sum(((nabla if a is None else a * nabla) * b for a, b in _braiding(calc).sigma_terms),
+               Mat.zeros(nabla.rows, nabla.rows))
 
 
 def braided_connection_system(calc: Calculus) -> AffineSystem:
@@ -312,11 +233,16 @@ def solve_bimodule_connections(calc: Calculus) -> AffineSpace:
     if sol.empty:
         return sol
     br = _braiding(calc)
-    n_nabla = br.qq * br.o1
-    n = n_nabla + br.qq * br.qq
+    qq, o1 = br.shape
+    n_nabla = qq * o1
+    n = n_nabla + qq * qq
     flats = list(sol.direction.basis.nz) + [nonzeros(sol.particular)]
+    used = sorted({c for f in flats for c in f})
+    at = {c: k for k, c in enumerate(used)}
+    sigmas = (Mat._of(len(flats), len(used), [{at[c]: x for c, x in f.items()} for f in flats])
+              * sylvester_matrix(br.shape, br.sigma_terms, used))
     lifted = [{**f, **{n_nabla + k: x for k, x in sigma.items()}}
-              for f, sigma in zip(flats, br.of(flats))]
+              for f, sigma in zip(flats, sigmas.nz)]
     point = lifted.pop()
     direction = Subspace(n, lifted, reduced=True)
     # reverse echelon: column c is keyed n - 1 - c, so a pivot is a last nonzero column

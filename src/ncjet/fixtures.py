@@ -12,7 +12,7 @@ of the calculus, each built once and kept in `calc.memo`.
 from __future__ import annotations
 
 from .linalg import Mat, ZERO
-from .algebra import functions_on_points, mat_from_flat, matrix_algebra
+from .algebra import functions_on_points, mat_from_flat, matrix_algebra, matrix_rows
 from .calculus import Calculus, CalculusError, memo, quaternion_calculus, universal_calculus
 from .connections import (
     BimoduleConnection,
@@ -55,16 +55,16 @@ def frame_vectors(calc: Calculus):
 def frame_parallel_bimodule_connection(calc: Calculus) -> BimoduleConnection:
     """The braided connection with all frame one-forms parallel.
 
-    Solves the braided connection system with the frame columns of the
-    connection pinned to zero, and reads the braiding off the solution;
-    raises if that pinning is infeasible or leaves residual freedom.
+    Solves the braided connection system with the frame pinned, nabla F = 0
+    for F the frame vectors as columns, and reads the braiding off the
+    solution; raises if that pinning is infeasible or leaves residual
+    freedom.
     """
     om11, _ = calc.form_module(1, calc.omega1)
     o1, qq = calc.omega1.dim, om11.dim
     sys = braided_connection_system(calc)
-    for fv in frame_vectors(calc):
-        for i in range(qq):
-            sys.add_row({i * o1 + j: v for j, v in enumerate(fv) if v})
+    for coeffs, rhs in matrix_rows((qq, o1), [(None, Mat.from_cols(frame_vectors(calc), o1))]):
+        sys.add_row(coeffs, rhs)
     sol = sys.solve()
     if sol.empty:
         raise CalculusError("no frame-parallel braided connection exists")

@@ -56,14 +56,17 @@ def _pair_module(calc: Calculus, m: LeftModule) -> PairData:
 
 
 def twist_mats(calc: Calculus, m: LeftModule):
-    """T_a(x) = class of d(e_a) (x) x in one-forms (x) M, one matrix per basis a."""
-    _, ts = calc.form_module(1, m)
-    mats = []
-    for a in range(calc.algebra.dim):
-        da = calc.d_of_basis(a)
-        cols = [ts.class_of(da, {x: ONE}) for x in range(m.dim)]
-        mats.append(Mat.from_cols(cols, ts.dim))
-    return mats
+    """T_a(x) = class of d(e_a) (x) x in one-forms (x) M, one matrix per basis a (memoized)."""
+    def build():
+        _, ts = calc.form_module(1, m)
+        mats = []
+        for a in range(calc.algebra.dim):
+            da = calc.d_of_basis(a)
+            cols = [ts.class_of(da, {x: ONE}) for x in range(m.dim)]
+            mats.append(Mat.from_cols(cols, ts.dim))
+        return mats
+
+    return calc.memo(("twist", m), build)
 
 
 def pair_map(calc: Calculus, f: Mat, src: LeftModule, dst: LeftModule) -> Mat:

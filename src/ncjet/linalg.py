@@ -548,10 +548,7 @@ class AffineSystem(SpanBuilder):
 
     def add_row(self, coeffs, rhs=ZERO):
         """Impose sum(coeffs[c] * x_c for c) == rhs."""
-        row = dict(coeffs)
-        if rhs:
-            row[self.n] = rhs
-        self.add(row)
+        self.add({**coeffs, self.n: rhs} if rhs else coeffs)
 
     def solve(self) -> AffineSpace:
         n = self.n

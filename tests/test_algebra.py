@@ -1,20 +1,24 @@
 """Algebras by structure constants, modules, tensor products over the algebra."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncjet.linalg import Mat, SpanBuilder, ZERO, kron, rank, rat, span_of, vec
+from ncjet.linalg import (AffineSystem, Mat, SpanBuilder, ZERO, kron, nonzeros, rank, rat, span_of,
+                          vec)
 from ncjet.algebra import (
     Algebra,
     Bimodule,
     BimoduleMap,
     functions_on_points,
     matrix_algebra,
+    matrix_rows,
     mat_from_flat,
     module_closure,
     quaternion_algebra,
     regular_bimodule,
     solve_module_maps,
     tensor_bimodule,
+    sylvester_matrix,
     tensor_space,
     validate_algebra,
 )
@@ -214,6 +218,78 @@ def test_compose_eq_constraints_hold(quat):
     sol = solve_module_maps(reg, reg, "k", compose_eq=[(Mat.identity(4), target)])
     got = mat_from_flat(sol.particular, 4, 4)
     assert got == target
+
+
+# --- the row builder of sum A X B = C, against its Kronecker matrix ---------------------
+
+_entries = st.one_of(st.just(0), st.just(0), st.builds(rat, st.integers(-3, 3), st.integers(1, 3)))
+
+
+def _mats(draw, rows, cols):
+    return Mat(rows, cols, [draw(st.lists(_entries, min_size=cols, max_size=cols))
+                            for _ in range(rows)])
+
+
+@st.composite
+def _sylvester_systems(draw):
+    """(shape of X, terms, rhs or None, q): X is m x n, sum A X B is p x q, all sides up to 4."""
+    m, n, p, q = (draw(st.integers(1, 4)) for _ in range(4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = None if p == m and draw(st.booleans()) else _mats(draw, p, m)
+        b = None if q == n and draw(st.booleans()) else _mats(draw, n, q)
+        terms.append((a, b))
+    rhs = _mats(draw, p, q) if draw(st.booleans()) else None
+    return (m, n), terms, rhs, q
+
+
+def _kron_map(shape, terms):
+    """sum_l A_l (x) B_l^T: the matrix of X -> sum A_l X B_l on row-major vec(X)."""
+    m, n = shape
+    total = None
+    for a, b in terms:
+        term = kron(Mat.identity(m) if a is None else a,
+                    (Mat.identity(n) if b is None else b).transpose())
+        total = term if total is None else total + term
+    return total
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_sylvester_systems(), st.data())
+def test_matrix_rows_and_sylvester_matrix_match_kronecker_oracle(system, data):
+    shape, terms, rhs, q = system
+    full = _kron_map(shape, terms)
+    want = []
+    for r, row in enumerate(full.nz):
+        c = rhs.entry(r // q, r % q) if rhs is not None else ZERO
+        if row or c:
+            want.append((row, c))
+    assert [(nonzeros(coeffs), c) for coeffs, c in matrix_rows(shape, terms, rhs)] == want
+    used = data.draw(st.lists(st.integers(0, full.cols - 1), unique=True))
+    want = full.transpose().submatrix(used, range(full.rows))
+    assert sylvester_matrix(shape, terms, used) == want
+
+
+def test_matrix_rows_keep_an_empty_row_with_a_right_hand_side():
+    """A X - A X = C cancels in every row: a row with rhs != 0 stays and is inconsistent."""
+    a = Mat.from_rows([[1, 2], [0, 3]])
+    terms = [(a, None), (-a, None)]
+    assert list(matrix_rows((2, 2), terms)) == []
+    rows = list(matrix_rows((2, 2), terms, Mat.from_rows([[0, 0], [rat(1, 2), 0]])))
+    assert [(nonzeros(coeffs), c) for coeffs, c in rows] == [({}, rat(1, 2))]
+    sys = AffineSystem(4)
+    for coeffs, c in rows:
+        sys.add_row(coeffs, c)
+    assert sys.solve().empty
+
+
+def test_matrix_rows_refuse_terms_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="2 x 3 unknown"):
+        list(matrix_rows((2, 3), [(Mat.identity(3), None)]))
+    with pytest.raises(ValueError, match="2 x 3 unknown"):
+        list(matrix_rows((2, 3), [(None, None), (None, Mat.identity(3).hstack(Mat.zeros(3, 1)))]))
+    with pytest.raises(ValueError, match="right-hand side"):
+        list(matrix_rows((2, 3), [(None, None)], Mat.zeros(3, 2)))
 
 
 # --- generators, and the reductions over them ---------------------------------------

@@ -166,6 +166,32 @@ def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, t
     assert out.startswith("invalid input:") and "exceeds cap 16" in out
 
 
+def test_huge_max_degree_stops_at_the_first_degree_that_fails(tmp_path, monkeypatch, two_point):
+    """The two-point forms stay 2-dimensional in every degree, so nothing stops the
+    relations; the differential's spanning set, 2^(k+1) columns in degree k, breaks
+    the cap at k = 12, and the build must stop there instead of building every degree."""
+    import ncjet.calculus
+
+    doc = serialize_calculus(two_point)
+    doc["maxDegree"] = 1000000
+    path = tmp_path / "deep.json"
+    path.write_text(dump_json(doc))
+    built = []
+    quotient_data = ncjet.calculus.quotient_data
+
+    def spy(rel):  # called once per degree >= 2, as it lands
+        built.append(rel.ambient)
+        if len(built) >= 20:
+            raise RuntimeError("the tower went on building past a failing degree")
+        return quotient_data(rel)
+
+    monkeypatch.setattr(ncjet.calculus, "quotient_data", spy)
+    monkeypatch.delenv("NCJET_MAX_DIM", raising=False)
+    assert run(["validate", str(path)]) == (
+        EXIT_INVALID, "invalid input: matrix dimension exceeds cap 4096\n")
+    assert 0 < len(built) < 20
+
+
 def test_oversized_tensor_product_is_refused_before_eliminating(quat_spec_path, quat,
                                                                monkeypatch):
     import ncjet.algebra

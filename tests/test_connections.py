@@ -11,7 +11,6 @@ from ncjet.connections import (
     Connection,
     InvalidConnection,
     _d_right_mats,
-    _twist_mats,
     associated_connection,
     bimodule_connection_from_vector,
     covariant_exterior,
@@ -38,7 +37,7 @@ from ncjet.fixtures import (
     frame_vectors,
     quantization_of,
 )
-from ncjet.jets import delta_contraction, jet_module, spencer_operator, sym_module
+from ncjet.jets import delta_contraction, jet_module, spencer_operator, sym_module, twist_mats
 
 
 def frame_form(calc, t):
@@ -171,7 +170,7 @@ def bimodule_connection_system(calc):
     """
     om1 = calc.omega1
     om11, _ = calc.form_module(1, calc.omega1)
-    twist = _twist_mats(calc, om1)
+    twist = twist_mats(calc, om1)
     d_right = _d_right_mats(calc)
     o1, qq = om1.dim, om11.dim
     n_nabla = qq * o1
