@@ -454,11 +454,12 @@ def module_closure(mod: LeftModule, seeds, use_right=False) -> Subspace:
 def _product_shape(shape, terms):
     """(p, q) for sum_l A_l X B_l with X of the given shape; every term must agree."""
     m, n = shape
-    sizes = {(m if a is None else a.rows, n if b is None else b.cols) for a, b in terms}
-    if len(sizes) != 1 or any(a is not None and a.cols != m or b is not None and b.rows != n
-                              for a, b in terms):
+    sides = {((m, m) if a is None else (a.rows, a.cols), (n, n) if b is None else (b.rows, b.cols))
+             for a, b in terms}
+    (p, k), (l, q) = sides.pop()
+    if sides or (k, l) != (m, n):
         raise ValueError("terms do not fit one %d x %d unknown" % shape)
-    return sizes.pop()
+    return p, q
 
 
 def matrix_rows(shape, terms, rhs=None):
@@ -518,10 +519,9 @@ def _int_form(m: Mat):
 def sylvester_matrix(shape, terms, used) -> Mat:
     """Images of the unknowns in used under X -> sum_l A_l X B_l, one row each.
 
-    The image of X[k][l], the sum of the outer products A_l[:, k] B_l[l, :],
-    is flattened as in matrix_rows: this is the transpose of the map's
-    matrix restricted to used.  It is summed over the factors' integer
-    forms and divided once per entry.
+    The image of X[k][l] is the sum of the outer products A_l[:, k] B_l[l, :],
+    flattened as in matrix_rows (so this is the transpose of the map's matrix,
+    restricted to used), summed over integer forms and divided once per entry.
     """
     p, q = _product_shape(shape, terms)
     n = shape[1]
@@ -571,14 +571,16 @@ def solve_module_maps(source, target, linearity="left", compose_eq=()):
     """
     ds, dt = source.dim, target.dim
     sys = AffineSystem(dt * ds)
+    # compose rows first: a lift through an inclusion pins entries of X outright,
+    # and the linearity rows then reduce against those short pivots
+    for P, Q in compose_eq:
+        for coeffs, rhs in matrix_rows((dt, ds), [(None, P)], Q):
+            sys.add_row(coeffs, rhs)
     alg = source.algebra
     if linearity in ("left", "bilinear"):
         add_intertwining_rows(sys, alg, source.left, target.left)
     if linearity in ("right", "bilinear"):
         add_intertwining_rows(sys, alg, source.right, target.right)
-    for P, Q in compose_eq:
-        for coeffs, rhs in matrix_rows((dt, ds), [(None, P)], Q):
-            sys.add_row(coeffs, rhs)
     return sys.solve()
 
 
