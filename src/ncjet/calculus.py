@@ -3,23 +3,24 @@
 A calculus is built from (algebra, bimodule of one-forms, differential) and
 extended to degrees <= max_degree: degree-n forms are the n-fold tensor
 power over the algebra modulo the two-sided ideal generated by applying the
-differential to the degree-1 relations.  The differential in each degree is
-solved from its values on the spanning set a db_1 ^ ... ^ db_n and its
-well-definedness is verified, which doubles as a consistency check of the
-input calculus.
+differential to the degree-1 relations.  d in degree 1 is solved from its
+values da ^ db on the spanning set a db, which doubles as a consistency
+check of the input calculus; in each higher degree it is the graded Leibniz
+rule d(w ^ xi) = dw ^ xi + (-1)^(k-1) w ^ dxi on the plain tensors of
+omega_{k-1} (x) omega1, checked to be well defined and to square to zero.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .linalg import (
+    DimensionCapError,
     Mat,
     SpanBuilder,
     ZERO,
     kernel_of,
     intersect,
     kron,
+    max_dim,
     nonzeros,
     quotient_data,
 )
@@ -236,6 +237,8 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         raise CalculusError("invalid first-order calculus: " + "; ".join(problems))
     if max_degree < 1:
         raise CalculusError("max_degree must be >= 1")
+    if max_degree > max_dim():
+        raise DimensionCapError("tower degree %d exceeds cap %d" % (max_degree, max_dim()))
 
     alg = algebra
     dA = alg.dim
@@ -270,19 +273,7 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
             raise CalculusError("degree-%d forms are not a bimodule: %s" % (degree, bad[0]))
         return mod, sp, ss
 
-    basis_d = [d0.apply(alg.basis_vector(i)) for i in range(dA)]
-
-    def extend(cur, m, one_form):
-        dense = [ZERO] * (len(cur) * o1)
-        for i, x in enumerate(cur):
-            if x:
-                base = i * o1
-                for j, y in enumerate(one_form):
-                    if y:
-                        dense[base + j] = x * y
-        return step_proj[m + 1].apply(dense)
-
-    # each degree n lands, then d_{n-1} is solved into it, so the tower stops
+    # each degree n lands, then d_{n-1} is built into it, so the tower stops
     # at the first degree that fails and omega, d and max_degree agree
     for n in range(2, max_degree + 1):
         pre_mod, pre_ts = calc.form_module(n - 1, omega1)
@@ -318,21 +309,20 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         om, step_proj[n], step_sec[n] = quotient_bimodule(pre_mod, pre_ts, rel, n)
         omega.append(om)
 
-        # d in degree k = n - 1, solved on the spanning set a db_1 ^ ... ^ db_k
+        # d in degree k = n - 1: d1 is solved on its spanning set a db; for k >= 2,
+        # graded Leibniz on the plain tensors w (x) xi of omega_{k-1} (x) omega1 gives
+        # d(w ^ xi) = dw ^ xi + (-1)^(k-1) w ^ dxi, and d_k is that map on the section
         k = n - 1
-        vcols, wcols = [], []
-        for tup in itertools.product(range(dA), repeat=k + 1):
-            cur = omega1.act_left(alg.basis_vector(tup[0]), basis_d[tup[1]])
-            for s in range(2, k + 1):
-                cur = extend(cur, s - 1, basis_d[tup[s]])
-            vcols.append(cur)
-            w = basis_d[tup[0]]
-            for s in range(1, k + 1):
-                w = extend(w, s, basis_d[tup[s]])
-            wcols.append(w)
-        vmat = Mat.from_cols(vcols, omega[k].dim)
-        wmat = Mat.from_cols(wcols, omega[n].dim)
-        calc.d.append(_solve_spanning(vmat, wmat, "differential in degree %d" % k))
+        if k == 1:
+            dd = step_proj[2] * kron(d0, d0)
+            calc.d.append(_solve_spanning(to_omega, dd, "differential in degree 1"))
+        else:
+            d1 = calc.d[1] if k % 2 else -calc.d[1]
+            plain = (step_proj[n] * kron(calc.d[k - 1], Mat.identity(o1))
+                     + calc.wedge_plain(k - 1, 2) * kron(Mat.identity(omega[k - 1].dim), d1))
+            calc.d.append(plain * step_sec[k])
+            if calc.d[k] * step_proj[k] != plain:
+                raise CalculusError("differential in degree %d is not well-defined" % k)
         if not (calc.d[k] * calc.d[k - 1]).is_zero():
             raise CalculusError("differential does not square to zero at degree %d" % (k - 1))
     return calc

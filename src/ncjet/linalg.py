@@ -55,7 +55,7 @@ def max_dim():
 
 
 class DimensionCapError(ValueError):
-    """A matrix side or subspace ambient dimension above max_dim()."""
+    """A matrix side, subspace ambient dimension or tower degree above max_dim()."""
 
 
 def rat_str(x):

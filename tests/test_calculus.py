@@ -10,6 +10,7 @@ from ncjet.algebra import Algebra, functions_on_points, module_closure, tensor_b
 from ncjet.calculus import (
     CalculusError,
     build_calculus,
+    quaternion_calculus,
     twisted_pair,
     universal_calculus,
     validate_fodc,
@@ -207,6 +208,65 @@ def test_graded_leibniz_on_spanning_products(all_fixtures):
                 t1 = w21.apply([x * y for x in d1.apply(w) for y in eta])
                 t2 = w12.apply([x * y for x in w for y in d1.apply(eta)])
                 assert lhs == [p - q for p, q in zip(t1, t2)]
+
+
+def _check_spanning_tuples(calc):
+    """d_k(a db_1 ^ ... ^ db_k) == da ^ db_1 ^ ... ^ db_k on every tuple, every k >= 1.
+
+    The reference the spanning-tuple elimination used to solve for d_k: it walks
+    the dim(A)^(k+1) tuples depth-first as sparse dicts, wedging one db at a time
+    through the step projections' columns, so it builds no matrix of that width.
+    """
+    alg, o1 = calc.algebra, calc.omega1.dim
+    db = [{i: x for i, x in enumerate(calc.d_of_basis(b)) if x} for b in range(alg.dim)]
+    proj_cols = {n: p.transpose().nz for n, p in calc.step_proj.items()}
+    d_cols = [dk.transpose().nz for dk in calc.d]
+
+    def wedge(v, n, xi):  # v in omega_{n-1}, xi in omega1 -> v ^ xi in omega_n
+        out = {}
+        for i, x in v.items():
+            for j, y in xi.items():
+                for r, z in proj_cols[n][i * o1 + j].items():
+                    out[r] = out.get(r, ZERO) + x * y * z
+        return {r: z for r, z in out.items() if z}
+
+    def walk(v, w, k):  # v = a db_1 ^ ... ^ db_k, w = da ^ db_1 ^ ... ^ db_k
+        dv = {}
+        for i, x in v.items():
+            for r, z in d_cols[k][i].items():
+                dv[r] = dv.get(r, ZERO) + x * z
+        assert {r: z for r, z in dv.items() if z} == w
+        if k + 1 < calc.max_degree:
+            for b in db:
+                walk(wedge(v, k + 1, b), wedge(w, k + 2, b), k + 1)
+
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            adb = calc.omega1.act_left(alg.basis_vector(a), calc.d_of_basis(b))
+            walk({i: x for i, x in enumerate(adb) if x}, wedge(db[a], 2, db[b]), 1)
+
+
+_SPANNING_CASES = {
+    "quaternion to 5": lambda request: quaternion_calculus(5),
+    "two-point to 10": lambda request: universal_calculus(functions_on_points(2), 10),
+    "matrix2-universal to 3": lambda request: request.getfixturevalue("matrix2"),
+    "sheared quaternion": lambda request: request.getfixturevalue("sheared_quat"),
+    "Z/4 {1, 3} to 4": lambda request: parse_calculus_spec(cayley_spec(4, [1, 3], 4)),
+    "S3 to 3": lambda request: request.getfixturevalue("s3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPANNING_CASES))
+def test_differentials_match_the_spanning_tuple_reference(request, case):
+    _check_spanning_tuples(_SPANNING_CASES[case](request))
+
+
+def test_quaternion_tower_to_degree_eight():
+    """The Leibniz differentials reach past the 4^9 spanning tuples of d_8."""
+    calc = quaternion_calculus(8)
+    assert [calc.dim_omega(k) for k in range(9)] == [4 * (k + 1) for k in range(9)]
+    for k in range(1, 8):
+        assert (calc.d[k] * calc.d[k - 1]).is_zero()
 
 
 def test_degenerate_calculus_is_legal():

@@ -155,21 +155,18 @@ def test_second_spencer_pass_builds_no_wedge_contraction(monkeypatch):
     assert built == []
 
 
-def test_validate_dimension_cap_breach_is_invalid_input(tmp_path, monkeypatch, two_point):
-    doc = serialize_calculus(two_point)
-    doc["maxDegree"] = 5
-    path = tmp_path / "deep.json"
-    path.write_text(dump_json(doc))
+def test_validate_dimension_cap_breach_is_invalid_input(quat_spec_path, monkeypatch):
+    # the first presentation, Omega^1 (x) Omega^1, has 8 x 8 plain tensors
     monkeypatch.setenv("NCJET_MAX_DIM", "16")
-    code, out = run(["validate", str(path)])
+    code, out = run(["validate", quat_spec_path])
     assert code == EXIT_INVALID
     assert out.startswith("invalid input:") and "exceeds cap 16" in out
 
 
 def test_huge_max_degree_stops_at_the_first_degree_that_fails(tmp_path, monkeypatch, two_point):
-    """The two-point forms stay 2-dimensional in every degree, so nothing stops the
-    relations; the differential's spanning set, 2^(k+1) columns in degree k, breaks
-    the cap at k = 12, and the build must stop there instead of building every degree."""
+    """The two-point forms stay 2-dimensional and the tower is valid in every degree,
+    so a maxDegree of 10^6 would be a request for 10^6 degrees; the degree is bounded
+    by the cap that bounds the matrices, and checked before the tower is built."""
     import ncjet.calculus
 
     doc = serialize_calculus(two_point)
@@ -181,15 +178,35 @@ def test_huge_max_degree_stops_at_the_first_degree_that_fails(tmp_path, monkeypa
 
     def spy(rel):  # called once per degree >= 2, as it lands
         built.append(rel.ambient)
-        if len(built) >= 20:
-            raise RuntimeError("the tower went on building past a failing degree")
         return quotient_data(rel)
 
     monkeypatch.setattr(ncjet.calculus, "quotient_data", spy)
     monkeypatch.delenv("NCJET_MAX_DIM", raising=False)
     assert run(["validate", str(path)]) == (
-        EXIT_INVALID, "invalid input: matrix dimension exceeds cap 4096\n")
-    assert 0 < len(built) < 20
+        EXIT_INVALID, "invalid input: tower degree 1000000 exceeds cap 4096\n")
+    assert built == []
+
+
+def test_s3_tower_stops_at_the_plain_product_past_degree_5(tmp_path, monkeypatch):
+    """S3's forms (6, 18, 42, 90, 186, 378) land through degree 5; degree 6 needs
+    the plain product omega_5 (x) omega1 = 378 x 18, which breaks the default cap."""
+    import ncjet.calculus
+
+    path = tmp_path / "s3.json"
+    path.write_text(dump_json(group_spec(*symmetric_group(3), max_degree=6)))
+    landed = []
+    quotient_data = ncjet.calculus.quotient_data
+
+    def spy(rel):
+        out = quotient_data(rel)
+        landed.append(out[0].rows)
+        return out
+
+    monkeypatch.setattr(ncjet.calculus, "quotient_data", spy)
+    monkeypatch.delenv("NCJET_MAX_DIM", raising=False)
+    assert run(["validate", str(path)]) == (
+        EXIT_INVALID, "invalid input: plain tensor product 378 x 18 exceeds cap 4096\n")
+    assert landed == [42, 90, 186, 378]
 
 
 def test_oversized_tensor_product_is_refused_before_eliminating(quat_spec_path, quat,

@@ -21,9 +21,11 @@ def mat_text(m):
 
 
 def canonical_items(calc, base):
-    """Relation spaces, step projections and sections, Spencer operators for n <= 2."""
+    """Relation spaces, differentials, step projections and sections, Spencer operators for n <= 2."""
     items = {"relations": calc.relation_space.basis,
              "tensor 1,1 proj": calc.tensor_pq(1, 1).proj}
+    for k, dk in enumerate(calc.d):
+        items["d %d" % k] = dk
     for n in sorted(calc.step_proj):
         items["step_proj %d" % n] = calc.step_proj[n]
         items["step_sec %d" % n] = calc.step_sec[n]
@@ -38,6 +40,9 @@ DIGESTS = {
     'quaternion': {
         'relations': '7c8ded694b2edac9d51cb28241db58c8dc2aefcd396974aadcef2383b28547b3',
         'tensor 1,1 proj': '48dd542569955aa9dbca0b15cacdf2beaca2edebee16527d4f73cbf794262f5c',
+        'd 0': 'f3017f3468de55871560baa5b325369af7f1f2e618968b02e744e6d1c01ce032',
+        'd 1': '2c7816d8c400b02c62e8537ad6765b9aa458fe03b641086fd693e987f95197bf',
+        'd 2': 'a791758231087be8db18cd26fe5c9bf272dd4b67bbf2da2cb1e8c322eff2c9e8',
         'step_proj 2': 'eee3f5a886d3a70c1497b59d473284c25f8955905083be3aa4b1b038bb4a1901',
         'step_sec 2': 'afa2dfa5c95d2da2889db7df7158c103033420054426d8a8a9382ff496f9d827',
         'step_proj 3': '7b2c71cf8b3eb29bcca7b5845832a92add02f5df59655ec52ce09acd78971fa9',
@@ -52,6 +57,9 @@ DIGESTS = {
     'two-point-universal': {
         'relations': 'bca14c461463ef2ee201228c01b33ffc26308034140257598738f87c86a6aebd',
         'tensor 1,1 proj': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
+        'd 0': '4c484fa071ab5336a80a7015282a1e59774e1738d2a3a4bb30d83f0448996ddf',
+        'd 1': '26963a32d28a85f8ecf1bd674e88e8049001b1a98c14ceea7d9707be31a7429b',
+        'd 2': '4c484fa071ab5336a80a7015282a1e59774e1738d2a3a4bb30d83f0448996ddf',
         'step_proj 2': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
         'step_sec 2': '83c61c2f0ca27fb2039706a1d3c9c326f225e4edc1ba07142713561d59a8fdd2',
         'step_proj 3': '82ddd8459fb63e6f65867afc1f4aae2ab16428a69f1de3c1a196e65507f93fa9',
@@ -66,6 +74,9 @@ DIGESTS = {
     'sheared-quaternion': {
         'relations': '6dcf27c634b015319629432279ee20f7d2cdc492fd2f410427b422f194de3110',
         'tensor 1,1 proj': '8aff5e15cdaf850d6cb296ed236c663a32af523e6dfbf71da265e288f5b81426',
+        'd 0': 'af50eae0f2feb401d8726bf97983a55392300ea6c1e02e858084d3a0e67843b7',
+        'd 1': '01da6ea0dcdc4a5cb6b1b94282a91458d3d5e9fdde96a71ac1c72cb6097be922',
+        'd 2': '1869da096d9e0ca8e7cede1d26d5ddef39c677632a62ca4f5a0560967ad1d262',
         'step_proj 2': '931188910a08bf4c9519ee48d94cceb0f80a83523f7b2f046f53e8a1e56db40e',
         'step_sec 2': 'afa2dfa5c95d2da2889db7df7158c103033420054426d8a8a9382ff496f9d827',
         'step_proj 3': 'f4be2fa121006d4f6c4613987770736171a475b54730ec3d3d6cff7b49f1ae5d',
