@@ -262,7 +262,7 @@ def test_differentials_match_the_spanning_tuple_reference(request, case):
 
 
 def test_quaternion_tower_to_degree_eight():
-    """The Leibniz differentials reach past the 4^9 spanning tuples of d_8."""
+    """Forms of dimension 4(k+1) up to degree 8, where d_7 alone has 4^8 spanning tuples."""
     calc = quaternion_calculus(8)
     assert [calc.dim_omega(k) for k in range(9)] == [4 * (k + 1) for k in range(9)]
     for k in range(1, 8):
