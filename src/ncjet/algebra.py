@@ -2,13 +2,13 @@
 
 An algebra is given by a rank-3 tensor of structure constants over exact
 rationals.  Modules carry explicit action matrices per algebra basis
-element.  Tensor products over the algebra are computed as quotients of
-plain tensor products by the balancing relations x·a ⊗ y − x ⊗ a·y.
+element.  A tensor product m ⊗_A n = n^r / (Syz · n) is read off a right
+presentation A^r → m, with no balancing relation x·a ⊗ y − x ⊗ a·y eliminated.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
 
 from .linalg import (
@@ -20,10 +20,13 @@ from .linalg import (
     ZERO,
     ONE,
     int_row,
+    kernel_of,
     nonzeros,
     max_dim,
     quotient_data,
     rat,
+    right_inverse,
+    span_of,
     vec,
 )
 
@@ -167,12 +170,12 @@ def matrix_algebra(n: int) -> Algebra:
 
 
 class LeftModule:
-    """Left module: one action matrix per algebra basis element."""
+    """Left module: one action matrix per algebra basis element, held in a tuple."""
 
     def __init__(self, algebra, dim, left_mats, label=""):
         self.algebra = algebra
         self.dim = dim
-        self.left = list(left_mats)
+        self.left = tuple(left_mats)
         self.label = label
 
     def act_left(self, a, v):
@@ -217,7 +220,34 @@ class Bimodule(LeftModule):
 
     def __init__(self, algebra, dim, left_mats, right_mats, label=""):
         super().__init__(algebra, dim, left_mats, label)
-        self.right = list(right_mats)
+        self.right = tuple(right_mats)
+
+    @cached_property
+    def right_presentation(self):
+        """(r, G+, Syz) for G: A^r -> self, (a_s) -> sum_s g_s·a_s, onto; G G+ = 1, Syz = ker G.
+
+        A^r has coordinates (s, a) at s·dim A + a.  Each generator g starts at 0
+        and takes g += e_x, x in order, whenever that enlarges S + g·A, until g·A
+        adds dim A; then S += g·A, until S is everything.  It affects speed only.
+        """
+        dA, dim = self.algebra.dim, self.dim
+        span, gens = SpanBuilder(dim), []
+        while span.dim < dim:
+            g, best = [ZERO] * dim, span
+            for x in range(dim):
+                cand = g[:x] + [g[x] + ONE] + g[x + 1:]
+                grown = SpanBuilder(dim)
+                grown.rows = dict(span.rows)  # pivot rows are never mutated
+                for mat in self.right:
+                    grown.add(mat.apply(cand))
+                if grown.dim > best.dim:
+                    g, best = cand, grown
+                    if best.dim - span.dim == dA:
+                        break
+            gens.append(g)
+            span = best
+        gmat = Mat.from_cols([mat.apply(g) for g in gens for mat in self.right], dim)
+        return len(gens), right_inverse(gmat), kernel_of(gmat)
 
     def act_right(self, v, a):
         out = [ZERO] * self.dim
@@ -300,10 +330,12 @@ class TensorSpace:
     """Tensor product over the algebra, with its plain-tensor presentation.
 
     proj maps the plain tensor (left factor slow, right factor fast) onto
-    the quotient; sec is the fixed section picked by rref pivots.  pcols
-    holds the columns of proj's integer form as {row: int} dicts and pden
-    the row denominators, so a plain tensor is projected from its nonzeros
-    alone, over the integers, with one division per output entry.
+    the quotient; sec selects the plain basis tensors whose classes are
+    independent, scanned from the last one back (the non-pivots of the
+    relations' RREF).  pcols holds the columns of proj's integer form as
+    {row: int} dicts and pden the row denominators, so a plain tensor is
+    projected from its nonzeros alone, over the integers, with one division
+    per output entry; gather builds a matrix from such classes directly.
     """
 
     __slots__ = ("left_dim", "right_dim", "dim", "proj", "sec", "relations", "pcols", "pden")
@@ -323,20 +355,27 @@ class TensorSpace:
         """Class of the plain tensor given by its nonzeros {index: value}."""
         return self._classes(*int_row(plain))
 
-    def _classes(self, den, plain):
-        """Class of the plain tensor plain / den, for an int den > 0 and {index: int} plain."""
-        out = [ZERO] * self.dim
-        pcols = self.pcols
+    def _class(self, den, plain):
+        """Nonzeros {row: value} of the class of plain / den (int den > 0, {index: int} plain)."""
+        acc = {}
+        get = acc.get
         for k, v in plain.items():
             if v:
-                for r, p in pcols[k].items():
-                    out[r] += v * p
-        for r, d in enumerate(self.pden):
-            d *= den
-            if d != 1:
-                x = out[r]
-                out[r] = x // d if not x % d else rat(x, d)
+                for r, p in self.pcols[k].items():
+                    acc[r] = get(r, 0) + v * p
+        return {r: rat(x, self.pden[r] * den) for r, x in acc.items() if x}
+
+    def _classes(self, den, plain):
+        """Class of the plain tensor plain / den as a dense list."""
+        out = [ZERO] * self.dim
+        for r, x in self._class(den, plain).items():
+            out[r] = x
         return out
+
+    def gather(self, plains) -> Mat:
+        """Matrix whose columns are the classes of the integer plain tensors (den, {index: int})."""
+        cols = [self._class(*plain) for plain in plains]
+        return Mat._of(len(cols), self.dim, cols).transpose()
 
     def pure(self, x, y):
         """x (x) y as an integer plain tensor (den, {index: int}), from the nonzeros of x and y."""
@@ -363,21 +402,22 @@ class TensorSpace:
         fcols = [int_row(c) for c in f.transpose().nz]
         gcols = [int_row(c) for c in g.transpose().nz]
         rd, srd = self.right_dim, src.right_dim
-        cols = []
+        plains = []
         for c, sel in enumerate(src.sec.nz):
             if sel:
                 (df, fc), (dg, gc) = fcols[c // srd], gcols[c % srd]
                 gnz = gc.items()
-                cols.append(self._classes(df * dg, {i * rd + j: x * y for i, x in fc.items()
-                                                    for j, y in gnz}))
-        return Mat.from_cols(cols, self.dim)
+                plains.append((df * dg, {i * rd + j: x * y for i, x in fc.items() for j, y in gnz}))
+        return self.gather(plains)
 
 
 def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
-    """Quotient of the plain tensor m (x) n by x·a (x) y - x (x) a·y.
+    """Quotient of the plain tensor m (x) n by x·a (x) y - x (x) a·y, after a cap check.
 
-    Relations at the algebra's generators a span those at every a.  The
-    plain size is checked against the cap before any relation is built.
+    Right exactness gives m (x)_A n = n^r / {(b_s·y)_s : b in Syz}, where e_x (x) e_y has
+    the class ((G+ e_x)_s · e_y)_s.  Column j is a relation pivot exactly when its class
+    is in the span of the later columns' classes: the class rows, reduced from the last
+    column back, give the canonical section and projection.
     """
     if m.algebra is not n.algebra:
         raise ValueError("tensor factors live over different algebras")
@@ -386,18 +426,43 @@ def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
     if amb > max_dim():
         raise DimensionCapError("plain tensor product %d x %d exceeds cap %d"
                                 % (dm, dn, max_dim()))
+    r, ginv, syz = m.right_presentation
+    dA = m.algebra.dim
+    # class row (s, y') at column (x, y): sum_a G+[(s, a)][x] L_a[y'][y] over the integers
+    # (a row's scale is immaterial), keyed by the reversed column amb - 1 - j so that
+    # elimination scans from the back
+    _, grows = _int_form(ginv)
+    lforms = [_int_form(mat) for mat in n.left]
+    dl = lcm(*[d for d, _ in lforms])
+    top = amb - 1
+    rows = [{} for _ in range(r * dn)]
+    for k, grow in enumerate(grows):
+        s, a = divmod(k, dA)
+        d, lrows = lforms[a]
+        for yy, lrow in enumerate(lrows):
+            row = rows[s * dn + yy]
+            for x, v in grow.items():
+                v, base = v * (dl // d), top - x * dn
+                for y, w in lrow.items():
+                    row[base - y] = row.get(base - y, ZERO) + v * w
+    if syz.dim:  # K: the columns of the stacked (b_s·)_s, over a basis b of Syz
+        kvecs = [col for b in syz.basis.nz for col in reduce(Mat.vstack, [
+            n.left_mult([b.get(s * dA + a, ZERO) for a in range(dA)])
+            for s in range(r)]).transpose().nz]
+        projk, _ = quotient_data(span_of(kvecs, r * dn))
+        rows = (projk * Mat._of(r * dn, amb, [nonzeros(row) for row in rows])).nz
     sb = SpanBuilder(amb)
-    for a in m.algebra.generators:
-        rcols = m.right[a].transpose().nz
-        lcols = n.left[a].transpose().nz
-        for x in range(dm):
-            for y in range(dn):
-                gen = {mm * dn + y: v for mm, v in rcols[x].items()}
-                for nn, w in lcols[y].items():
-                    key = x * dn + nn
-                    gen[key] = gen.get(key, ZERO) - w
-                sb.add(gen)
-    rel = sb.subspace()
+    for row in rows:
+        sb.add(row)
+    # pivot c of the reversed reduction is a section column; each other column p
+    # is a relation pivot with row e_p - sum_c proj[c][p] e_c
+    red = sb.reduced()
+    rels = {p: {p: ONE} for p in range(amb) if top - p not in red}
+    for c, row in red.items():
+        for j, v in row.items():
+            if j != c:
+                rels[top - j][top - c] = -v
+    rel = Subspace(amb, [rels[p] for p in sorted(rels)], reduced=True)
     proj, sec = quotient_data(rel)
     return TensorSpace(dm, dn, proj, sec, rel)
 

@@ -121,8 +121,7 @@ def _d_right_mats(calc: Calculus):
         mats = []
         for a in range(calc.algebra.dim):
             da = calc.d_of_basis(a)
-            cols = [ts.class_of({w: ONE}, da) for w in range(o1)]
-            mats.append(Mat.from_cols(cols, ts.dim))
+            mats.append(ts.gather(ts.pure({w: ONE}, da) for w in range(o1)))
         return mats
 
     return calc.memo("d_right", build)
@@ -309,10 +308,9 @@ def tensor_connection(calc: Calculus, bconn: BimoduleConnection, connf: Connecti
                     i, k = divmod(pair, o1)
                     inner[i][k * fd + u] = inner[i].get(k * fd + u, ZERO) + s * v
             # project the inner factor through ts_f, then the outer one through ts_v
-            cols.append(ts_v.project({i * ts_f.dim + k: x for i, part in enumerate(inner) if part
-                                      for k, x in enumerate(ts_f.project(part)) if x}))
-    plain = Mat.from_cols(cols, ts_v.dim)
-    mat = calc.descend(plain, ts_f, "tensor connection")
+            cols.append(int_row({i * ts_f.dim + k: x for i, part in enumerate(inner) if part
+                                 for k, x in enumerate(ts_f.project(part)) if x}))
+    mat = calc.descend(ts_v.gather(cols), ts_f, "tensor connection")
     return Connection(calc, fm, mat)
 
 

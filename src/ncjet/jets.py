@@ -122,9 +122,8 @@ def exterior_operator(calc: Calculus, m: int, dom: LeftModule, low: LeftModule,
                 terms.append((ONE, ts_tgt.pure(dwb, pi_cols[t])))
             if d0_plain[t]:
                 terms.append((sign, _wedge_prepend(calc, m, b, d0_plain[t], low.dim)))
-            cols.append(ts_tgt._classes(*_plain_sum(terms)))
-    plain = Mat.from_cols(cols, ts_tgt.dim)
-    return calc.descend(plain, ts_dom, what)
+            cols.append(_plain_sum(terms))
+    return calc.descend(ts_tgt.gather(cols), ts_dom, what)
 
 
 def _plain_sum(terms):
@@ -379,9 +378,8 @@ def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
     _, ts_low = calc.form_module(m, jet.lower.mod)
     _, ts_tgt = calc.form_module(m + 1, jet.lower.mod)
     pi_plain = (ts_low.sec * calc.omega_lift(m, jet.pi, jet.mod, jet.lower.mod)).transpose().nz
-    cols = [ts_tgt._classes(*_wedge_prepend(calc, 1, b, pi_plain[u], jet.lower.mod.dim, q=m))
-            for b in range(calc.omega1.dim) for u in range(dom.dim)]
-    expected = Mat.from_cols(cols, ts_tgt.dim) * ts_dom1.sec
+    expected = ts_tgt.gather(_wedge_prepend(calc, 1, b, pi_plain[u], jet.lower.mod.dim, q=m)
+                             for b in range(calc.omega1.dim) for u in range(dom.dim)) * ts_dom1.sec
     return got, expected
 
 
@@ -451,12 +449,10 @@ def nu_operator(calc: Calculus, e: LeftModule, m: int):
                 # (-1)^m dw ^ alpha with alpha in one-forms (x) E
                 terms = [(sign * v1, _wedge_prepend(calc, m + 1, r1, alpha_plain[t], e.dim))
                          for r1, v1 in dwb.items()]
-                cols.append(ts_tgt._classes(*_plain_sum(terms)))
+                cols.append(_plain_sum(terms))
             else:
-                cols.append(ts_tgt._classes(
-                    *_wedge_prepend(calc, m, b, beta_plain[t - m1.dim], e.dim, q=2)))
-    plain = Mat.from_cols(cols, ts_tgt.dim)
-    return calc.descend(plain, ts_dom, "nu operator"), tw, m1.dim
+                cols.append(_wedge_prepend(calc, m, b, beta_plain[t - m1.dim], e.dim, q=2))
+    return calc.descend(ts_tgt.gather(cols), ts_dom, "nu operator"), tw, m1.dim
 
 
 def elemental_span(calc: Calculus, jet: JetModule) -> Subspace:

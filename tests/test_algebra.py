@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncjet.linalg import (AffineSystem, Mat, SpanBuilder, ZERO, kron, nonzeros, rank, rat, span_of,
-                          vec)
+from ncjet.linalg import (AffineSystem, Mat, SpanBuilder, ZERO, kron, nonzeros, quotient_data, rank,
+                          rat, span_of, vec)
 from ncjet.algebra import (
     Algebra,
     Bimodule,
     BimoduleMap,
+    LeftModule,
+    TensorSpace,
     functions_on_points,
     matrix_algebra,
     matrix_rows,
@@ -22,7 +24,7 @@ from ncjet.algebra import (
     tensor_space,
     validate_algebra,
 )
-from ncjet.jets import pair_module
+from ncjet.jets import pair_module, spencer_complex
 
 
 # --- validation ----------------------------------------------------------------
@@ -324,6 +326,31 @@ def all_basis_relations(m, n):
     return span_of(rels, m.dim * dn)
 
 
+def eliminated_tensor_space(m, n):
+    """Reference: the balancing relations at the generators, eliminated in the plain product."""
+    dm, dn = m.dim, n.dim
+    sb = SpanBuilder(dm * dn)
+    for a in m.algebra.generators:
+        rcols = m.right[a].transpose().nz
+        lcols = n.left[a].transpose().nz
+        for x in range(dm):
+            for y in range(dn):
+                gen = {mm * dn + y: v for mm, v in rcols[x].items()}
+                for nn, w in lcols[y].items():
+                    gen[x * dn + nn] = gen.get(x * dn + nn, ZERO) - w
+                sb.add(gen)
+    rel = sb.subspace()
+    proj, sec = quotient_data(rel)
+    return TensorSpace(dm, dn, proj, sec, rel)
+
+
+def assert_presentation_is_the_eliminated_one(m, n):
+    got, want = tensor_space(m, n), eliminated_tensor_space(m, n)
+    assert got.relations == want.relations
+    assert (got.proj, got.sec) == (want.proj, want.sec)
+    assert (got.pcols, got.pden) == (want.pcols, want.pden)
+
+
 def all_basis_closure(mod, seeds, use_right=False):
     """Reference: the span of the seeds closed under every basis element's action."""
     mats = list(mod.left) + (list(mod.right) if use_right else [])
@@ -369,3 +396,120 @@ def test_module_maps_match_every_basis_element(oracle_calc, every_basis_element)
         want = [solve_module_maps(*case) for case in cases]
     for g, w in zip(got, want):
         assert (g.empty, g.particular, g.direction) == (w.empty, w.particular, w.direction)
+
+
+# --- tensor products from a right presentation of the left factor ---------------------
+
+@pytest.mark.parametrize("name, order", [("quat", 3), ("two_point", 3), ("s3", 3),
+                                         ("sheared_quat", 3), ("cayley_z4", 3), ("matrix2", 2)])
+def test_every_tensor_presentation_matches_the_eliminated_one(name, order, request):
+    """Each omega_p (x)_A X that a Spencer complex builds (order 2 on matrix2-universal,
+    whose order 3 takes minutes), and omega_p (x)_A A in every degree."""
+    calc = request.getfixturevalue(name)
+    spencer_complex(calc, calc.base_module(), order)
+    for p in range(1, calc.max_degree + 1):
+        calc.form_module(p, calc.base_module())
+    forms = [key for key in calc._memo if key[0] == "form"]
+    assert {p for _, p, _ in forms} == set(range(1, calc.max_degree + 1))
+    for _, p, mod in forms:
+        assert_presentation_is_the_eliminated_one(calc.omega[p], mod)
+
+
+def _row_module(alg):
+    """Q^2 as the simple right module of row vectors of M_2, e_i E_ab = [i = a] e_b.
+
+    Used as a left tensor factor only, so its left action is zero.  As a
+    right module it is not free: A -> row, a -> e_1 a has a 2-dimensional kernel.
+    """
+    right = [Mat(2, 2, [[int(r == b and c == a) for c in range(2)] for r in range(2)])
+             for a in range(2) for b in range(2)]
+    return Bimodule(alg, 2, [Mat.zeros(2, 2)] * 4, right, "row")
+
+
+def _uneven_bimodule(alg):
+    """A bimodule over Q^2 with e1 M e2 of dimension 1 and e2 M e1 of dimension 2.
+
+    Right-free would need e1 M = M e1 and e2 M = M e2 of equal dimension, so
+    any right presentation has syzygies.
+    """
+    e1, e2 = (Mat(3, 3, [[int(r == c and r in part) for c in range(3)] for r in range(3)])
+              for part in ((0,), (1, 2)))
+    return Bimodule(alg, 3, [e1, e2], [e2, e1], "uneven")
+
+
+def _dual_numbers_and_residue_field():
+    """(Q[t]/t^2, Q with t acting by zero on both sides).
+
+    Q is not right-free, and here the syzygy t meets the right inverse's image
+    after tensoring: 1·A = A contains t·A, so the quotient by t·A is needed.
+    """
+    mult = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    alg = Algebra(2, ["1", "t"], mult, [1, 0], name="D")
+    one, zero = Mat.identity(1), Mat.zeros(1, 1)
+    return alg, Bimodule(alg, 1, [one, zero], [one, zero], "Q")
+
+
+def _column_module(alg):
+    """Q^2 as the simple left module of column vectors of M_2, E_ab e_j = [j = b] e_a."""
+    left = [Mat(2, 2, [[int(r == a and c == b) for c in range(2)] for r in range(2)])
+            for a in range(2) for b in range(2)]
+    return LeftModule(alg, 2, left, "column")
+
+
+def test_row_module_is_a_right_module(matrix2):
+    row = _row_module(matrix2.algebra)
+    alg = row.algebra
+    assert row.right_mult(alg.unit) == Mat.identity(2)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            prod = alg.mul(alg.basis_vector(i), alg.basis_vector(j))
+            assert row.right[j] * row.right[i] == row.right_mult(prod)
+
+
+def test_presentations_with_syzygies_match_the_eliminated_ones(matrix2, two_point):
+    row = _row_module(matrix2.algebra)
+    assert row.right_presentation[0] == 1 and row.right_presentation[2].dim == 2
+    for n in (matrix2.base_module(), matrix2.omega1, _column_module(matrix2.algebra), row):
+        assert_presentation_is_the_eliminated_one(row, n)
+    assert tensor_space(row, _column_module(matrix2.algebra)).dim == 1
+    uneven = _uneven_bimodule(two_point.algebra)
+    assert uneven.check_bimodule() == []
+    assert uneven.right_presentation[0] == 2 and uneven.right_presentation[2].dim == 1
+    for n in (two_point.base_module(), two_point.omega1, uneven):
+        assert_presentation_is_the_eliminated_one(uneven, n)
+    for p in (1, 2):
+        assert_presentation_is_the_eliminated_one(two_point.omega[p], uneven)
+    alg, res = _dual_numbers_and_residue_field()
+    assert validate_algebra(alg) == [] and res.check_bimodule() == []
+    assert res.right_presentation[0] == 1 and res.right_presentation[2].dim == 1
+    for n in (regular_bimodule(alg), res):
+        assert_presentation_is_the_eliminated_one(res, n)
+        assert tensor_space(res, n).dim == 1
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("quat", [(2, 0), (3, 0), (4, 0)]),
+    ("sheared_quat", [(2, 0), (3, 0), (4, 0)]),
+    ("matrix2", [(3, 0), (9, 0), (27, 0)]),
+    ("two_point", [(1, 0), (1, 0), (1, 0)]),
+    ("cayley_z4", [(2, 0), (3, 0), (4, 0)]),
+    ("s3", [(3, 0), (7, 0), (15, 0)]),
+])
+def test_right_presentation_sizes(name, sizes, request):
+    """(generators, syzygy dimension) of omega_1..omega_3: the greedy rule finds free ones."""
+    calc = request.getfixturevalue(name)
+    got = []
+    for om in calc.omega[1:]:
+        r, ginv, syz = om.right_presentation
+        got.append((r, syz.dim))
+        assert om.right_presentation is om.right_presentation  # computed once
+        assert (ginv.rows, ginv.cols) == (r * calc.algebra.dim, om.dim)
+    assert got == sizes
+
+
+def test_actions_cannot_be_reassigned(quat):
+    om1 = quat.omega1
+    with pytest.raises(TypeError):
+        om1.left[0] = om1.left[1]
+    with pytest.raises(TypeError):
+        om1.right[0] = om1.right[1]

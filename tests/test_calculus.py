@@ -321,7 +321,7 @@ def _twisted_left_by_kron(calc, e):
         da_col = Mat(o1, 1, [[x] for x in calc.d_of_basis(a)])
         wda = ts2.proj * w11_e * kron(da_col, Mat.identity(o1 * e.dim)) * ts1.sec
         left.append(m1.left[a].hstack(Mat.zeros(m1.dim, m2.dim)).vstack(wda.hstack(m2.left[a])))
-    return left
+    return tuple(left)
 
 
 def test_twisted_pair_matches_kron_formula(kron_oracle_calc):
