@@ -231,23 +231,24 @@ class Bimodule(LeftModule):
         adds dim A; then S += g·A, until S is everything.  It affects speed only.
         """
         dA, dim = self.algebra.dim, self.dim
+        cols = [mat.transpose().nz for mat in self.right]  # cols[a][x] = e_x·a
         span, gens = SpanBuilder(dim), []
         while span.dim < dim:
-            g, best = [ZERO] * dim, span
+            ga, best = [{}] * dA, span  # ga[a] = g·a
             for x in range(dim):
-                cand = g[:x] + [g[x] + ONE] + g[x + 1:]
+                cand = [{k: v.get(k, ZERO) + c[x].get(k, ZERO) for k in v.keys() | c[x].keys()}
+                        for v, c in zip(ga, cols)]
                 grown = SpanBuilder(dim)
                 grown.rows = dict(span.rows)  # pivot rows are never mutated
-                for mat in self.right:
-                    grown.add(mat.apply(cand))
+                for v in cand:
+                    grown.add(v)
                 if grown.dim > best.dim:
-                    g, best = cand, grown
+                    ga, best = cand, grown
                     if best.dim - span.dim == dA:
                         break
-            gens.append(g)
-            span = best
-        gmat = Mat.from_cols([mat.apply(g) for g in gens for mat in self.right], dim)
-        return len(gens), right_inverse(gmat), kernel_of(gmat)
+            gens, span = gens + ga, best
+        gmat = Mat.from_cols(gens, dim)
+        return len(gens) // dA, right_inverse(gmat), kernel_of(gmat)
 
     def act_right(self, v, a):
         out = [ZERO] * self.dim
