@@ -330,24 +330,23 @@ class BimoduleMap:
 class TensorSpace:
     """Tensor product over the algebra, with its plain-tensor presentation.
 
-    proj maps the plain tensor (left factor slow, right factor fast) onto
-    the quotient; sec selects the plain basis tensors whose classes are
-    independent, scanned from the last one back (the non-pivots of the
-    relations' RREF).  pcols holds the columns of proj's integer form as
-    {row: int} dicts and pden the row denominators, so a plain tensor is
-    projected from its nonzeros alone, over the integers, with one division
-    per output entry; gather builds a matrix from such classes directly.
+    proj maps the plain tensor (left factor slow, right factor fast) onto the
+    quotient; sec selects the plain basis tensors whose classes are independent,
+    scanned from the last one back.  proj * sec = I and ker proj is the relation
+    space, so the pair is the whole presentation.  pcols holds the columns of
+    proj's integer form as {row: int} dicts and pden the row denominators, so a
+    plain tensor is projected from its nonzeros alone, over the integers, with
+    one division per output entry; gather builds a matrix from such classes.
     """
 
-    __slots__ = ("left_dim", "right_dim", "dim", "proj", "sec", "relations", "pcols", "pden")
+    __slots__ = ("left_dim", "right_dim", "dim", "proj", "sec", "pcols", "pden")
 
-    def __init__(self, left_dim, right_dim, proj, sec, relations):
+    def __init__(self, left_dim, right_dim, proj, sec):
         self.left_dim = left_dim
         self.right_dim = right_dim
         self.proj = proj
         self.sec = sec
         self.dim = proj.rows
-        self.relations = relations
         form = [int_row(row) for row in proj.nz]
         self.pden = [d for d, _ in form]
         self.pcols = Mat._of(proj.rows, proj.cols, [row for _, row in form]).transpose().nz
@@ -416,9 +415,9 @@ def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
     """Quotient of the plain tensor m (x) n by x·a (x) y - x (x) a·y, after a cap check.
 
     Right exactness gives m (x)_A n = n^r / {(b_s·y)_s : b in Syz}, where e_x (x) e_y has
-    the class ((G+ e_x)_s · e_y)_s.  Column j is a relation pivot exactly when its class
-    is in the span of the later columns' classes: the class rows, reduced from the last
-    column back, give the canonical section and projection.
+    the class ((G+ e_x)_s · e_y)_s.  Column j is a section column exactly when its class
+    is not in the span of the later columns' classes: the class rows, reduced from the
+    last column back, are read straight off as the canonical section and projection.
     """
     if m.algebra is not n.algebra:
         raise ValueError("tensor factors live over different algebras")
@@ -455,17 +454,13 @@ def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
     sb = SpanBuilder(amb)
     for row in rows:
         sb.add(row)
-    # pivot c of the reversed reduction is a section column; each other column p
-    # is a relation pivot with row e_p - sum_c proj[c][p] e_c
+    # pivot c of the reversed reduction is section column top - c, and its reduced
+    # row, read from the back, is that coordinate's row of proj
     red = sb.reduced()
-    rels = {p: {p: ONE} for p in range(amb) if top - p not in red}
-    for c, row in red.items():
-        for j, v in row.items():
-            if j != c:
-                rels[top - j][top - c] = -v
-    rel = Subspace(amb, [rels[p] for p in sorted(rels)], reduced=True)
-    proj, sec = quotient_data(rel)
-    return TensorSpace(dm, dn, proj, sec, rel)
+    where = {top - c: i for i, c in enumerate(sorted(red, reverse=True))}
+    proj = Mat._of(len(where), amb, [{top - j: v for j, v in red[top - p].items()} for p in where])
+    sec = [{where[p]: ONE} if p in where else {} for p in range(amb)]
+    return TensorSpace(dm, dn, proj, Mat._of(amb, len(where), sec, True))
 
 
 def tensor_left_module(m: Bimodule, n: LeftModule, label="") -> tuple:

@@ -195,16 +195,15 @@ class Calculus:
         return ts_dst.proj * (kron(Mat.identity(self.omega[m].dim), f) * ts_src.sec)
 
     def descend(self, plain_mat: Mat, ts: TensorSpace, what="map") -> Mat:
-        """Descend a plain-tensor matrix through a quotient presentation.
+        """Descend a plain-tensor matrix through a quotient presentation: plain * sec.
 
-        Verifies the matrix kills the balancing relations first, one sparse
-        product with the relation basis; failure means the map is not
-        well-defined on the tensor product over A.  The descended matrix is
-        the plain one restricted to the section's columns.
-        """
-        if not (plain_mat * ts.relations.basis.transpose()).is_zero():
+        As proj * sec = I and ker proj is the span of the balancing relations,
+        the plain matrix kills them, so is well-defined over A, exactly when it
+        equals (plain * sec) * proj; otherwise CalculusError."""
+        down = plain_mat * ts.sec
+        if down * ts.proj != plain_mat:
             raise CalculusError("%s is not well-defined on the tensor product" % what)
-        return plain_mat * ts.sec
+        return down
 
     # -- misc --------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .linalg import DimensionCapError, rat, rat_str, kernel_of
+from .linalg import DimensionCapError, rat_str, kernel_of
 from .calculus import Calculus, CalculusError
 from .connections import (
     bimodule_connection_from_vector,
@@ -40,6 +40,7 @@ from .specio import (
     load_json,
     parse_calculus_spec,
     parse_operator_spec,
+    parse_rat,
     serialize_calculus,
 )
 
@@ -167,8 +168,8 @@ def cmd_connections(args, out):
 
 
 def cmd_quantize(args, out):
+    hbar = parse_rat(args.hbar)
     calc = _load_calculus(args.path)
-    hbar = rat(args.hbar)
     q = quantization_of(calc)
     report = {
         "calculus": calc.name or args.path,

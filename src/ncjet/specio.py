@@ -1,14 +1,15 @@
 """JSON input/output for calculi and operators.
 
-Rationals are serialized as decimal-free "p/q" strings; no floats appear in
-any document.  A calculus file carries the algebra structure constants, the
-one-form bimodule actions, and the differential; parsing re-validates all
-axioms.
+Rationals are serialized as decimal-free "p" or "p/q" strings, and only those
+forms (or JSON integers) are read back; no floats appear in any document.
+A calculus file carries the algebra structure constants, the one-form
+bimodule actions, and the differential; parsing re-validates all axioms.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .linalg import Mat, rat, rat_str
 from .algebra import Algebra, Bimodule
@@ -19,15 +20,16 @@ class SpecParseError(Exception):
     """Malformed document (JSON or schema level)."""
 
 
-def _rat_in(x):
-    if isinstance(x, str):
-        try:
-            return rat(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecParseError("bad rational %r: %s" % (x, exc))
+def parse_rat(x):
+    """A JSON integer, or a string in the 'p' or 'p/q' form that rat_str writes."""
     if type(x) is int:  # not bool, which JSON true/false parse to
         return rat(x)
-    raise SpecParseError("rationals must be strings or integers, got %r" % (x,))
+    if not (isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x)):
+        raise SpecParseError("bad rational %r: expected an integer, 'p' or 'p/q'" % (x,))
+    try:
+        return rat(x)
+    except (ValueError, ZeroDivisionError) as exc:  # q = 0, or more digits than int() reads
+        raise SpecParseError("bad rational %r: %s" % (x, exc))
 
 
 def _matrix_in(rows, nrows, ncols, what):
@@ -37,7 +39,7 @@ def _matrix_in(rows, nrows, ncols, what):
     for r in rows:
         if not isinstance(r, list) or len(r) != ncols:
             raise SpecParseError("%s: expected %d columns" % (what, ncols))
-        data.append([_rat_in(x) for x in r])
+        data.append([parse_rat(x) for x in r])
     return Mat(nrows, ncols, data)
 
 
@@ -68,7 +70,7 @@ def parse_calculus_spec(doc) -> Calculus:
     names = alg_doc.get("basis", ["e%d" % i for i in range(dim)])
     if not all(isinstance(x, list) and len(x) == dim for x in (unit, names)):
         raise SpecParseError("algebra unit and basis must be lists of length dim")
-    unit = [_rat_in(x) for x in unit]
+    unit = [parse_rat(x) for x in unit]
     if not all(isinstance(x, str) for x in names):
         raise SpecParseError("algebra basis names must be strings")
     if not isinstance(mult_rows, list) or len(mult_rows) != dim:
@@ -77,7 +79,7 @@ def parse_calculus_spec(doc) -> Calculus:
     for i, plane in enumerate(mult_rows):
         if not isinstance(plane, list) or len(plane) != dim:
             raise SpecParseError("mult plane %d has wrong shape" % i)
-        mult.append([[_rat_in(x) for x in _expect_list(col, dim)] for col in plane])
+        mult.append([[parse_rat(x) for x in _expect_list(col, dim)] for col in plane])
     algebra = Algebra(dim, names, mult, unit)
     try:
         odim = om_doc["dim"]

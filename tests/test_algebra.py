@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncjet.linalg import (AffineSystem, Mat, SpanBuilder, ZERO, kron, nonzeros, quotient_data, rank,
-                          rat, span_of, vec)
+from ncjet.linalg import (AffineSystem, Mat, SpanBuilder, ZERO, kernel_of, kron, nonzeros,
+                          quotient_data, rank, rat, span_of, vec)
 from ncjet.algebra import (
     Algebra,
     Bimodule,
@@ -24,6 +24,7 @@ from ncjet.algebra import (
     tensor_space,
     validate_algebra,
 )
+from ncjet.calculus import CalculusError
 from ncjet.jets import pair_module, spencer_complex
 
 
@@ -327,7 +328,9 @@ def all_basis_relations(m, n):
 
 
 def eliminated_tensor_space(m, n):
-    """Reference: the balancing relations at the generators, eliminated in the plain product."""
+    """Reference: the balancing relations at the generators, eliminated in the plain product.
+
+    Returns the presentation and the eliminated relation space beside it."""
     dm, dn = m.dim, n.dim
     sb = SpanBuilder(dm * dn)
     for a in m.algebra.generators:
@@ -341,12 +344,12 @@ def eliminated_tensor_space(m, n):
                 sb.add(gen)
     rel = sb.subspace()
     proj, sec = quotient_data(rel)
-    return TensorSpace(dm, dn, proj, sec, rel)
+    return TensorSpace(dm, dn, proj, sec), rel
 
 
 def assert_presentation_is_the_eliminated_one(m, n):
-    got, want = tensor_space(m, n), eliminated_tensor_space(m, n)
-    assert got.relations == want.relations
+    got, (want, want_rel) = tensor_space(m, n), eliminated_tensor_space(m, n)
+    assert kernel_of(got.proj) == want_rel
     assert (got.proj, got.sec) == (want.proj, want.sec)
     assert (got.pcols, got.pden) == (want.pcols, want.pden)
 
@@ -368,7 +371,7 @@ def test_tensor_relations_match_every_basis_element(oracle_calc):
     om = calc.omega
     pair = pair_module(calc, calc.base_module()).mod  # a left module only
     for m, n in [(om[1], om[0]), (om[1], om[1]), (om[1], om[2]), (om[2], om[1]), (om[1], pair)]:
-        assert tensor_space(m, n).relations == all_basis_relations(m, n)
+        assert kernel_of(tensor_space(m, n).proj) == all_basis_relations(m, n)
 
 
 def test_module_closure_matches_every_basis_element(oracle_calc):
@@ -485,6 +488,44 @@ def test_presentations_with_syzygies_match_the_eliminated_ones(matrix2, two_poin
     for n in (regular_bimodule(alg), res):
         assert_presentation_is_the_eliminated_one(res, n)
         assert tensor_space(res, n).dim == 1
+
+
+_small = st.sampled_from([0, 0, 1, -1, 2, rat(1, 2), rat(-2, 3)])
+
+
+def test_descend_raises_exactly_when_a_balancing_relation_survives(quat, sheared_quat, cayley_z4):
+    """g·proj + E for a sparse E: descend refuses it exactly when it does not kill the
+    eliminated relation space, and otherwise restricts it to the section."""
+    oracle = {}
+    seen = set()
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.data())
+    def check(data):
+        key = data.draw(st.tuples(st.integers(0, 2), st.sampled_from([(1, 1), (1, 2), (2, 1)])))
+        calc, (p, q) = (quat, sheared_quat, cayley_z4)[key[0]], key[1]
+        ts = calc.tensor_pq(p, q)
+        if key not in oracle:
+            oracle[key] = eliminated_tensor_space(calc.omega[p], calc.omega[q])[1]
+        rel = oracle[key]
+        amb = ts.left_dim * ts.right_dim
+        rows = data.draw(st.integers(1, 3))
+        g = Mat(rows, ts.dim, [[data.draw(_small) for _ in range(ts.dim)] for _ in range(rows)])
+        e = [{} for _ in range(rows)]
+        for r, c, v in data.draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                                     st.integers(0, amb - 1), _small), max_size=3)):
+            e[r][c] = v
+        plain = g * ts.proj + Mat(rows, amb, e)
+        breaks = not (plain * rel.basis.transpose()).is_zero()
+        seen.add(breaks)
+        if breaks:
+            with pytest.raises(CalculusError, match="not well-defined"):
+                calc.descend(plain, ts)
+        else:
+            assert calc.descend(plain, ts) == plain * ts.sec
+
+    check()
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("name, sizes", [

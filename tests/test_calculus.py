@@ -359,12 +359,17 @@ def test_wedge_plain_matches_kron_formula_to_degree_five():
 # --- descending through a quotient presentation --------------------------------------
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2)])
-def test_descend_checks_every_balancing_relation(quat, p, q):
-    """A plain map must kill each relation; the check reads the pivot columns too."""
-    calc = quat
+@pytest.mark.parametrize("name", ["quat", "sheared_quat", "cayley_z4"])
+def test_descend_checks_every_balancing_relation(name, p, q, request):
+    """A plain map must kill each relation; the check reads the pivot columns too.
+
+    The sheared quaternion spec has a rational projection (a row denominator
+    above 1), the quaternion and Z/4 {1, 3} an integral one."""
+    calc = request.getfixturevalue(name)
     ts = calc.tensor_pq(p, q)
+    assert (max(ts.pden) > 1) == (name == "sheared_quat")
     n = ts.left_dim * ts.right_dim
-    rel = ts.relations
+    rel = kernel_of(ts.proj)
     assert rel.dim
     assert calc.descend(ts.proj, ts) == Mat.identity(ts.dim)
     assert calc.wedge_map(p, q) == calc.descend(calc.wedge_plain(p, q), ts)

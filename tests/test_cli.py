@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,26 @@ def test_schema_error_documents_are_valid_once_repaired(tmp_path):
         path = tmp_path / "valid.json"
         path.write_text(json.dumps(doc))
         assert run(["validate", str(path)]) == (EXIT_PASS, "ok\n")
+
+
+@pytest.mark.parametrize("entry", ["1.5", "1e10000000"])
+def test_spec_rationals_take_only_the_integer_forms(tmp_path, entry):
+    """A decimal or an exponent is refused at once, before its digits are expanded."""
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps({"algebra": dict(_ONE_DIM_ALGEBRA, unit=[entry]),
+                                "omega1": _ZERO_FORMS}))
+    start = time.perf_counter()
+    code, out = run(["validate", str(path)])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (EXIT_PARSE, "parse error: bad rational %r: expected an integer, "
+                                       "'p' or 'p/q'\n" % entry)
+
+
+@pytest.mark.parametrize("hbar", ["abc", "1/0"])
+def test_quantize_bad_hbar_is_a_parse_error(hbar):
+    code, out = run(["quantize", "quaternion", "--hbar", hbar])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: bad rational %r" % hbar) and out.count("\n") == 1
 
 
 def test_each_tensor_presentation_is_built_once(monkeypatch):

@@ -622,7 +622,7 @@ def test_mpq_backend_imports_and_stays_integer_first(tmp_path):
                 assert type(d) is int and all(type(x) is int for x in row.values()), (d, row)
         sub = span_of([[1, 0, 0, rat(1, 2)], [0, 3, 1, 0]], 4)
         proj, sec = quotient_data(sub)
-        ts = TensorSpace(2, 2, proj, sec, sub)
+        ts = TensorSpace(2, 2, proj, sec)
         got = ts.class_of([1, rat(2, 3)], [3, 1])
         assert got == proj.apply([3, 1, 2, rat(2, 3)]) == [rat(5, 3), rat(-5, 6)], got
         assert all(type(x) is int for x in ts.pden)
@@ -724,7 +724,7 @@ def test_projection_and_class_of_match_proj_apply(data):
     gens = data.draw(st.lists(st.lists(_ratl, min_size=n, max_size=n), max_size=n))
     sub = span_of(gens, n)
     proj, sec = quotient_data(sub)
-    ts = TensorSpace(dl, dr, proj, sec, sub)
+    ts = TensorSpace(dl, dr, proj, sec)
     x = data.draw(st.lists(_mixed, min_size=dl, max_size=dl))
     y = data.draw(st.lists(_mixed, min_size=dr, max_size=dr))
     plain = [xi * yj for xi in x for yj in y]
@@ -743,7 +743,7 @@ def _quotients(draw):
     dl, dr = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     n = dl * dr
     sub = span_of(draw(st.lists(st.lists(_ratl, min_size=n, max_size=n), max_size=n)), n)
-    return TensorSpace(dl, dr, *quotient_data(sub), sub)
+    return TensorSpace(dl, dr, *quotient_data(sub))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
