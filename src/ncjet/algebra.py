@@ -20,13 +20,12 @@ from .linalg import (
     ZERO,
     ONE,
     int_row,
-    kernel_of,
     nonzeros,
     max_dim,
     quotient_data,
     rat,
-    right_inverse,
     span_of,
+    split,
     vec,
 )
 
@@ -229,6 +228,7 @@ class Bimodule(LeftModule):
         A^r has coordinates (s, a) at s·dim A + a.  Each generator g starts at 0
         and takes g += e_x, x in order, whenever that enlarges S + g·A, until g·A
         adds dim A; then S += g·A, until S is everything.  It affects speed only.
+        (G+, Syz) is linalg.split(G), one elimination.
         """
         dA, dim = self.algebra.dim, self.dim
         cols = [mat.transpose().nz for mat in self.right]  # cols[a][x] = e_x·a
@@ -248,7 +248,7 @@ class Bimodule(LeftModule):
                         break
             gens, span = gens + ga, best
         gmat = Mat.from_cols(gens, dim)
-        return len(gens) // dA, right_inverse(gmat), kernel_of(gmat)
+        return (len(gens) // dA, *split(gmat))
 
     def act_right(self, v, a):
         out = [ZERO] * self.dim

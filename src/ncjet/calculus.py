@@ -23,6 +23,7 @@ from .linalg import (
     max_dim,
     nonzeros,
     quotient_data,
+    split,
 )
 from .algebra import (
     Algebra,
@@ -192,7 +193,7 @@ class Calculus:
             return f
         _, ts_src = self.form_module(m, src)
         _, ts_dst = self.form_module(m, dst)
-        return ts_dst.proj * (kron(Mat.identity(self.omega[m].dim), f) * ts_src.sec)
+        return ts_dst.kron_between(Mat.identity(self.omega[m].dim), f, ts_src)
 
     def descend(self, plain_mat: Mat, ts: TensorSpace, what="map") -> Mat:
         """Descend a plain-tensor matrix through a quotient presentation: plain * sec.
@@ -210,23 +211,6 @@ class Calculus:
     def d_of_basis(self, i):
         """d of the i-th algebra basis element, as a one-form."""
         return self.d[0].apply(self.algebra.basis_vector(i))
-
-
-def _solve_spanning(vmat: Mat, wmat: Mat, what):
-    """Solve D * vmat = wmat for D, requiring the columns of vmat to span."""
-    n = vmat.rows
-    aug = vmat.transpose().hstack(wmat.transpose())
-    from .linalg import rref_pivots
-
-    red, piv = rref_pivots(aug)
-    if any(p >= n for p in piv):
-        raise CalculusError("%s is inconsistent on its spanning set" % what)
-    if len(piv) != n:
-        raise CalculusError("%s underdetermined: spanning set does not span" % what)
-    rows = [{}] * n
-    for r, p in enumerate(piv):
-        rows[p] = {c - n: x for c, x in red.nz[r].items() if c >= n}
-    return Mat(n, wmat.rows, rows).transpose()
 
 
 def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, name="") -> Calculus:
@@ -256,7 +240,9 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
             to_omega_cols.append(omega1.act_left(alg.basis_vector(i), d0.apply(alg.basis_vector(j))))
     mult_mat = Mat.from_cols(mult_cols, dA)
     to_omega = Mat.from_cols(to_omega_cols, o1)
-    relation_space = intersect(kernel_of(mult_mat), kernel_of(to_omega))
+    # to_omega is onto (validate_fodc): its kernel is the a (x) b with a db = 0
+    vplus, vker = split(to_omega)
+    relation_space = intersect(kernel_of(mult_mat), vker)
     # the tower is appended to calc.omega, so max_degree admits each degree as it lands
     calc = Calculus(alg, omega, [d0], step_proj, step_sec, relation_space, name=name)
 
@@ -313,8 +299,11 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         # d(w ^ xi) = dw ^ xi + (-1)^(k-1) w ^ dxi, and d_k is that map on the section
         k = n - 1
         if k == 1:
+            # d1 a db = da ^ db, so d1 = dd * to_omega^+ once dd kills ker to_omega
             dd = step_proj[2] * kron(d0, d0)
-            calc.d.append(_solve_spanning(to_omega, dd, "differential in degree 1"))
+            if not (dd * vker.basis.transpose()).is_zero():
+                raise CalculusError("differential in degree 1 is inconsistent on its spanning set")
+            calc.d.append(dd * vplus)
         else:
             d1 = calc.d[1] if k % 2 else -calc.d[1]
             plain = (step_proj[n] * kron(calc.d[k - 1], Mat.identity(o1))

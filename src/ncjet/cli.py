@@ -97,7 +97,13 @@ def cmd_validate(args, out):
     return EXIT_PASS
 
 
+def _check_order(args, least):
+    if args.order < least:
+        raise CalculusError("--order must be at least %d, not %d" % (least, args.order))
+
+
 def cmd_jets(args, out):
+    _check_order(args, 0)
     calc = _load_calculus(args.path)
     e = calc.base_module()
     rows = []
@@ -118,6 +124,7 @@ def cmd_jets(args, out):
 
 
 def cmd_spencer(args, out):
+    _check_order(args, 1)
     calc = _load_calculus(args.path)
     e = calc.base_module()
     report = {"calculus": calc.name or args.path, "complexes": [], "bicomplex": None}

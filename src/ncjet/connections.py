@@ -10,6 +10,8 @@ and block-decomposition identities the correspondence rests on.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .linalg import (
     Mat,
     AffineSpace,
@@ -23,6 +25,7 @@ from .linalg import (
     nonzeros,
     rat,
     right_inverse,
+    split,
     vec,
 )
 from .algebra import (
@@ -54,7 +57,7 @@ class InvalidConnection(CalculusError):
 class Connection:
     """Left connection on a module; the Leibniz rule is checked on build."""
 
-    def __init__(self, calc: Calculus, module: LeftModule, mat: Mat, check=True):
+    def __init__(self, calc: Calculus, module: LeftModule, mat: Mat):
         self.calc = calc
         self.module = module
         fm, _ = calc.form_module(1, module)
@@ -62,10 +65,9 @@ class Connection:
         if mat.rows != fm.dim or mat.cols != module.dim:
             raise InvalidConnection("connection matrix has wrong shape")
         self.mat = mat
-        if check:
-            bad = self.leibniz_violations()
-            if bad:
-                raise InvalidConnection("Leibniz rule fails: %s" % bad[0])
+        bad = self.leibniz_violations()
+        if bad:
+            raise InvalidConnection("Leibniz rule fails: %s" % bad[0])
 
     def leibniz_violations(self):
         calc = self.calc
@@ -153,28 +155,20 @@ class _Braiding:
     ... | D_{dim A - 1}], D_a(xi) = xi (x) d(e_a), and D is onto since the
     one-forms are A.dA (validate_fodc).  So a braiding exists exactly when
     L(nabla) kills M = ker D, and then it is L(nabla) at M = D^+, a right
-    inverse.  One elimination of [D^T | I] gives both: a row reduced to
-    [e_p | x] has D x = e_p, and one reduced to [0 | k] has k in ker D.
-    `rows` (built once per calculus) and `sigma_terms` are these two over
-    the connection's entries (see algebra.matrix_rows).
+    inverse; linalg.split gives both from one elimination.  `rows` (built
+    once per calculus) and `sigma_terms` are these two over the
+    connection's entries (see algebra.matrix_rows).
     """
 
     def __init__(self, calc: Calculus):
         om1 = calc.omega1
         om11, _ = calc.form_module(1, om1)
         o1, qq = om1.dim, om11.dim
-        dcols = [col for d_a in _d_right_mats(calc) for col in d_a.transpose().nz]
-        n = len(dcols)
-        sb = SpanBuilder(qq + n)
-        for c, col in enumerate(dcols):  # the rows of [D^T | I]
-            sb.add({**col, qq + c: ONE})
-        red = sb.reduced()
-        if any(p not in red for p in range(qq)):
-            raise CalculusError("one-forms (x) one-forms is not spanned by the w (x) da")
-        kers = [int_row({c - qq: x for c, x in red[p].items()})[1] for p in sorted(red) if p >= qq]
-        ker = Mat._of(len(kers), n, kers).transpose()
-        dplus = Mat._of(qq, n, [{c - qq: x for c, x in red[p].items() if c >= qq}
-                                for p in range(qq)]).transpose()
+        try:
+            dplus, kers = split(reduce(Mat.hstack, _d_right_mats(calc)))
+        except ValueError:
+            raise CalculusError("one-forms (x) one-forms is not spanned by the w (x) da") from None
+        ker = Mat._of(kers.dim, kers.ambient, [int_row(k)[1] for k in kers.basis.nz]).transpose()
 
         def leibniz_terms(m):  # L(nabla) M
             blocks = [Mat._of(o1, m.cols, m.nz[a * o1:(a + 1) * o1])
@@ -336,28 +330,26 @@ def curvature(calc: Calculus, conn: Connection) -> Mat:
 class HigherConnection:
     """Section of the jet projection J^{n-1} -> J^n with its left split."""
 
-    def __init__(self, calc: Calculus, jet: JetModule, section: Mat, check=True):
+    def __init__(self, calc: Calculus, jet: JetModule, section: Mat):
         if jet.n < 1:
             raise InvalidConnection("higher connections need jet order >= 1")
         self.calc = calc
         self.jet = jet
         self.section = section
         lower = jet.lower
-        if check:
-            if section.rows != jet.dim or section.cols != lower.dim:
-                raise InvalidConnection("section has wrong shape")
-            if jet.pi * section != Mat.identity(lower.dim):
-                raise InvalidConnection("not a section of the jet projection")
-            for a in range(calc.algebra.dim):
-                if section * lower.mod.left[a] != jet.mod.left[a] * section:
-                    raise InvalidConnection("section is not module-linear")
+        if section.rows != jet.dim or section.cols != lower.dim:
+            raise InvalidConnection("section has wrong shape")
+        if jet.pi * section != Mat.identity(lower.dim):
+            raise InvalidConnection("not a section of the jet projection")
+        for a in range(calc.algebra.dim):
+            if section * lower.mod.left[a] != jet.mod.left[a] * section:
+                raise InvalidConnection("section is not module-linear")
         # left split: iota split = id - section projection
         self.split = left_inverse(jet.iota) * (Mat.identity(jet.dim) - section * jet.pi)
-        if check:
-            if jet.iota * self.split + section * jet.pi != Mat.identity(jet.dim):
-                raise InvalidConnection("splitting identities fail")
-            if self.split * jet.iota != Mat.identity(jet.sym.dim):
-                raise InvalidConnection("split does not retract the symbol inclusion")
+        if jet.iota * self.split + section * jet.pi != Mat.identity(jet.dim):
+            raise InvalidConnection("splitting identities fail")
+        if self.split * jet.iota != Mat.identity(jet.sym.dim):
+            raise InvalidConnection("split does not retract the symbol inclusion")
 
     @property
     def n(self):

@@ -16,6 +16,10 @@ sections are born integral, and any other matrix finds out once, on first
 use.  A product with a non-integral factor reads each row in integer form,
 int numerators over one positive denominator (``int_row``), so it
 accumulates over ints and divides once per output entry.
+
+``split`` is the one inversion: a right inverse and the kernel of a
+surjective map from one elimination.  ``inverse``, ``left_inverse`` and
+``right_inverse`` are wrappers of it.
 """
 
 from __future__ import annotations
@@ -649,30 +653,34 @@ def image_of(m: Mat) -> Subspace:
     return span_of(m.transpose().nz, m.rows)
 
 
+def split(m: Mat, error="matrix is not surjective"):
+    """(m+, ker m) for a surjective m: m m+ = I, ker m as its canonical Subspace.
+
+    The one inversion, from one elimination of [m^T | I]: a reduced row
+    [e_p | x] says m x = e_p, so x is column p of m+, and the rows [0 | k]
+    are the canonical echelon basis of ker m.  Raises ValueError(error) when
+    m is not surjective.
+    """
+    r, n = m.rows, m.cols
+    red, piv = rref_pivots(m.transpose().hstack(Mat.identity(n)))
+    if piv[:r] != list(range(r)):
+        raise ValueError(error)
+    rows = [{c - r: x for c, x in row.items() if c >= r} for row in red.nz]
+    return Mat._of(r, n, rows[:r]).transpose(), Subspace(n, rows[r:], reduced=True)
+
+
 def inverse(m: Mat) -> Mat:
     """Inverse of a square invertible matrix."""
-    n = m.rows
-    if n != m.cols:
+    if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    red, piv = rref_pivots(m.hstack(Mat.identity(n)))
-    if piv != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Mat._of(n, n, [{c - n: x for c, x in row.items() if c >= n} for row in red.nz])
+    return split(m, "matrix is singular")[0]
 
 
 def left_inverse(m: Mat) -> Mat:
-    """Left inverse of an injective matrix.
-
-    The inverse of m's first independent rows, applied at those rows; zero
-    on the others.  Raises ValueError when m is not injective.
-    """
-    piv = rref_pivots(m.transpose())[1]
-    if len(piv) != m.cols:
-        raise ValueError("matrix is not injective")
-    inv = inverse(m.submatrix(piv, range(m.cols)))
-    return Mat._of(m.cols, m.rows, [{piv[k]: x for k, x in row.items()} for row in inv.nz])
+    """Left inverse of an injective matrix; raises ValueError when m is not injective."""
+    return split(m.transpose(), "matrix is not injective")[0].transpose()
 
 
 def right_inverse(m: Mat) -> Mat:
-    """Right inverse of a surjective matrix."""
-    return left_inverse(m.transpose()).transpose()
+    """Right inverse of a surjective matrix; raises ValueError when it is not."""
+    return split(m)[0]

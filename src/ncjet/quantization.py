@@ -402,8 +402,7 @@ def sym_connection_chain(calc: Calculus, e: LeftModule, bconn: BimoduleConnectio
                                 "at degree %d" % (k - 1))
         retractions[k - 1] = s
         if sym_k.dim == 0:
-            conns[k] = Connection(calc, sym_k.mod,
-                                  Mat.zeros(0, 0), check=False)
+            conns[k] = Connection(calc, sym_k.mod, Mat.zeros(0, 0))
             continue
         omega_s = calc.omega_lift(1, s, conns[k - 1].form_module, sym_k.mod)
         mat = omega_s * tens.mat * sym_module(calc, e, k).iota_wedge

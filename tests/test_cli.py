@@ -356,6 +356,14 @@ def test_jets_order_zero_trivial():
     assert doc["orders"] == [{"order": 0, "jet_dim": 2, "sym_dim": 2}]
 
 
+@pytest.mark.parametrize("command, order, least", [
+    ("jets", -1, 0), ("spencer", 0, 1), ("spencer", -2, 1)])
+def test_order_below_the_command_floor_is_invalid_input(command, order, least):
+    code, out = run([command, "quaternion", "--order", str(order), "--json"])
+    assert (code, out) == (
+        EXIT_INVALID, "invalid input: --order must be at least %d, not %d\n" % (least, order))
+
+
 def test_spencer_quaternion_cohomology_vanishes():
     code, out = run(["spencer", "quaternion", "--order", "2", "--json"])
     assert code == EXIT_PASS

@@ -41,6 +41,7 @@ from ncjet.linalg import (
     rref_pivots,
     solve_affine,
     span_of,
+    split,
     vec,
 )
 
@@ -305,6 +306,10 @@ def test_inverse_round_trip():
         if det_minor_expansion(m):
             break
     assert m * inverse(m) == Mat.identity(4)
+    with pytest.raises(ValueError, match="singular"):
+        inverse(Mat.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="non-square"):
+        inverse(Mat.from_rows([[1, 2]]))
 
 
 def test_one_sided_inverses():
@@ -321,8 +326,65 @@ def test_one_sided_inverses():
     flat = tall.hstack(tall.submatrix(range(5), [1]))
     with pytest.raises(ValueError, match="not injective"):
         left_inverse(flat)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not surjective"):
         right_inverse(flat.transpose())
+
+
+@st.composite
+def _wide(draw, surjective):
+    """An r x n matrix of int or rational entries with zero and repeated columns mixed in.
+
+    A surjective one has r independent columns slotted in among the others;
+    in a non-surjective one the last row is a combination of the others.
+    """
+    r = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([st.integers(-3, 3), _rats]))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["fresh", "zero", "repeat"]), max_size=5)):
+        if kind == "fresh" or not cols:
+            cols.append(draw(st.lists(entry, min_size=r, max_size=r)))
+        elif kind == "zero":
+            cols.append([0] * r)
+        else:
+            cols.append(draw(st.sampled_from(cols)))
+    if surjective:
+        # independent columns, each scaled and slotted in among the others
+        for i in range(r):
+            col = [0] * r
+            col[i] = draw(st.sampled_from([1, -2, rat(3, 2)]))
+            for j in range(i):
+                col[j] = draw(entry)
+            cols.insert(draw(st.integers(0, len(cols))), col)
+    else:
+        coeffs = [draw(entry) for _ in range(r - 1)]
+        cols = [c[:-1] + [sum(a * x for a, x in zip(coeffs, c))] for c in cols or [[0] * r]]
+    return Mat.from_cols([vec(c) for c in cols], r)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_wide(surjective=True))
+@example(Mat.identity(1))
+@example(Mat.from_rows([[0, 2, 2, 0, 4]]))
+def test_split_is_a_right_inverse_and_the_kernel(m):
+    plus, ker = split(m)
+    assert (plus.rows, plus.cols) == (m.cols, m.rows)
+    assert m * plus == Mat.identity(m.rows)
+    assert ker == kernel_of(m)
+    sm = _sym(m)
+    assert sm * _sym(plus) == sympy.eye(m.rows)
+    null = sm.nullspace()
+    assert ker.dim == len(null) == m.cols - m.rows
+    if null:
+        assert _sym(ker.basis) == sympy.Matrix.hstack(*null).T.rref()[0]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_wide(surjective=False))
+@example(Mat.zeros(1, 3))
+def test_split_refuses_a_map_that_is_not_onto(m):
+    assert _sym(m).rank() < m.rows
+    with pytest.raises(ValueError, match="not surjective"):
+        split(m)
 
 
 def test_span_builder_matches_dense_span():
