@@ -41,6 +41,7 @@ from .jets import (
     JetModule,
     dtilde_maps,
     exterior_operator,
+    jet_lift,
     jet_module,
     pair_map,
     pair_module,
@@ -433,12 +434,9 @@ def higher_from_jet_connection(calc: Calculus, jet: JetModule, conn: Connection)
     if embed * nabla_n != nabla_prime:
         raise InvalidConnection("factorization through the symmetric forms fails")
     # unique module-linear lift to J^n with lift o j^n = nabla_n
-    from .algebra import solve_module_maps
-
-    sol = solve_module_maps(jet.mod, sym.mod, "left", compose_eq=[(jet.j, nabla_n)])
-    if sol.empty:
+    split = jet_lift(calc, jet, nabla_n, sym.mod)
+    if split is None:
         raise InvalidConnection("no jet lift of the candidate splitting")
-    split = mat_from_flat(sol.particular, sym.dim, jet.dim)
     return higher_connection_from_split(calc, jet, split)
 
 

@@ -9,10 +9,11 @@ obstruction only; nonholonomic jets are the full pair space.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
 
 from .linalg import (Mat, Subspace, ONE, image_of, int_row, intersect, kernel_of, rank,
-                     span_of)
+                     span_of, split)
 from .algebra import Bimodule, LeftModule, module_closure
 from .calculus import Calculus, CalculusError
 
@@ -357,19 +358,16 @@ def spencer_operator(calc: Calculus, jet: JetModule, m: int) -> Mat:
 def spencer_lift_symbol_check(calc: Calculus, jet: JetModule, m: int):
     """Restriction symbol of the Spencer operator vs wedge (x) projection.
 
-    Computes a jet lift of the operator by affine solving and returns the
-    pair (computed symbol, expected symbol).
+    Reads the operator's order-1 jet lift off jet_lift and returns the pair
+    (computed symbol, expected symbol).
     """
-    from .algebra import solve_module_maps, mat_from_flat
-
     smat = spencer_operator(calc, jet, m)
     dom = calc.form_module(m, jet.mod)[0] if m >= 1 else jet.mod
     tgt_mod = calc.form_module(m + 1, jet.lower.mod)[0]
     j1dom = jet_module(calc, dom, 1)
-    sol = solve_module_maps(j1dom.mod, tgt_mod, "left", compose_eq=[(j1dom.j, smat)])
-    if sol.empty:
+    lift = jet_lift(calc, j1dom, smat, tgt_mod)
+    if lift is None:
         raise CalculusError("Spencer operator admits no order-1 lift")
-    lift = mat_from_flat(sol.particular, tgt_mod.dim, j1dom.dim)
     got = lift * j1dom.iota
     # expected: alpha (x) w (x) xi -> (alpha ^ w) (x) pi(xi)
     if m == 0:
@@ -461,6 +459,29 @@ def elemental_span(calc: Calculus, jet: JetModule) -> Subspace:
     return module_closure(jet.mod, seeds)
 
 
+def jet_split(calc: Calculus, jet: JetModule):
+    """(S^+, ker S as columns) for S: A (x) E -> J^n, a (x) x -> a.j^n(x), kept per jet.
+
+    Raises CalculusError when S is not onto: the prolongations do not span the jets."""
+    def build():
+        try:
+            splus, ker = split(reduce(Mat.hstack, [m * jet.j for m in jet.mod.left]))
+        except ValueError:
+            raise CalculusError("jet lifts are not unique at order %d" % jet.n) from None
+        return splus, ker.basis.transpose()
+
+    return calc.memo(("jet_split", jet), build)
+
+
+def jet_lift(calc: Calculus, jet: JetModule, d: Mat, target: LeftModule):
+    """The unique A-linear phi: J^n -> target with phi o j^n = d, or None.
+
+    phi S = T := [a.d]_a forces phi = T S^+, a lift exactly when T kills ker S."""
+    splus, ker = jet_split(calc, jet)
+    t = reduce(Mat.hstack, [m * d for m in target.left])
+    return t * splus if (t * ker).is_zero() else None
+
+
 def holonomic_via_spencer(calc: Calculus, e: LeftModule, n: int) -> Subspace:
     """Holonomic carrier recomputed as a Spencer kernel on sesquiholonomic jets.
 
@@ -519,10 +540,6 @@ def bicomplex_report(calc: Calculus, e: LeftModule, n: int, corrupt_sign=False):
     jets = [jet_module(calc, e, kk, HOLONOMIC) for kk in range(n + 1)]
     syms = [sym_module(calc, e, kk) for kk in range(n + 1)]
     cells = []
-
-    def omega_of(k, f, src, dst):
-        return calc.omega_lift(k, f, src, dst) if k >= 1 else f
-
     # top square: pi o j^n = j^{n-1}
     cells.append(("projection of top prolongation", (jets[n].pi * jets[n].j) == jets[n - 1].j))
     dsign = -ONE if corrupt_sign else ONE
@@ -530,8 +547,8 @@ def bicomplex_report(calc: Calculus, e: LeftModule, n: int, corrupt_sign=False):
         h = n - k
         # row complex: pi o iota = 0 (when both legs exist)
         if h >= 1:
-            om_iota = omega_of(k, jets[h].iota, syms[h].mod, jets[h].mod)
-            om_pi = omega_of(k, jets[h].pi, jets[h].mod, jets[h - 1].mod)
+            om_iota = calc.omega_lift(k, jets[h].iota, syms[h].mod, jets[h].mod)
+            om_pi = calc.omega_lift(k, jets[h].pi, jets[h].mod, jets[h - 1].mod)
             cells.append(("row %d composite" % k, (om_pi * om_iota).is_zero()))
             row_exact = kernel_of(om_pi) == image_of(om_iota)
             cells.append(("row %d exactness" % k, row_exact))
@@ -541,14 +558,14 @@ def bicomplex_report(calc: Calculus, e: LeftModule, n: int, corrupt_sign=False):
         if h >= 1:
             delta = delta_contraction(calc, e, h, k).scale(dsign)
             smat = spencer_operator(calc, jets[h], k)
-            om_iota = omega_of(k, jets[h].iota, syms[h].mod, jets[h].mod)
-            om_iota_low = omega_of(k + 1, jets[h - 1].iota, syms[h - 1].mod, jets[h - 1].mod)
+            om_iota = calc.omega_lift(k, jets[h].iota, syms[h].mod, jets[h].mod)
+            om_iota_low = calc.omega_lift(k + 1, jets[h - 1].iota, syms[h - 1].mod, jets[h - 1].mod)
             lhs = smat * om_iota
             rhs = om_iota_low * (-delta)
             cells.append(("left square row %d" % k, lhs == rhs))
             if h >= 2:
-                om_pi = omega_of(k, jets[h].pi, jets[h].mod, jets[h - 1].mod)
-                om_pi_low = omega_of(k + 1, jets[h - 1].pi, jets[h - 1].mod, jets[h - 2].mod)
+                om_pi = calc.omega_lift(k, jets[h].pi, jets[h].mod, jets[h - 1].mod)
+                om_pi_low = calc.omega_lift(k + 1, jets[h - 1].pi, jets[h - 1].mod, jets[h - 2].mod)
                 s_low = spencer_operator(calc, jets[h - 1], k)
                 cells.append(
                     ("right square row %d" % k, (s_low * om_pi) == (om_pi_low * smat))

@@ -1,12 +1,13 @@
 """Differential operators, quantization maps, and star products.
 
 An operator E -> F is any linear map; its order is the least n admitting a
-module-linear factorization through the order-n jet prolongation.  A
-quantization assigns to every degree-n symbol an order-n operator through a
-chain of connections on the symmetric-form modules, split by retractions of
-the wedge-kernel inclusions.  The total symbol inverts the quantization, and
-the star product is a * b = sigma(q(a) o q(b)), with a central formal
-variable hbar counting the order the composite loses.
+module-linear factorization through the order-n jet prolongation, which
+jets.jet_lift reads off one split per jet.  A quantization assigns to every
+degree-n symbol an order-n operator through a chain of connections on the
+symmetric-form modules, split by retractions of the wedge-kernel inclusions.
+The total symbol inverts the quantization, and the star product is
+a * b = sigma(q(a) o q(b)), with a central formal variable hbar counting the
+order the composite loses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .linalg import Mat, ONE, rat
 from .algebra import LeftModule, mat_from_flat, solve_module_maps
 from .calculus import Calculus, CalculusError, memo
 from .connections import BimoduleConnection, Connection, tensor_connection
-from .jets import HOLONOMIC, JetModule, jet_module, sym_module, elemental_span
+from .jets import HOLONOMIC, JetModule, jet_lift, jet_module, jet_split, sym_module
 
 
 class LiftError(CalculusError):
@@ -47,42 +48,23 @@ class OperatorContext:
     def sym(self, n):
         return sym_module(self.calc, self.e, n)
 
-    def lift_unique(self, n) -> bool:
-        """Jet lifts at order n are unique iff prolongations span the jets."""
-        def build():
-            jet = self.jet(n)
-            return elemental_span(self.calc, jet).dim == jet.dim
-
-        return memo(self._memo, ("lift_unique", n), build)
-
     def op_lift(self, mat: Mat, n: int, target: LeftModule = None) -> Mat:
-        """Module-linear lift through the order-n jets, canonical when free.
+        """Module-linear lift through the order-n jets, unique where it exists.
 
-        Raises LiftError when the operator has order above n.
+        Raises LiftError when the operator has order above n, and
+        CalculusError when the prolongations do not span the order-n jets.
         """
-        target = target if target is not None else self.e
-
-        def build():
-            jet = self.jet(n)
-            sol = solve_module_maps(jet.mod, target, "left", compose_eq=[(jet.j, mat)])
-            if sol.empty:
-                raise LiftError("operator does not factor through order-%d jets" % n)
-            return mat_from_flat(sol.particular, target.dim, jet.dim)
-
-        return memo(self._memo, ("op_lift", mat, n, target), build)
+        lift = jet_lift(self.calc, self.jet(n), mat, self.e if target is None else target)
+        if lift is None:
+            raise LiftError("operator does not factor through order-%d jets" % n)
+        return lift
 
     def op_order(self, mat: Mat, target: LeftModule = None):
         """Least order <= cap admitting a jet factorization, or None."""
-        def build():
-            for n in range(self.order_cap + 1):
-                try:
-                    self.op_lift(mat, n, target)
-                    return n
-                except LiftError:
-                    continue
-            return None
-
-        return memo(self._memo, ("op_order", mat, target), build)
+        target = self.e if target is None else target
+        return memo(self._memo, ("op_order", mat, target), lambda: next(
+            (n for n in range(self.order_cap + 1)
+             if jet_lift(self.calc, self.jet(n), mat, target) is not None), None))
 
     def symbol_of(self, mat: Mat, n: int, target: LeftModule = None) -> "Symbol":
         """Degree-n restriction symbol (lift composed with symbol inclusion)."""
@@ -415,10 +397,11 @@ def build_quantization(calc: Calculus, e: LeftModule, bconn: BimoduleConnection,
     """Full quantization from a braided connection and a base connection."""
     ctx = OperatorContext(calc, e)
     cap = ctx.order_cap
-    for n in range(cap + 1):
-        if not ctx.lift_unique(n):
-            raise CalculusError("jet lifts are not unique at order %d; "
-                                "quantization refuses to pick silently" % n)
+    for jet in map(ctx.jet, range(cap + 1)):
+        try:
+            jet_split(calc, jet)
+        except CalculusError as exc:
+            raise CalculusError("%s; quantization refuses to pick silently" % exc) from None
     conns, retractions = sym_connection_chain(calc, e, bconn, conn_e, cap)
     chain = {0: Mat.identity(e.dim), }
     if cap >= 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 
-from .linalg import Mat, rat, rat_str
+from .linalg import Mat, kron, rat, rat_str
 from .algebra import Algebra, Bimodule
 from .calculus import Calculus, build_calculus
 
@@ -90,14 +90,15 @@ def parse_calculus_spec(doc) -> Calculus:
         raise SpecParseError("omega1 section needs dim, left, right, d")
     if type(odim) is not int or odim < 0:
         raise SpecParseError("omega1 dim must be a nonnegative integer")
-    frame = doc.get("leftFrameSize")
-    if frame is not None and (type(frame) is not int or frame < 1 or frame * dim > odim):
-        raise SpecParseError("leftFrameSize must be an integer n >= 1 with "
-                             "n * algebra dim <= omega1 dim, got %r" % (frame,))
     if any(not isinstance(m, list) or len(m) != dim for m in (left_docs, right_docs)):
         raise SpecParseError("omega1 needs one action matrix per algebra basis element")
     left = [_matrix_in(m, odim, odim, "omega1.left[%d]" % i) for i, m in enumerate(left_docs)]
     right = [_matrix_in(m, odim, odim, "omega1.right[%d]" % i) for i, m in enumerate(right_docs)]
+    frame = doc.get("leftFrameSize")
+    if frame is not None and (type(frame) is not int or frame < 1 or frame * dim != odim or any(
+            m != kron(Mat.identity(frame), a) for m, a in zip(left, algebra.lmat))):
+        raise SpecParseError("leftFrameSize must be an integer n >= 1 with the one-forms laid "
+                             "out as a theta_t at t * algebra dim + a, t < n; got %r" % (frame,))
     omega1 = Bimodule(algebra, odim, left, right, label="O1")
     d0 = _matrix_in(d_doc, odim, dim, "omega1.d")
     calc = build_calculus(algebra, omega1, d0, max_degree)

@@ -101,6 +101,34 @@ def test_validate_schema_error(tmp_path, doc):
     assert out.startswith("parse error:")
 
 
+def _swap_first_two_forms(doc):
+    """The same calculus with one-form basis vectors 0 and 1 swapped."""
+    order = [1, 0] + list(range(2, doc["omega1"]["dim"]))
+
+    def conj(mat):
+        return [[mat[r][c] for c in order] for r in order]
+
+    om = doc["omega1"]
+    return dict(doc, omega1=dict(om, left=[conj(m) for m in om["left"]],
+                                 right=[conj(m) for m in om["right"]],
+                                 d=[om["d"][r] for r in order]))
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_swap_first_two_forms(_QUAT_SPEC), id="frame-basis-swapped"),
+    pytest.param(dict(_QUAT_SPEC, leftFrameSize=1), id="frame-too-small"),
+])
+def test_left_frame_size_must_describe_the_layout(tmp_path, doc):
+    """Both are valid calculi whose one-forms are not laid out as a . theta_t."""
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["validate", str(path)])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: leftFrameSize") and out.count("\n") == 1
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k != "leftFrameSize"}))
+    assert run(["validate", str(path)]) == (EXIT_PASS, "ok\n")
+
+
 def test_schema_error_documents_are_valid_once_repaired(tmp_path):
     """The bool and string cases above differ from valid specs only in that one value."""
     for doc in ({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS},

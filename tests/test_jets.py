@@ -3,8 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cayley import cayley_spec
 from ncjet.linalg import Mat, Subspace, ZERO, image_of, kernel_of, rank, rat
+from ncjet.algebra import mat_from_flat, solve_module_maps
 from ncjet.calculus import CalculusError
 from ncjet.jets import (
     HOLONOMIC,
@@ -17,7 +20,9 @@ from ncjet.jets import (
     flavor_inclusion,
     holonomic_via_spencer,
     jet_exactness,
+    jet_lift,
     jet_module,
+    jet_split,
     nu_operator,
     pair_module,
     spencer_complex,
@@ -390,6 +395,59 @@ def test_elemental_span_equality(quat, two_point):
         for n in orders:
             jet = jet_module(fx, fx.base_module(), n)
             assert elemental_span(fx, jet).dim == jet.dim
+
+
+# calculus fixture -> highest jet order checked against the affine oracle
+_LIFT_ORDERS = {"quat": 3, "two_point": 2, "cayley_z4": 3}
+
+
+@pytest.mark.parametrize("name", list(_LIFT_ORDERS))
+def test_jet_lift_matches_the_affine_oracle(request, name):
+    """jet_lift against solve_module_maps(..., compose_eq=[(j^n, D)]) on the base module."""
+    calc = request.getfixturevalue(name)
+    e = calc.base_module()
+    jets = [jet_module(calc, e, n) for n in range(_LIFT_ORDERS[name] + 1)]
+    families = {jet.n: solve_module_maps(jet.mod, e, "left") for jet in jets}
+    entries = st.lists(st.lists(st.integers(-2, 2), min_size=e.dim, max_size=e.dim),
+                       min_size=e.dim, max_size=e.dim)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.data())
+    def check(data):
+        jet = data.draw(st.sampled_from(jets))
+        # phi o j^n lifts back to phi, for phi any member of the module-map family
+        family = families[jet.n]
+        flat = list(family.particular)
+        for row in family.direction.basis.nz:
+            c = data.draw(st.integers(-2, 2))
+            for k, x in row.items():
+                flat[k] += c * x
+        phi = mat_from_flat(flat, e.dim, jet.dim)
+        assert jet_lift(calc, jet, phi * jet.j, e) == phi
+        # any operator lifts exactly when the oracle has a point, and to that point
+        d = Mat(e.dim, e.dim, data.draw(entries))
+        oracle = solve_module_maps(jet.mod, e, "left", compose_eq=[(jet.j, d)])
+        got = jet_lift(calc, jet, d, e)
+        if oracle.empty:
+            assert got is None
+        else:
+            assert got == mat_from_flat(oracle.particular, e.dim, jet.dim)
+
+    check()
+
+
+def test_jet_split_refuses_where_prolongations_do_not_span():
+    """On the directed 4-cycle the order-4 prolongations span a proper submodule."""
+    from ncjet.specio import parse_calculus_spec
+
+    calc = parse_calculus_spec(cayley_spec(4, [1]))
+    e = calc.base_module()
+    jet = jet_module(calc, e, 4)
+    assert elemental_span(calc, jet).dim < jet.dim
+    for attempt in (lambda: jet_split(calc, jet),
+                    lambda: jet_lift(calc, jet, Mat.identity(e.dim), e)):
+        with pytest.raises(CalculusError, match="^jet lifts are not unique at order 4$"):
+            attempt()
 
 
 def test_exactness_reports(all_fixtures):
