@@ -328,28 +328,33 @@ class BimoduleMap:
 
 
 class TensorSpace:
-    """Tensor product over the algebra, with its plain-tensor presentation.
+    """A quotient of plain tensors (left factor slow, right factor fast), presented.
 
-    proj maps the plain tensor (left factor slow, right factor fast) onto the
-    quotient; sec selects the plain basis tensors whose classes are independent,
-    scanned from the last one back.  proj * sec = I and ker proj is the relation
-    space, so the pair is the whole presentation.  pcols holds the columns of
-    proj's integer form as {row: int} dicts and pden the row denominators, so a
-    plain tensor is projected from its nonzeros alone, over the integers, with
-    one division per output entry; gather builds a matrix from such classes.
+    proj maps a plain tensor onto the quotient; section lists in increasing order
+    the plain indices whose basis tensors stand for coordinates 0..dim-1.  proj is
+    the identity on those columns and ker proj is the relation space, so the pair
+    is the whole presentation.  pcols holds the columns of proj's integer form as
+    {row: int} dicts and pden the row denominators, so a plain tensor is projected
+    from its nonzeros alone, over the integers, with one division per output
+    entry; gather builds a matrix from such classes.
     """
 
-    __slots__ = ("left_dim", "right_dim", "dim", "proj", "sec", "pcols", "pden")
+    __slots__ = ("left_dim", "right_dim", "dim", "proj", "section", "pcols", "pden")
 
-    def __init__(self, left_dim, right_dim, proj, sec):
+    def __init__(self, left_dim, right_dim, proj, section):
         self.left_dim = left_dim
         self.right_dim = right_dim
         self.proj = proj
-        self.sec = sec
+        self.section = tuple(section)
         self.dim = proj.rows
         form = [int_row(row) for row in proj.nz]
         self.pden = [d for d, _ in form]
         self.pcols = Mat._of(proj.rows, proj.cols, [row for _, row in form]).transpose().nz
+
+    def plain_cols(self, m: Mat):
+        """The columns of m (rows indexed by this quotient) as plain tensors {section[r]: x}."""
+        sec = self.section
+        return [{sec[r]: x for r, x in col.items()} for col in m.transpose().nz]
 
     def project(self, plain):
         """Class of the plain tensor given by its nonzeros {index: value}."""
@@ -390,9 +395,9 @@ class TensorSpace:
         return self._classes(*self.pure(x, y))
 
     def kron_between(self, f: Mat, g: Mat, src: "TensorSpace") -> Mat:
-        """f (x) g from src's quotient to this one: proj * (f (x) g) * src.sec.
+        """f (x) g from src's quotient to this one: proj * (f (x) g) at src's section.
 
-        Each section column of src is a plain basis tensor e_i (x) e_j, whose
+        Each section index of src is a plain basis tensor e_i (x) e_j, whose
         image is the class of f e_i (x) g e_j; it is gathered over integer
         numerators and divided once per output entry.
         """
@@ -403,11 +408,10 @@ class TensorSpace:
         gcols = [int_row(c) for c in g.transpose().nz]
         rd, srd = self.right_dim, src.right_dim
         plains = []
-        for c, sel in enumerate(src.sec.nz):
-            if sel:
-                (df, fc), (dg, gc) = fcols[c // srd], gcols[c % srd]
-                gnz = gc.items()
-                plains.append((df * dg, {i * rd + j: x * y for i, x in fc.items() for j, y in gnz}))
+        for c in src.section:
+            (df, fc), (dg, gc) = fcols[c // srd], gcols[c % srd]
+            gnz = gc.items()
+            plains.append((df * dg, {i * rd + j: x * y for i, x in fc.items() for j, y in gnz}))
         return self.gather(plains)
 
 
@@ -415,9 +419,9 @@ def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
     """Quotient of the plain tensor m (x) n by x·a (x) y - x (x) a·y, after a cap check.
 
     Right exactness gives m (x)_A n = n^r / {(b_s·y)_s : b in Syz}, where e_x (x) e_y has
-    the class ((G+ e_x)_s · e_y)_s.  Column j is a section column exactly when its class
-    is not in the span of the later columns' classes: the class rows, reduced from the
-    last column back, are read straight off as the canonical section and projection.
+    the class ((G+ e_x)_s · e_y)_s.  Index j is in the section exactly when its class is
+    not in the span of the later indices' classes: the class rows, reduced from the last
+    column back, are read straight off as the canonical section and projection.
     """
     if m.algebra is not n.algebra:
         raise ValueError("tensor factors live over different algebras")
@@ -454,13 +458,12 @@ def tensor_space(m: Bimodule, n: LeftModule) -> TensorSpace:
     sb = SpanBuilder(amb)
     for row in rows:
         sb.add(row)
-    # pivot c of the reversed reduction is section column top - c, and its reduced
+    # pivot c of the reversed reduction is section index top - c, and its reduced
     # row, read from the back, is that coordinate's row of proj
     red = sb.reduced()
-    where = {top - c: i for i, c in enumerate(sorted(red, reverse=True))}
-    proj = Mat._of(len(where), amb, [{top - j: v for j, v in red[top - p].items()} for p in where])
-    sec = [{where[p]: ONE} if p in where else {} for p in range(amb)]
-    return TensorSpace(dm, dn, proj, Mat._of(amb, len(where), sec, True))
+    pivots = sorted(red, reverse=True)
+    proj = Mat._of(len(red), amb, [{top - j: v for j, v in red[c].items()} for c in pivots])
+    return TensorSpace(dm, dn, proj, [top - c for c in pivots])
 
 
 def tensor_left_module(m: Bimodule, n: LeftModule, label="") -> tuple:

@@ -95,14 +95,16 @@ def validate_fodc(algebra: Algebra, omega1: Bimodule, d0: Mat):
 
 
 class Calculus:
-    """Exterior tower of a first-order differential calculus."""
+    """Exterior tower of a first-order differential calculus.
 
-    def __init__(self, algebra, omega, d, step_proj, step_sec, relation_space, name=""):
+    steps[n] (n >= 2), a TensorSpace, presents omega[n] on plain omega[n-1] x omega1;
+    its proj is the wedge omega[n-1] x omega1 -> omega[n]."""
+
+    def __init__(self, algebra, omega, d, steps, relation_space, name=""):
         self.algebra = algebra
         self.omega = omega            # Bimodule per degree 0..max_degree
         self.d = d                    # d[n]: omega[n] -> omega[n+1], n < max_degree
-        self.step_proj = step_proj    # n >= 2: plain(omega[n-1] x omega1) -> omega[n]
-        self.step_sec = step_sec
+        self.steps = steps            # n >= 2: omega[n] presented on omega[n-1] x omega1
         self.relation_space = relation_space  # degree-1 relations inside A (x) A
         self.name = name
         self.left_frame_size = None   # size of a declared free left frame of omega1
@@ -152,15 +154,15 @@ class Calculus:
             return Mat.from_cols([cols[i] for i in range(self.omega[p].dim) for cols in acts],
                                  self.omega[p].dim)
         if q == 1:
-            return self.step_proj[p + 1]
+            return self.steps[p + 1].proj
         # the section of y in omega_q is one plain basis tensor u (x) k of
         # omega_{q-1} x omega1, so column (x, y) gathers (x ^ u) (x) k, then projects
         o1, low = self.omega1.dim, self.omega[q - 1].dim
         wcols = self.wedge_plain(p, q - 1).transpose().nz
-        picks = [divmod(c, o1) for c, sel in enumerate(self.step_sec[q].nz) if sel]
+        picks = [divmod(c, o1) for c in self.steps[q].section]
         gather = [{r * o1 + k: v for r, v in wcols[x * low + u].items()}
                   for x in range(self.omega[p].dim) for u, k in picks]
-        return self.step_proj[p + q] * Mat.from_cols(gather, self.omega[p + q - 1].dim * o1)
+        return self.steps[p + q].proj * Mat.from_cols(gather, self.omega[p + q - 1].dim * o1)
 
     def tensor_pq(self, p, q) -> TensorSpace:
         """Presentation of omega_p (x)_A omega_q, p >= 1: the one form_module keeps."""
@@ -196,12 +198,13 @@ class Calculus:
         return ts_dst.kron_between(Mat.identity(self.omega[m].dim), f, ts_src)
 
     def descend(self, plain_mat: Mat, ts: TensorSpace, what="map") -> Mat:
-        """Descend a plain-tensor matrix through a quotient presentation: plain * sec.
+        """Descend a plain-tensor matrix through a quotient presentation: its section columns.
 
-        As proj * sec = I and ker proj is the span of the balancing relations,
-        the plain matrix kills them, so is well-defined over A, exactly when it
-        equals (plain * sec) * proj; otherwise CalculusError."""
-        down = plain_mat * ts.sec
+        As proj is the identity on the section columns and ker proj is the
+        relation space, the plain matrix kills the relations, so is well-defined
+        on the quotient, exactly when it equals down * proj for down its section
+        columns; otherwise CalculusError."""
+        down = plain_mat.submatrix(range(plain_mat.rows), ts.section)
         if down * ts.proj != plain_mat:
             raise CalculusError("%s is not well-defined on the tensor product" % what)
         return down
@@ -227,8 +230,7 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
     dA = alg.dim
     o1 = omega1.dim
     omega = [regular_bimodule(alg), omega1]
-    step_proj = {}
-    step_sec = {}
+    steps = {}
 
     # degree-1 relations: kernel of A (x) A -> omega1, x (x) y -> x d(y),
     # intersected with the universal one-forms ker(mult).
@@ -244,19 +246,19 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
     vplus, vker = split(to_omega)
     relation_space = intersect(kernel_of(mult_mat), vker)
     # the tower is appended to calc.omega, so max_degree admits each degree as it lands
-    calc = Calculus(alg, omega, [d0], step_proj, step_sec, relation_space, name=name)
+    calc = Calculus(alg, omega, [d0], steps, relation_space, name=name)
 
     def quotient_bimodule(pre_mod, pre_ts, rel, degree):
         projq, secq = quotient_data(rel)
-        sp = projq * pre_ts.proj
-        ss = pre_ts.sec * secq
-        left = [projq * (pre_mod.left[a] * secq) for a in range(dA)]
-        right = [projq * (pre_mod.right[a] * secq) for a in range(dA)]
+        keep = [c for c, row in enumerate(secq.nz) if row]
+        left = [projq * m.submatrix(range(pre_mod.dim), keep) for m in pre_mod.left]
+        right = [projq * m.submatrix(range(pre_mod.dim), keep) for m in pre_mod.right]
         mod = Bimodule(alg, projq.rows, left, right, label="O%d" % degree)
         bad = mod.check_bimodule()
         if bad:
             raise CalculusError("degree-%d forms are not a bimodule: %s" % (degree, bad[0]))
-        return mod, sp, ss
+        return mod, TensorSpace(pre_ts.left_dim, pre_ts.right_dim, projq * pre_ts.proj,
+                                [pre_ts.section[c] for c in keep])
 
     # each degree n lands, then d_{n-1} is built into it, so the tower stops
     # at the first degree that fails and omega, d and max_degree agree
@@ -276,10 +278,10 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
                 dgens.append(pre_ts.project(plain))
             rel = module_closure(pre_mod, dgens, use_right=True)
             # degree-2 relations as plain tensors in omega1 (x) omega1
-            rel2_plain = (rel.basis * pre_ts.sec.transpose()).nz
+            rel2_plain = pre_ts.plain_cols(rel.basis.transpose())
         else:
             sb = SpanBuilder(pre_ts.dim)
-            prev_cols = step_proj[n - 1].transpose().nz
+            prev_cols = steps[n - 1].proj.transpose().nz
             for u in range(omega[n - 2].dim):
                 base = u * o1
                 for r_pl in rel2_plain:
@@ -291,7 +293,7 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
                             acc[key] = acc.get(key, ZERO) + c * v
                     sb.add(pre_ts.project(acc))
             rel = sb.subspace()
-        om, step_proj[n], step_sec[n] = quotient_bimodule(pre_mod, pre_ts, rel, n)
+        om, steps[n] = quotient_bimodule(pre_mod, pre_ts, rel, n)
         omega.append(om)
 
         # d in degree k = n - 1: d1 is solved on its spanning set a db; for k >= 2,
@@ -300,17 +302,15 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         k = n - 1
         if k == 1:
             # d1 a db = da ^ db, so d1 = dd * to_omega^+ once dd kills ker to_omega
-            dd = step_proj[2] * kron(d0, d0)
+            dd = steps[2].proj * kron(d0, d0)
             if not (dd * vker.basis.transpose()).is_zero():
                 raise CalculusError("differential in degree 1 is inconsistent on its spanning set")
             calc.d.append(dd * vplus)
         else:
             d1 = calc.d[1] if k % 2 else -calc.d[1]
-            plain = (step_proj[n] * kron(calc.d[k - 1], Mat.identity(o1))
+            plain = (steps[n].proj * kron(calc.d[k - 1], Mat.identity(o1))
                      + calc.wedge_plain(k - 1, 2) * kron(Mat.identity(omega[k - 1].dim), d1))
-            calc.d.append(plain * step_sec[k])
-            if calc.d[k] * step_proj[k] != plain:
-                raise CalculusError("differential in degree %d is not well-defined" % k)
+            calc.d.append(calc.descend(plain, steps[k], "differential in degree %d" % k))
         if not (calc.d[k] * calc.d[k - 1]).is_zero():
             raise CalculusError("differential does not square to zero at degree %d" % (k - 1))
     return calc

@@ -126,6 +126,9 @@ def cmd_jets(args, out):
 def cmd_spencer(args, out):
     _check_order(args, 1)
     calc = _load_calculus(args.path)
+    if args.order > calc.max_degree:
+        raise CalculusError("--order %d needs forms of degree %d; the tower stops at degree %d"
+                            % (args.order, args.order, calc.max_degree))
     e = calc.base_module()
     report = {"calculus": calc.name or args.path, "complexes": [], "bicomplex": None}
     ok = True

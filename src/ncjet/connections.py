@@ -284,9 +284,9 @@ def tensor_connection(calc: Calculus, bconn: BimoduleConnection, connf: Connecti
     _, ts11 = calc.form_module(1, calc.omega1)
     o1, fd = calc.omega1.dim, f.dim
     # plain lifts of nabla(w_b), nabla(f_t) and of sigma on plain pairs, as {index: value}
-    nb_plain = (ts11.sec * bconn.base.mat).transpose().nz
-    nf_plain = (ts_f.sec * connf.mat).transpose().nz
-    sigma_plain = (ts11.sec * (bconn.sigma * ts11.proj)).transpose().nz
+    nb_plain = ts11.plain_cols(bconn.base.mat)
+    nf_plain = ts_f.plain_cols(connf.mat)
+    sigma_plain = ts11.plain_cols(bconn.sigma * ts11.proj)
     cols = []
     for b in range(o1):
         for t in range(fd):

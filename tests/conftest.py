@@ -5,6 +5,7 @@ import pytest
 
 from cayley import cayley_spec, group_spec, symmetric_group
 from ncjet.fixtures import fixture
+from ncjet.linalg import Mat
 from ncjet.specio import parse_calculus_spec, serialize_calculus
 
 
@@ -26,6 +27,11 @@ def matrix2():
 @pytest.fixture(scope="session")
 def all_fixtures(quat, two_point, matrix2):
     return (quat, two_point, matrix2)
+
+
+def selection(ts):
+    """The plain x presented matrix of a TensorSpace's section: column r is plain e_{section[r]}."""
+    return Mat.from_cols([{c: 1} for c in ts.section], ts.proj.cols)
 
 
 # Quaternion algebra basis (1, i, j, k): k += 2 i, k -= 3 j.  One-forms: the

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from cayley import cayley_spec
+from conftest import selection
 from ncjet.linalg import Mat, ZERO, kernel_of, kron, rat
 from ncjet.algebra import Algebra, functions_on_points, module_closure, tensor_bimodule
 from ncjet.calculus import (
@@ -219,7 +220,7 @@ def _check_spanning_tuples(calc):
     """
     alg, o1 = calc.algebra, calc.omega1.dim
     db = [{i: x for i, x in enumerate(calc.d_of_basis(b)) if x} for b in range(alg.dim)]
-    proj_cols = {n: p.transpose().nz for n, p in calc.step_proj.items()}
+    proj_cols = {n: ts.proj.transpose().nz for n, ts in calc.steps.items()}
     d_cols = [dk.transpose().nz for dk in calc.d]
 
     def wedge(v, n, xi):  # v in omega_{n-1}, xi in omega1 -> v ^ xi in omega_n
@@ -319,7 +320,7 @@ def _twisted_left_by_kron(calc, e):
     left = []
     for a in range(calc.algebra.dim):
         da_col = Mat(o1, 1, [[x] for x in calc.d_of_basis(a)])
-        wda = ts2.proj * w11_e * kron(da_col, Mat.identity(o1 * e.dim)) * ts1.sec
+        wda = ts2.proj * w11_e * kron(da_col, Mat.identity(o1 * e.dim)) * selection(ts1)
         left.append(m1.left[a].hstack(Mat.zeros(m1.dim, m2.dim)).vstack(wda.hstack(m2.left[a])))
     return tuple(left)
 
@@ -333,10 +334,10 @@ def test_twisted_pair_matches_kron_formula(kron_oracle_calc):
 def _wedge_plain_by_kron(calc, p, q):
     """Plain wedge omega_p x omega_q -> omega_{p+q} through Kronecker products (the reference)."""
     if q == 1:
-        return calc.step_proj[p + 1]
-    return (calc.step_proj[p + q]
+        return calc.steps[p + 1].proj
+    return (calc.steps[p + q].proj
             * kron(_wedge_plain_by_kron(calc, p, q - 1), Mat.identity(calc.omega1.dim))
-            * kron(Mat.identity(calc.omega[p].dim), calc.step_sec[q]))
+            * kron(Mat.identity(calc.omega[p].dim), selection(calc.steps[q])))
 
 
 def _check_wedge_plain(calc):
@@ -363,23 +364,29 @@ def test_wedge_plain_matches_kron_formula_to_degree_five():
 def test_descend_checks_every_balancing_relation(name, p, q, request):
     """A plain map must kill each relation; the check reads the pivot columns too.
 
-    The sheared quaternion spec has a rational projection (a row denominator
-    above 1), the quaternion and Z/4 {1, 3} an integral one."""
+    Each case checks omega_p (x)_A omega_q and the tower step that presents
+    omega_{p+q} on omega_{p+q-1} x omega1.  The sheared quaternion spec has a
+    rational tensor projection (a row denominator above 1), the quaternion and
+    Z/4 {1, 3} an integral one."""
     calc = request.getfixturevalue(name)
-    ts = calc.tensor_pq(p, q)
-    assert (max(ts.pden) > 1) == (name == "sheared_quat")
-    n = ts.left_dim * ts.right_dim
-    rel = kernel_of(ts.proj)
-    assert rel.dim
-    assert calc.descend(ts.proj, ts) == Mat.identity(ts.dim)
-    assert calc.wedge_map(p, q) == calc.descend(calc.wedge_plain(p, q), ts)
-    for p_i, row in zip(rel.pivots, rel.basis.nz):
-        with pytest.raises(CalculusError, match="not well-defined"):
-            calc.descend(Mat(1, n, [{p_i: 1}]), ts)
-        c = max(row)
-        if c != p_i:
+    tensor = calc.tensor_pq(p, q)
+    assert (max(tensor.pden) > 1) == (name == "sheared_quat")
+    assert calc.wedge_map(p, q) == calc.descend(calc.wedge_plain(p, q), tensor)
+    for ts in (tensor, calc.steps[p + q]):
+        section = ts.section
+        assert all(a < b for a, b in zip(section, section[1:]))
+        assert ts.proj.submatrix(range(ts.dim), section) == Mat.identity(ts.dim)
+        n = ts.left_dim * ts.right_dim
+        rel = kernel_of(ts.proj)
+        assert rel.dim
+        assert calc.descend(ts.proj, ts) == Mat.identity(ts.dim)
+        for p_i, row in zip(rel.pivots, rel.basis.nz):
             with pytest.raises(CalculusError, match="not well-defined"):
-                calc.descend(Mat(1, n, [{c: 1}]), ts)
-        # a map that kills this relation only at its pivot still breaks it elsewhere
-        with pytest.raises(CalculusError):
-            calc.descend(ts.proj.vstack(Mat(1, n, [{p_i: 1}])), ts)
+                calc.descend(Mat(1, n, [{p_i: 1}]), ts)
+            c = max(row)
+            if c != p_i:
+                with pytest.raises(CalculusError, match="not well-defined"):
+                    calc.descend(Mat(1, n, [{c: 1}]), ts)
+            # a map that kills this relation only at its pivot still breaks it elsewhere
+            with pytest.raises(CalculusError):
+                calc.descend(ts.proj.vstack(Mat(1, n, [{p_i: 1}])), ts)

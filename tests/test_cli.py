@@ -392,6 +392,14 @@ def test_order_below_the_command_floor_is_invalid_input(command, order, least):
         EXIT_INVALID, "invalid input: --order must be at least %d, not %d\n" % (least, order))
 
 
+def test_spencer_order_above_the_tower_is_refused_up_front():
+    """The refusal names --order, not a degree the command reached after computing."""
+    code, out = run(["spencer", "quaternion", "--order", "5", "--json"])
+    assert code == EXIT_INVALID
+    assert out == ("invalid input: --order 5 needs forms of degree 5;"
+                   " the tower stops at degree 3\n")
+
+
 def test_spencer_quaternion_cohomology_vanishes():
     code, out = run(["spencer", "quaternion", "--order", "2", "--json"])
     assert code == EXIT_PASS

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import QUAT_FORM_SHEARS, _shears
+from conftest import QUAT_FORM_SHEARS, _shears, selection
 from ncjet.linalg import AffineSystem, Mat, ZERO, image_of, kron, rat, vec
 from ncjet.algebra import Bimodule, add_intertwining_rows, mat_from_flat, solve_module_maps
 from ncjet.connections import (
@@ -402,7 +402,7 @@ def test_square_of_covariant_exterior_is_wedge_with_curvature(quat):
     for b in range(calc.omega1.dim):
         for t in range(calc.omega1.dim):
             rv = cr.col(t)
-            plain = ts2.sec.apply(rv)
+            plain = selection(ts2).apply(rv)
             acc = [ZERO] * (calc.dim_omega(3) * calc.omega1.dim)
             for idx, v in enumerate(plain):
                 if v:
@@ -412,7 +412,7 @@ def test_square_of_covariant_exterior_is_wedge_with_curvature(quat):
                         if vv:
                             acc[rr * calc.omega1.dim + e] += v * vv
             cols.append(ts3.proj.apply(acc))
-    expect = Mat.from_rows(cols, ts3.dim).transpose() * ts1.sec
+    expect = Mat.from_rows(cols, ts3.dim).transpose() * selection(ts1)
     assert lhs == expect
 
 
@@ -452,9 +452,10 @@ def _tensor_connection_by_kron(calc, bconn, connf):
     _, ts11 = calc.form_module(1, calc.omega1)
     eye_o, eye_f = Mat.identity(calc.omega1.dim), Mat.identity(f.dim)
     to_v = ts_v.proj * kron(eye_o, ts_f.proj)
-    term1 = kron(ts11.sec * bconn.base.mat, eye_f)
-    term2 = kron(ts11.sec * bconn.sigma * ts11.proj, eye_f) * kron(eye_o, ts_f.sec * connf.mat)
-    return to_v * (term1 + term2) * ts_f.sec
+    sec11, sec_f = selection(ts11), selection(ts_f)
+    term1 = kron(sec11 * bconn.base.mat, eye_f)
+    term2 = kron(sec11 * bconn.sigma * ts11.proj, eye_f) * kron(eye_o, sec_f * connf.mat)
+    return to_v * (term1 + term2) * sec_f
 
 
 def test_tensor_connection_matches_kron_formula(kron_oracle_calc):

@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from conftest import selection
 from ncjet.jets import jet_module, spencer_operator
 from ncjet.linalg import rat_str
 from ncjet.specio import parse_calculus_spec
@@ -26,9 +27,9 @@ def canonical_items(calc, base):
              "tensor 1,1 proj": calc.tensor_pq(1, 1).proj}
     for k, dk in enumerate(calc.d):
         items["d %d" % k] = dk
-    for n in sorted(calc.step_proj):
-        items["step_proj %d" % n] = calc.step_proj[n]
-        items["step_sec %d" % n] = calc.step_sec[n]
+    for n in sorted(calc.steps):
+        items["step_proj %d" % n] = calc.steps[n].proj
+        items["step_sec %d" % n] = selection(calc.steps[n])
     for n in (1, 2):
         jet = jet_module(calc, base, n)
         for m in range(calc.max_degree):

@@ -69,9 +69,10 @@ def test_order_of_differential_is_one(quat):
     ctx.op_lift(conn.mat, 1, target=fm)
 
 
-def test_op_lift_does_not_answer_for_a_freed_target():
-    # A freed module's id can go to the next module built.  A lift cached
-    # under the old id would come back for the new target with the wrong shape.
+def test_op_order_memo_does_not_answer_for_a_freed_target():
+    # A freed module's id can go to the next module built.  An order cached
+    # under the old id would come back for the new target: 0 where the
+    # operator does not even map into it.
     from ncjet.algebra import LeftModule, functions_on_points
     from ncjet.calculus import universal_calculus
 
@@ -80,16 +81,17 @@ def test_op_lift_does_not_answer_for_a_freed_target():
     ctx = OperatorContext(calc, e)
     eye = Mat.identity(2)
     t_a = LeftModule(calc.algebra, 2, e.left, label="A")
-    assert ctx.op_lift(eye, 0, target=t_a).rows == 2
+    assert ctx.op_order(eye, target=t_a) == 0
     zeros = Mat.zeros(2, 2)
     mats_b = [m.hstack(zeros).vstack(zeros.hstack(m)) for m in e.left]
     del t_a
     t_b = LeftModule(calc.algebra, 4, mats_b, label="B")
-    try:
-        lift = ctx.op_lift(eye, 0, target=t_b)
-    except ValueError:
-        return
-    assert lift.rows == t_b.dim
+    with pytest.raises(ValueError):
+        ctx.op_order(eye, target=t_b)
+    # x -> (x, 0) does map into t_b: order 0, lifted by itself
+    first = eye.vstack(zeros)
+    assert ctx.op_order(first, target=t_b) == 0
+    assert ctx.op_lift(first, 0, target=t_b) == first
 
 
 def test_lift_of_prolongation_is_identity(quat):
