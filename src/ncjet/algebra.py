@@ -19,6 +19,7 @@ from .linalg import (
     SpanBuilder,
     ZERO,
     ONE,
+    combination,
     int_row,
     nonzeros,
     max_dim,
@@ -69,13 +70,7 @@ class Algebra:
 
     def left_mult(self, x) -> Mat:
         """Matrix of left multiplication by the coordinate vector x."""
-        m = Mat.zeros(self.dim, self.dim)
-        acc = None
-        for i, xi in enumerate(x):
-            if xi:
-                term = self.lmat[i].scale(xi)
-                acc = term if acc is None else acc + term
-        return acc if acc is not None else m
+        return combination(x, self.lmat)
 
     def basis_vector(self, i):
         v = [ZERO] * self.dim
@@ -89,8 +84,10 @@ class Algebra:
         Picked greedily: index i is kept when e_i lies outside the subalgebra
         generated by the unit and the indices kept before it.  A condition
         that is linear in a and holds at ab once it holds at a and b
-        (balancing, intertwining, Leibniz) holds on all of A once it holds on
-        these, for modules on which the unit acts as the identity.
+        (balancing, intertwining, Leibniz, the representation laws of
+        LeftModule.check_left and Bimodule.check_bimodule) holds on all of A
+        once it holds on these, for modules on which the unit acts as the
+        identity: the elements where it holds form a subalgebra.
         """
         gens = []
         sub = _closure(self.dim, [self.unit], [])
@@ -187,23 +184,26 @@ class LeftModule:
         return out
 
     def left_mult(self, a) -> Mat:
-        acc = Mat.zeros(self.dim, self.dim)
-        for i, ai in enumerate(a):
-            if ai:
-                acc = acc + self.left[i].scale(ai)
-        return acc
+        """Action matrix of the algebra element with coordinates a."""
+        return combination(a, self.left)
 
-    def check_left(self):
-        """Violations of the left representation axioms."""
+    def check_left(self, factors=None):
+        """Violations of the left representation axioms.
+
+        The unit must act as the identity, and L_i L_j = L_(e_i e_j) for i in
+        factors (default: every basis index) and every basis index j.  With
+        factors = algebra.generators that covers every pair, once the algebra
+        is associative and the unit acts as the identity: the a with
+        L_a L_b = L_ab for all b form a subalgebra (L_aa' L_b = L_a L_a'b =
+        L_aa'b), and it holds the unit and the generators.
+        """
         alg = self.algebra
         problems = []
-        uni = self.left_mult(alg.unit)
-        if uni != Mat.identity(self.dim):
+        if self.left_mult(alg.unit) != Mat.identity(self.dim):
             problems.append("unit does not act as identity (left) on %s" % self.label)
-        for i in range(alg.dim):
+        for i in range(alg.dim) if factors is None else factors:
             for j in range(alg.dim):
-                prod = self.left_mult(alg.mul(alg.basis_vector(i), alg.basis_vector(j)))
-                if self.left[i] * self.left[j] != prod:
+                if self.left[i] * self.left[j] != self.left_mult(alg.mult[i][j]):
                     problems.append(
                         "left action not multiplicative at (%s, %s) on %s"
                         % (alg.basis_names[i], alg.basis_names[j], self.label)
@@ -259,26 +259,34 @@ class Bimodule(LeftModule):
         return out
 
     def right_mult(self, a) -> Mat:
-        acc = Mat.zeros(self.dim, self.dim)
-        for j, aj in enumerate(a):
-            if aj:
-                acc = acc + self.right[j].scale(aj)
-        return acc
+        """Right action matrix of the algebra element with coordinates a."""
+        return combination(a, self.right)
 
-    def check_bimodule(self):
+    def check_bimodule(self, factors=None):
+        """Violations of the bimodule axioms: check_left(factors), then the right side.
+
+        The unit must act as the identity on the right, R_j R_i = R_(e_i e_j)
+        for i in factors (default: every basis index) and every j, and
+        L_i R_j = R_j L_i for i and j both in factors.  With factors =
+        algebra.generators that covers every pair, once the algebra is
+        associative and the unit acts as the identity: the a with
+        R_b R_a = R_ab for all b form a subalgebra holding the generators, and
+        so, once L and R are multiplicative, do the a whose L_a commutes with
+        a given R_h, and the b whose R_b commutes with a given L_a.
+        """
         alg = self.algebra
-        problems = self.check_left()
+        problems = self.check_left(factors)
         if self.right_mult(alg.unit) != Mat.identity(self.dim):
             problems.append("unit does not act as identity (right) on %s" % self.label)
-        for i in range(alg.dim):
+        factors = range(alg.dim) if factors is None else factors
+        for i in factors:
             for j in range(alg.dim):
-                prod = self.right_mult(alg.mul(alg.basis_vector(i), alg.basis_vector(j)))
-                if self.right[j] * self.right[i] != prod:
+                if self.right[j] * self.right[i] != self.right_mult(alg.mult[i][j]):
                     problems.append(
                         "right action not multiplicative at (%s, %s) on %s"
                         % (alg.basis_names[i], alg.basis_names[j], self.label)
                     )
-                if self.left[i] * self.right[j] != self.right[j] * self.left[i]:
+                if j in factors and self.left[i] * self.right[j] != self.right[j] * self.left[i]:
                     problems.append(
                         "left/right actions do not commute at (%s, %s) on %s"
                         % (alg.basis_names[i], alg.basis_names[j], self.label)

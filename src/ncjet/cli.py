@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .linalg import DimensionCapError, rat_str, kernel_of
 from .calculus import Calculus, CalculusError
@@ -295,9 +296,15 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The process's one parser: parse_args leaves it unchanged, so every call reuses it."""
+    return build_parser()
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, out)
     except SpecParseError as exc:

@@ -640,6 +640,48 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat._of(a.rows * b.rows, a.cols * bc, out)
 
 
+def combination(coeffs, mats) -> Mat:
+    """sum_i coeffs[i] * mats[i] over the nonzero coefficients, in one integer pass.
+
+    The matrices share one shape, which the result has also when every
+    coefficient is zero.  Each output row sums int numerators over one
+    denominator, the lcm of the coefficient and row denominators that meet in
+    it, and divides once per entry, so an entry is an int exactly when it is
+    integral.  A lone coefficient 1 returns its matrix itself.
+    """
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+    if not terms:
+        return Mat.zeros(mats[0].rows, mats[0].cols)
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    scales = [(int(c.numerator), int(c.denominator)) for c in (rat(c) for c, _ in terms)]
+    forms = [zip(repeat(1), m.nz) if m.integral else map(int_row, m.nz) for _, m in terms]
+    out = []
+    integral = True
+    for parts in zip(*forms):
+        den = lcm(*[q * d for (_, q), (d, _) in zip(scales, parts)])
+        acc = {}
+        get = acc.get
+        for (p, q), (d, row) in zip(scales, parts):
+            f = p * (den // (q * d))
+            for c, x in row.items():
+                acc[c] = get(c, ZERO) + f * x
+        if den == 1:
+            out.append({c: x for c, x in acc.items() if x})
+            continue
+        res = {}
+        for c, x in acc.items():
+            if x:
+                if x % den:
+                    res[c] = rat(x, den)
+                    integral = False
+                else:
+                    res[c] = x // den
+        out.append(res)
+    m = terms[0][1]
+    return Mat._of(m.rows, m.cols, out, integral)
+
+
 def span_of(vectors, ambient) -> Subspace:
     """Canonical subspace spanned by the given vectors (sequences or dicts)."""
     sb = SpanBuilder(ambient)

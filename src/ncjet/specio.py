@@ -9,7 +9,6 @@ bimodule actions, and the differential; parsing re-validates all axioms.
 from __future__ import annotations
 
 import json
-import re
 
 from .linalg import Mat, kron, rat, rat_str
 from .algebra import Algebra, Bimodule
@@ -20,16 +19,31 @@ class SpecParseError(Exception):
     """Malformed document (JSON or schema level)."""
 
 
+def _digits(s):
+    """True for a nonempty string of ASCII digits (str.isdigit alone takes other scripts)."""
+    return s.isascii() and s.isdigit()
+
+
 def parse_rat(x):
-    """A JSON integer, or a string in the 'p' or 'p/q' form that rat_str writes."""
+    """A JSON integer, or a string in the 'p' or 'p/q' form that rat_str writes.
+
+    The strings taken are exactly those matching -?[0-9]+(/[0-9]+)?, with q != 0.
+    """
     if type(x) is int:  # not bool, which JSON true/false parse to
         return rat(x)
-    if not (isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x)):
-        raise SpecParseError("bad rational %r: expected an integer, 'p' or 'p/q'" % (x,))
-    try:
-        return rat(x)
-    except (ValueError, ZeroDivisionError) as exc:  # q = 0, or more digits than int() reads
-        raise SpecParseError("bad rational %r: %s" % (x, exc))
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        if _digits(num[1:] if num[:1] == "-" else num) and (not slash or _digits(den)):
+            try:
+                p = int(num)
+                if not slash:
+                    return p
+                q = int(den)
+                # q = 0 goes through rat(x) for the scalar backend's own message
+                return rat(p, q) if q else rat(x)
+            except (ValueError, ZeroDivisionError) as exc:  # q = 0, or more digits than int() reads
+                raise SpecParseError("bad rational %r: %s" % (x, exc))
+    raise SpecParseError("bad rational %r: expected an integer, 'p' or 'p/q'" % (x,))
 
 
 def _matrix_in(rows, nrows, ncols, what):

@@ -3,11 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayley import cayley_spec
 from conftest import selection
 from ncjet.linalg import Mat, ZERO, kernel_of, kron, rat
-from ncjet.algebra import Algebra, functions_on_points, module_closure, tensor_bimodule
+from ncjet.algebra import (Algebra, Bimodule, LeftModule, functions_on_points, module_closure,
+                           tensor_bimodule)
 from ncjet.calculus import (
     CalculusError,
     build_calculus,
@@ -355,6 +357,84 @@ def test_wedge_plain_matches_kron_formula(kron_oracle_calc):
 def test_wedge_plain_matches_kron_formula_to_degree_five():
     """(1, 3), (2, 2), (1, 4), (2, 3) and (3, 2) recurse through the gather."""
     _check_wedge_plain(parse_calculus_spec(cayley_spec(4, [1, 3], 5)))
+
+
+# --- representation laws on the algebra generators ---------------------------------------
+
+_NUDGES = (1, -1, rat(1, 3))
+
+
+def _nudged(mats, a, r, c, delta):
+    """The action matrices mats with entry (r, c) of mats[a] moved by delta."""
+    rows = [dict(row) for row in mats[a].nz]
+    rows[r][c] = rows[r].get(c, ZERO) + delta
+    return tuple(mats[:a]) + (Mat(mats[a].rows, mats[a].cols, rows),) + tuple(mats[a + 1:])
+
+
+@pytest.mark.parametrize("name", ["quat", "sheared_quat", "cayley_z4", "matrix2"])
+def test_generator_checks_agree_with_every_pair_on_corrupted_actions(name, request):
+    """One entry of one action of omega_1..omega_3, or of the twisted pair, moved by +-1 or
+    1/3: the checks with the generators as left factors fail exactly when the checks on
+    every basis pair do, and name only pairs that those name too."""
+    calc = request.getfixturevalue(name)
+    alg = calc.algebra
+    gens = alg.generators
+    assert len(gens) < alg.dim
+    twisted = twisted_pair(calc, calc.base_module())[0]
+    seen = set()
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(0, 3))  # 0 is the twisted pair
+        mod = twisted if n == 0 else calc.omega[n]
+        side = "left" if n == 0 else data.draw(st.sampled_from(["left", "right"]))
+        a = data.draw(st.integers(0, alg.dim - 1))
+        r, c = data.draw(st.integers(0, mod.dim - 1)), data.draw(st.integers(0, mod.dim - 1))
+        delta = data.draw(st.sampled_from(_NUDGES))
+        if n == 0:
+            bad = LeftModule(alg, mod.dim, _nudged(mod.left, a, r, c, delta), mod.label)
+            on_gens, on_all = bad.check_left(gens), bad.check_left()
+        else:
+            acts = {"left": mod.left, "right": mod.right}
+            acts[side] = _nudged(acts[side], a, r, c, delta)
+            bad = Bimodule(alg, mod.dim, acts["left"], acts["right"], mod.label)
+            on_gens, on_all = bad.check_bimodule(gens), bad.check_bimodule()
+        assert bool(on_gens) == bool(on_all)
+        assert set(on_gens) <= set(on_all)
+        seen.add(bool(on_all))
+
+    check()
+    assert True in seen
+
+
+def test_a_corrupted_form_module_is_refused(quat, monkeypatch):
+    """The tower checks its derived omega_n on the generators and still names the failure."""
+    import ncjet.calculus
+
+    class Nudged(Bimodule):
+        def __init__(self, alg, dim, left, right, label=""):
+            if label == "O2":
+                right = _nudged(right, 1, 0, 0, 1)
+            super().__init__(alg, dim, left, right, label)
+
+    monkeypatch.setattr(ncjet.calculus, "Bimodule", Nudged)
+    with pytest.raises(CalculusError, match="^degree-2 forms are not a bimodule: right action "
+                                            "not multiplicative at"):
+        build_calculus(quat.algebra, quat.omega1, quat.d[0], 2)
+
+
+def test_a_corrupted_twisted_pair_is_refused(quat, monkeypatch):
+    import ncjet.calculus
+
+    class Nudged(LeftModule):
+        def __init__(self, alg, dim, left, label=""):
+            super().__init__(alg, dim, _nudged(left, 1, 0, dim - 1, rat(1, 3)), label)
+
+    monkeypatch.setattr(ncjet.calculus, "LeftModule", Nudged)
+    with pytest.raises(CalculusError, match="^twisted pair action fails: left action not "
+                                            "multiplicative at"):
+        twisted_pair(quat, quat.base_module())
 
 
 # --- descending through a quotient presentation --------------------------------------

@@ -3,14 +3,22 @@
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cayley import cayley_spec, group_spec, symmetric_group
 from ncjet.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PARSE, EXIT_PASS, main
-from ncjet.specio import dump_json, parse_calculus_spec, serialize_calculus
+from ncjet.linalg import rat
+from ncjet.specio import (SpecParseError, dump_json, parse_calculus_spec, parse_rat,
+                          serialize_calculus)
 
 
 def run(argv):
@@ -41,6 +49,37 @@ def test_validate_broken_leibniz_names_the_pair(tmp_path, quat):
     assert code == EXIT_INVALID
     assert out.startswith("invalid calculus: invalid first-order calculus: ")
     assert "Leibniz" in out and "(" in out
+
+
+# Full reports recorded before the module checks moved to the algebra generators: Omega^1
+# is still checked on every basis pair, so each failing pair is named, in order.
+_BROKEN_RIGHT_ACTION = (
+    "invalid calculus: invalid first-order calculus: right action not multiplicative at (i, j) "
+    "on O1; left/right actions do not commute at (i, j) on O1; right action not multiplicative "
+    "at (i, k) on O1; right action not multiplicative at (j, i) on O1; right action not "
+    "multiplicative at (j, j) on O1; left/right actions do not commute at (j, j) on O1; right "
+    "action not multiplicative at (j, k) on O1; right action not multiplicative at (k, i) on "
+    "O1; right action not multiplicative at (k, j) on O1; left/right actions do not commute at "
+    "(k, j) on O1\n")
+_BROKEN_LEIBNIZ = (
+    "invalid calculus: invalid first-order calculus: Leibniz fails at (i, j); Leibniz fails at "
+    "(i, k); Leibniz fails at (j, i); Leibniz fails at (j, k); Leibniz fails at (k, i); Leibniz "
+    "fails at (k, j); Leibniz fails at (k, k)\n")
+
+
+@pytest.mark.parametrize("section, index, entry, report", [
+    ("right", (2, 5, 6), "1/3", _BROKEN_RIGHT_ACTION),
+    ("d", (0, 3), "5", _BROKEN_LEIBNIZ),
+], ids=["right-action", "leibniz"])
+def test_validate_reports_every_failing_pair(tmp_path, quat, section, index, entry, report):
+    doc = serialize_calculus(quat)
+    node = doc["omega1"][section]
+    for i in index[:-1]:
+        node = node[i]
+    node[index[-1]] = entry
+    path = tmp_path / "broken.json"
+    path.write_text(dump_json(doc))
+    assert run(["validate", str(path)]) == (EXIT_INVALID, report)
 
 
 def test_validate_malformed_json(tmp_path):
@@ -149,6 +188,55 @@ def test_spec_rationals_take_only_the_integer_forms(tmp_path, entry):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (EXIT_PARSE, "parse error: bad rational %r: expected an integer, "
                                        "'p' or 'p/q'\n" % entry)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.builds("".join, st.tuples(st.sampled_from(["", "-"]), _DIGITS,
+                                               st.sampled_from(["", "/"]), _DIGITS)),
+                 st.text(alphabet="0123456789-/+ _.e\u0661\u00b2\n", max_size=7)))
+@example("+1")
+@example(" 1")
+@example("1_0")
+@example("\u0661")
+@example("1/0")
+@example("-0/0")
+def test_parse_rat_takes_exactly_its_pattern(text):
+    """A string is read exactly when it matches -?[0-9]+(/[0-9]+)? with a nonzero
+    denominator, as that rational; a zero denominator keeps the scalar backend's message."""
+    num, _, den = text.partition("/")
+    if not _RATIONAL.fullmatch(text):
+        with pytest.raises(SpecParseError) as exc:
+            parse_rat(text)
+        assert str(exc.value) == "bad rational %r: expected an integer, 'p' or 'p/q'" % text
+    elif den and not int(den):
+        with pytest.raises(ZeroDivisionError) as zero:
+            rat(text)
+        with pytest.raises(SpecParseError) as exc:
+            parse_rat(text)
+        assert str(exc.value) == "bad rational %r: %s" % (text, zero.value)
+    else:
+        got = parse_rat(text)
+        assert got == Fraction(text) and (type(got) is int) == (Fraction(text).denominator == 1)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1/" + "2" * 5000,
+                                  "3" * 5000 + "/" + "2" * 6000, "1" * 4300])
+def test_parse_rat_refuses_long_digit_strings_as_int_does(text):
+    """A digit string longer than int() reads is refused with int()'s own message."""
+    try:
+        want = Fraction(text)
+    except ValueError as exc:
+        with pytest.raises(SpecParseError) as got:
+            parse_rat(text)
+        assert str(got.value) == "bad rational %r: %s" % (text, exc)
+    else:
+        assert parse_rat(text) == want
 
 
 @pytest.mark.parametrize("hbar", ["abc", "1/0"])
@@ -363,6 +451,26 @@ def test_sheared_spencer_report_equals_unsheared(tmp_path, sheared_quat_doc, mon
     for doc in reports:
         del doc["calculus"]
     assert reports[0] == reports[1]
+
+
+def test_one_process_runs_commands_as_separate_processes_do(capsys):
+    """main reuses one parser: jets, spencer and an unknown subcommand, run in turn in this
+    process, give the exit codes and output of three fresh processes."""
+    commands = [["jets", "quaternion", "--order", "2", "--json"],
+                ["spencer", "quaternion", "--order", "2", "--json"],
+                ["frobnicate", "quaternion"]]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in commands:
+        fresh = subprocess.run([sys.executable, "-m", "ncjet.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        if argv[0] == "frobnicate":
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            got, want = (exc.value.code, capsys.readouterr().err), (fresh.returncode, fresh.stderr)
+            assert got[0] == 2 and "invalid choice: 'frobnicate'" in got[1]
+        else:
+            got, want = run(argv), (fresh.returncode, fresh.stdout)
+        assert got == want
 
 
 def test_jets_quaternion_table():

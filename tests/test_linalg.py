@@ -27,6 +27,7 @@ from ncjet.linalg import (
     Subspace,
     ZERO,
     ONE,
+    combination,
     int_row,
     inverse,
     intersect,
@@ -296,6 +297,53 @@ def test_kron_on_pure_tensors_elementwise():
     av, bw = a.apply(v), b.apply(w)
     rhs = [x * y for x in av for y in bw]
     assert lhs == rhs
+
+
+# --- linear combinations ----------------------------------------------------------------
+
+def _scale_and_add(coeffs, mats):
+    """sum_i coeffs[i] * mats[i] as a chain of scaled copies and sums (the reference)."""
+    acc = Mat.zeros(mats[0].rows, mats[0].cols)
+    for c, m in zip(coeffs, mats):
+        if c:
+            acc = acc + m.scale(c)
+    return acc
+
+
+_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, rat(1, 2), rat(-2, 3), rat(5, 6)])
+
+
+@st.composite
+def _combinations(draw):
+    """(coeffs, mats): all-zero, single-unit or mixed rational coefficients on small matrices."""
+    k, rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mats = [Mat(rows, cols, [[draw(_entries) for _ in range(cols)] for _ in range(rows)])
+            for _ in range(k)]
+    kind = draw(st.sampled_from(["zero", "unit", "mixed"]))
+    coeffs = [0] * k
+    if kind == "unit":
+        coeffs[draw(st.integers(0, k - 1))] = 1
+    elif kind == "mixed":
+        coeffs = [draw(_entries) for _ in range(k)]
+    return coeffs, mats
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_combinations())
+@example(([0, 0], [Mat.identity(2), Mat.identity(2)]))
+@example(([rat(1, 2), rat(1, 2)], [Mat.identity(2), Mat.identity(2)]))
+@example(([rat(1, 3), rat(-1, 3)], [Mat.from_rows([[1, rat(1, 2)]]), Mat.from_rows([[1, 2]])]))
+def test_combination_matches_scale_and_add(case):
+    """One integer pass gives the scale-and-add sum, and an entry is an int exactly when
+    it is integral (so 1/2 + 1/2 comes back as the int 1)."""
+    coeffs, mats = case
+    got = combination(coeffs, mats)
+    assert got == _scale_and_add(coeffs, mats)
+    assert (got.rows, got.cols) == (mats[0].rows, mats[0].cols)
+    for row in got.nz:
+        for x in row.values():
+            assert x and (type(x) is int) == (Fraction(x).denominator == 1)
+    assert got.integral == all(type(x) is int for row in got.nz for x in row.values())
 
 
 # --- misc helpers -----------------------------------------------------------------------
