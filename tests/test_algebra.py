@@ -312,6 +312,28 @@ def test_generators_are_picked_greedily(alg, names):
     assert module_closure(regular_bimodule(alg), [alg.unit]).dim == alg.dim
 
 
+def _truncated_polynomials(n):
+    """Q[t]/t^n on the basis 1, t, .., t^(n-1); its one generator is t."""
+    mult = [[[int(i + j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    return Algebra(n, ["t%d" % i for i in range(n)], mult, [1] + [0] * (n - 1))
+
+
+def test_generator_checks_take_every_right_factor():
+    """Over Q[t]/t^3, t acting by a 4 x 4 Jordan block J and t^2 by J^2 passes the law on
+    the generator pair (t, t) but is no representation, as J^3 != 0: only the pair
+    (t, t^2) shows it, on either side, so the generators alone are not enough."""
+    alg = _truncated_polynomials(3)
+    assert alg.generators == (1,)
+    shift = Mat(4, 4, [{c + 1: 1} if c < 3 else {} for c in range(4)])
+    jordan = (Mat.identity(4), shift, shift * shift)
+    assert not (shift * shift * shift).is_zero()
+    want = "left action not multiplicative at (t1, t2) on J"
+    assert LeftModule(alg, 4, jordan, "J").check_left(alg.generators) == [want]
+    trivial = (Mat.identity(4), Mat.zeros(4, 4), Mat.zeros(4, 4))
+    want = "right action not multiplicative at (t1, t2) on J"
+    assert Bimodule(alg, 4, trivial, jordan, "J").check_bimodule(alg.generators) == [want]
+
+
 def all_basis_relations(m, n):
     """Reference: the balancing relations x.a (x) y - x (x) a.y for every basis element a."""
     dn = n.dim
