@@ -12,7 +12,6 @@ from .algebra import (
     Algebra,
     Bimodule,
     LeftModule,
-    BimoduleMap,
     validate_algebra,
     quaternion_algebra,
     functions_on_points,

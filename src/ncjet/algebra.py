@@ -55,18 +55,7 @@ class Algebra:
 
     def mul(self, x, y):
         """Product of two coordinate vectors."""
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = xi * yj
-                for k, c in enumerate(self.mult[i][j]):
-                    if c:
-                        out[k] += f * c
-        return out
+        return self.left_mult(x).apply(y)
 
     def left_mult(self, x) -> Mat:
         """Matrix of left multiplication by the coordinate vector x."""
@@ -102,25 +91,25 @@ class Algebra:
 
 
 def validate_algebra(a: Algebra):
-    """Return a list of violated axioms (empty means the algebra is valid)."""
+    """Return a list of violated axioms (empty means the algebra is valid).
+
+    (e_i e_j) e_k = e_i (e_j e_k) is column k of L_(e_i e_j) = L_i L_j, and the
+    unit laws 1 e_i = e_i = e_i 1 are column i of L_1 and of R_1.
+    """
     problems = []
-    d = a.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = a.mul(a.mul(a.basis_vector(i), a.basis_vector(j)), a.basis_vector(k))
-                rhs = a.mul(a.basis_vector(i), a.mul(a.basis_vector(j), a.basis_vector(k)))
-                if lhs != rhs:
-                    problems.append(
-                        "associativity fails at (%s, %s, %s)"
-                        % (a.basis_names[i], a.basis_names[j], a.basis_names[k])
-                    )
-    for i in range(d):
-        e = a.basis_vector(i)
-        if a.mul(a.unit, e) != e:
-            problems.append("unit * %s != %s" % (a.basis_names[i], a.basis_names[i]))
-        if a.mul(e, a.unit) != e:
-            problems.append("%s * unit != %s" % (a.basis_names[i], a.basis_names[i]))
+    names = a.basis_names
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = a.left_mult(a.mult[i][j]).transpose().nz
+            rhs = (a.lmat[i] * a.lmat[j]).transpose().nz
+            problems += ["associativity fails at (%s, %s, %s)" % (names[i], names[j], names[k])
+                         for k in range(a.dim) if lhs[k] != rhs[k]]
+    left_unit, right_unit = (combination(a.unit, mats).transpose().nz for mats in (a.lmat, a.rmat))
+    for i, name in enumerate(names):
+        if left_unit[i] != {i: ONE}:
+            problems.append("unit * %s != %s" % (name, name))
+        if right_unit[i] != {i: ONE}:
+            problems.append("%s * unit != %s" % (name, name))
     return problems
 
 
@@ -176,12 +165,7 @@ class LeftModule:
 
     def act_left(self, a, v):
         """Action of the algebra element with coordinates a on v."""
-        out = [ZERO] * self.dim
-        for i, ai in enumerate(a):
-            if ai:
-                w = self.left[i].apply(v)
-                out = [x + ai * y if y else x for x, y in zip(out, w)]
-        return out
+        return self.left_mult(a).apply(v)
 
     def left_mult(self, a) -> Mat:
         """Action matrix of the algebra element with coordinates a."""
@@ -251,12 +235,8 @@ class Bimodule(LeftModule):
         return (len(gens) // dA, *split(gmat))
 
     def act_right(self, v, a):
-        out = [ZERO] * self.dim
-        for j, aj in enumerate(a):
-            if aj:
-                w = self.right[j].apply(v)
-                out = [x + aj * y if y else x for x, y in zip(out, w)]
-        return out
+        """Right action of the algebra element with coordinates a on v."""
+        return self.right_mult(a).apply(v)
 
     def right_mult(self, a) -> Mat:
         """Right action matrix of the algebra element with coordinates a."""
@@ -300,39 +280,6 @@ class Bimodule(LeftModule):
 def regular_bimodule(a: Algebra, label=None) -> Bimodule:
     """The algebra as a bimodule over itself."""
     return Bimodule(a, a.dim, a.lmat, a.rmat, label or a.name)
-
-
-LINEARITY_FLAGS = ("k", "left", "right", "bilinear")
-
-
-class BimoduleMap:
-    """Linear map between modules with a declared (verified) linearity."""
-
-    def __init__(self, source, target, matrix: Mat, linearity="k"):
-        if linearity not in LINEARITY_FLAGS:
-            raise ValueError("unknown linearity flag %r" % linearity)
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise ValueError("matrix shape does not match modules")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        self.linearity = linearity
-        bad = self.check()
-        if bad:
-            raise ValueError("; ".join(bad))
-
-    def check(self):
-        problems = []
-        alg = self.source.algebra
-        if self.linearity in ("left", "bilinear"):
-            for i in range(alg.dim):
-                if self.matrix * self.source.left[i] != self.target.left[i] * self.matrix:
-                    problems.append("not left-linear at %s" % alg.basis_names[i])
-        if self.linearity in ("right", "bilinear"):
-            for i in range(alg.dim):
-                if self.matrix * self.source.right[i] != self.target.right[i] * self.matrix:
-                    problems.append("not right-linear at %s" % alg.basis_names[i])
-        return problems
 
 
 class TensorSpace:
@@ -625,13 +572,31 @@ def add_intertwining_rows(sys, alg, src_mats, tgt_mats, rhs_mats=None):
 
     X maps source (ds) to target (dt); s and t are actions of alg and
     rhs_mats (default zero) obey Leibniz, rhs_ab = rhs_a s_b + t_a rhs_b,
-    so rows for a in alg.generators imply the rest.
+    so rows for a in alg.generators imply the rest.  intertwining_failures
+    checks the same law for a given X.
     """
     shape = (tgt_mats[0].rows, src_mats[0].rows)
     for a in alg.generators:
         terms = [(None, src_mats[a]), (-tgt_mats[a], None)]
         for coeffs, rhs in matrix_rows(shape, terms, rhs_mats[a] if rhs_mats else None):
             sys.add_row(coeffs, rhs)
+
+
+def intertwining_failures(alg, x: Mat, src_mats, tgt_mats, rhs_mats=None):
+    """Names of the basis elements a, in basis order, where x s_a != t_a x + rhs_a.
+
+    The law of add_intertwining_rows, checked on every basis element: module
+    linearity (rhs zero), and the Leibniz rules of connections (rhs the
+    twist by d(e_a)).
+    """
+    out = []
+    for a, name in enumerate(alg.basis_names):
+        want = tgt_mats[a] * x
+        if rhs_mats:
+            want = want + rhs_mats[a]
+        if x * src_mats[a] != want:
+            out.append(name)
+    return out
 
 
 def solve_module_maps(source, target, linearity="left", compose_eq=()):

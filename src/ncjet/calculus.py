@@ -240,8 +240,7 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
     calc = Calculus(alg, omega, [d0], steps, relation_space, name=name)
 
     def quotient_bimodule(pre_mod, pre_ts, rel, degree):
-        projq, secq = quotient_data(rel)
-        keep = [c for c, row in enumerate(secq.nz) if row]
+        projq, keep = quotient_data(rel)
         left = [projq * m.submatrix(range(pre_mod.dim), keep) for m in pre_mod.left]
         right = [projq * m.submatrix(range(pre_mod.dim), keep) for m in pre_mod.right]
         mod = Bimodule(alg, projq.rows, left, right, label="O%d" % degree)

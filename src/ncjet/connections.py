@@ -32,6 +32,7 @@ from .algebra import (
     AffineSystem,
     LeftModule,
     add_intertwining_rows,
+    intertwining_failures,
     mat_from_flat,
     matrix_rows,
     sylvester_matrix,
@@ -71,15 +72,9 @@ class Connection:
             raise InvalidConnection("Leibniz rule fails: %s" % bad[0])
 
     def leibniz_violations(self):
-        calc = self.calc
-        twist = twist_mats(calc, self.module)
-        out = []
-        for a in range(calc.algebra.dim):
-            lhs = self.mat * self.module.left[a]
-            rhs = self.form_module.left[a] * self.mat + twist[a]
-            if lhs != rhs:
-                out.append("at basis element %s" % calc.algebra.basis_names[a])
-        return out
+        bad = intertwining_failures(self.calc.algebra, self.mat, self.module.left,
+                                    self.form_module.left, twist_mats(self.calc, self.module))
+        return ["at basis element %s" % name for name in bad]
 
     def __repr__(self):
         return "Connection(on %s)" % self.module.label
@@ -98,22 +93,16 @@ class BimoduleConnection:
                 raise InvalidConnection("bimodule connection fails: %s" % bad[0])
 
     def violations(self):
+        """Failures law by law: sigma left-linear, sigma right-linear, right Leibniz."""
         calc = self.calc
-        out = []
-        om11, ts11 = calc.form_module(1, calc.omega1)
-        alg = calc.algebra
-        for a in range(alg.dim):
-            if self.sigma * om11.left[a] != om11.left[a] * self.sigma:
-                out.append("braiding not left-linear at %s" % alg.basis_names[a])
-            if self.sigma * om11.right[a] != om11.right[a] * self.sigma:
-                out.append("braiding not right-linear at %s" % alg.basis_names[a])
-        d_right = _d_right_mats(calc)
-        for a in range(alg.dim):
-            lhs = self.base.mat * calc.omega1.right[a]
-            rhs = om11.right[a] * self.base.mat + self.sigma * d_right[a]
-            if lhs != rhs:
-                out.append("right Leibniz fails at %s" % alg.basis_names[a])
-        return out
+        om1, sigma = calc.omega1, self.sigma
+        om11, _ = calc.form_module(1, om1)
+        laws = [("braiding not left-linear", sigma, om11.left, om11.left, None),
+                ("braiding not right-linear", sigma, om11.right, om11.right, None),
+                ("right Leibniz fails", self.base.mat, om1.right, om11.right,
+                 [sigma * d for d in _d_right_mats(calc)])]
+        return ["%s at %s" % (law, name) for law, x, src, tgt, rhs in laws
+                for name in intertwining_failures(calc.algebra, x, src, tgt, rhs)]
 
 
 def _d_right_mats(calc: Calculus):
@@ -342,9 +331,8 @@ class HigherConnection:
             raise InvalidConnection("section has wrong shape")
         if jet.pi * section != Mat.identity(lower.dim):
             raise InvalidConnection("not a section of the jet projection")
-        for a in range(calc.algebra.dim):
-            if section * lower.mod.left[a] != jet.mod.left[a] * section:
-                raise InvalidConnection("section is not module-linear")
+        if intertwining_failures(calc.algebra, section, lower.mod.left, jet.mod.left):
+            raise InvalidConnection("section is not module-linear")
         # left split: iota split = id - section projection
         self.split = left_inverse(jet.iota) * (Mat.identity(jet.dim) - section * jet.pi)
         if jet.iota * self.split + section * jet.pi != Mat.identity(jet.dim):

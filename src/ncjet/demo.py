@@ -19,16 +19,10 @@ from .connections import (
     torsion,
 )
 from .fixtures import (
-    braided_connection, fixture, frame_vectors, quantization_of, star_generators)
+    braided_connection, fixture, frame_vectors, quantization_of, quaternion_metric,
+    star_generators)
 from .jets import HOLONOMIC, elemental_span, jet_exactness, jet_module, sym_module
 from .quantization import GradedSymbol, Symbol
-
-
-def quaternion_metric(calc):
-    """The antisymmetric frame combination generating the wedge kernel."""
-    ts = calc.tensor_pq(1, 1)
-    di, dj = frame_vectors(calc)
-    return [x - y for x, y in zip(ts.class_of(di, dj), ts.class_of(dj, di))]
 
 
 def demo_quaternion(corrupt=False):

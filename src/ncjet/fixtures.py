@@ -52,6 +52,13 @@ def frame_vectors(calc: Calculus):
     return out
 
 
+def quaternion_metric(calc: Calculus):
+    """The antisymmetric frame combination di (x) dj - dj (x) di, generating the wedge kernel."""
+    ts = calc.tensor_pq(1, 1)
+    di, dj = frame_vectors(calc)
+    return [x - y for x, y in zip(ts.class_of(di, dj), ts.class_of(dj, di))]
+
+
 def frame_parallel_bimodule_connection(calc: Calculus) -> BimoduleConnection:
     """The braided connection with all frame one-forms parallel.
 

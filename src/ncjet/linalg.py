@@ -605,24 +605,20 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def quotient_data(sub: Subspace):
     """(projection, section) for ambient -> ambient/sub.
 
-    The quotient keeps the non-pivot coordinates c: the section is the
-    column selection x -> x at c, and the projection reads
+    The quotient keeps the non-pivot coordinates c, listed in increasing
+    order as the section tuple, and the projection reads
     x[c] - sum_i b_ic x[p_i] for the basis rows b_i with pivots p_i, so it
-    has kernel exactly ``sub`` and projection * section = identity.
+    has kernel exactly ``sub`` and is the identity on the section's columns.
     """
-    n = sub.ambient
     pivset = set(sub.pivots)
-    where = {}
-    for c in range(n):
-        if c not in pivset:
-            where[c] = len(where)
-    proj = [{c: ONE} for c in where]
+    section = tuple(c for c in range(sub.ambient) if c not in pivset)
+    where = {c: r for r, c in enumerate(section)}
+    proj = [{c: ONE} for c in section]
     for p, brow in zip(sub.pivots, sub.basis.nz):
         for c, b in brow.items():
             if c != p:
                 proj[where[c]][p] = -b
-    sec = [{where[c]: ONE} if c in where else {} for c in range(n)]
-    return Mat._of(len(where), n, proj), Mat._of(n, len(where), sec, True)
+    return Mat._of(len(section), sub.ambient, proj), section
 
 
 def kron(a: Mat, b: Mat) -> Mat:

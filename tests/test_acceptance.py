@@ -27,8 +27,7 @@ from ncjet.connections import (
     sym_connection_from_jet,
     torsion,
 )
-from ncjet.demo import quaternion_metric
-from ncjet.fixtures import braided_connection, quantization_of, star_generators
+from ncjet.fixtures import braided_connection, quantization_of, quaternion_metric, star_generators
 from ncjet.jets import (
     bicomplex_report,
     delta_contraction,

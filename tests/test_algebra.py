@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import selection
-from ncjet.linalg import (AffineSystem, Mat, SpanBuilder, ZERO, kernel_of, kron, nonzeros,
+from ncjet.linalg import (AffineSystem, Mat, ONE, SpanBuilder, ZERO, kernel_of, kron, nonzeros,
                           quotient_data, rank, rat, span_of, vec)
 from ncjet.algebra import (
     Algebra,
     Bimodule,
-    BimoduleMap,
     LeftModule,
     TensorSpace,
     functions_on_points,
+    intertwining_failures,
     matrix_algebra,
     matrix_rows,
     mat_from_flat,
@@ -83,16 +83,129 @@ def test_regular_bimodule_axioms():
         assert regular_bimodule(alg).check_bimodule() == []
 
 
-def test_bimodule_map_rejects_wrong_linearity():
+def test_right_multiplication_is_left_linear_not_right_linear():
     alg = quaternion_algebra()
     reg = regular_bimodule(alg)
-    # right multiplication by i is left-linear but not right-linear
+    # right multiplication by i is left-linear, and right-linear only at 1 and i
     rmat = Mat.from_rows(
         [alg.mul(alg.basis_vector(t), alg.basis_vector(1)) for t in range(4)], 4
     ).transpose()
-    BimoduleMap(reg, reg, rmat, "left")
-    with pytest.raises(ValueError):
-        BimoduleMap(reg, reg, rmat, "bilinear")
+    assert intertwining_failures(alg, rmat, reg.left, reg.left) == []
+    assert intertwining_failures(alg, rmat, reg.right, reg.right) == ["j", "k"]
+
+
+# --- the law checks against dense references kept here ---------------------------------
+
+_ALGEBRAS = (quaternion_algebra(), matrix_algebra(2), functions_on_points(3))
+_small = st.builds(rat, st.integers(-3, 3), st.integers(1, 3))
+_nonzero = _small.filter(bool)
+
+
+def _dense_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _dense_product(d, mult, x, y):
+    """x * y by the structure constants, one coordinate pair at a time."""
+    out = [ZERO] * d
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                out[k] += x[i] * y[j] * mult[i][j][k]
+    return out
+
+
+def _reference_validate(d, names, mult, unit):
+    """The axiom list of validate_algebra, from a triple loop over basis products."""
+    e = [[ONE if t == i else ZERO for t in range(d)] for i in range(d)]
+    problems = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs = _dense_product(d, mult, _dense_product(d, mult, e[i], e[j]), e[k])
+                rhs = _dense_product(d, mult, e[i], _dense_product(d, mult, e[j], e[k]))
+                if lhs != rhs:
+                    problems.append("associativity fails at (%s, %s, %s)"
+                                    % (names[i], names[j], names[k]))
+    for i in range(d):
+        if _dense_product(d, mult, unit, e[i]) != e[i]:
+            problems.append("unit * %s != %s" % (names[i], names[i]))
+        if _dense_product(d, mult, e[i], unit) != e[i]:
+            problems.append("%s * unit != %s" % (names[i], names[i]))
+    return problems
+
+
+def _reference_failures(alg, x, src, tgt, rhs=None):
+    """Basis names where x s_a != t_a x + rhs_a, one element at a time on dense rows."""
+    out = []
+    for a in range(alg.dim):
+        want = _dense_mul(tgt[a].data, x.data)
+        if rhs:
+            want = [[w + r for w, r in zip(wr, rr)] for wr, rr in zip(want, rhs[a].data)]
+        if _dense_mul(x.data, src[a].data) != want:
+            out.append(alg.basis_names[a])
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_validate_algebra_matches_the_triple_loop(data):
+    base = data.draw(st.sampled_from(_ALGEBRAS))
+    d = base.dim
+    mult = [[list(col) for col in row] for row in base.mult]
+    unit = list(base.unit)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j, k = (data.draw(st.integers(0, d - 1)) for _ in range(3))
+        mult[i][j][k] = data.draw(_small)
+    for _ in range(data.draw(st.integers(0, 1))):
+        unit[data.draw(st.integers(0, d - 1))] = data.draw(_small)
+    alg = Algebra(d, base.basis_names, mult, unit)
+    assert validate_algebra(alg) == _reference_validate(d, base.basis_names, mult, unit)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_products_and_actions_match_dense_references(data):
+    alg = data.draw(st.sampled_from(_ALGEBRAS))
+    d = alg.dim
+    x, y = (data.draw(st.lists(_small, min_size=d, max_size=d)) for _ in range(2))
+    assert alg.mul(x, y) == _dense_product(d, alg.mult, x, y)
+    mod, _ = tensor_bimodule(regular_bimodule(alg), regular_bimodule(alg))
+    v = data.draw(st.lists(_small, min_size=mod.dim, max_size=mod.dim))
+    col = [[c] for c in v]
+    left, right = [ZERO] * mod.dim, [ZERO] * mod.dim
+    for xi, lm, rm in zip(x, mod.left, mod.right):
+        left = [z + xi * w[0] for z, w in zip(left, _dense_mul(lm.data, col))]
+        right = [z + xi * w[0] for z, w in zip(right, _dense_mul(rm.data, col))]
+    assert mod.act_left(x, v) == left
+    assert mod.act_right(v, x) == right
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_intertwining_failures_match_a_per_element_loop(data):
+    alg = data.draw(st.sampled_from(_ALGEBRAS))
+    reg = regular_bimodule(alg)
+    d = alg.dim
+    side = data.draw(st.sampled_from(("left", "right")))
+    src = tgt = reg.left if side == "left" else reg.right
+    y = data.draw(st.lists(_small, min_size=d, max_size=d))
+    if data.draw(st.booleans()):
+        # a multiplication from the other side: linear, so rhs is zero
+        x, rhs = (reg.right_mult(y) if side == "left" else reg.left_mult(y)), None
+    else:
+        # any x, with rhs_a = x s_a - t_a x, so that x itself passes
+        x = _mats(data.draw, d, d)
+        rhs = [x * s - t * x for s, t in zip(src, tgt)]
+    assert intertwining_failures(alg, x, src, tgt, rhs) == []
+    dense = [list(row) for row in x.data]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        dense[i][j] += data.draw(_nonzero)
+    bad = Mat(d, d, dense)
+    got = intertwining_failures(alg, bad, src, tgt, rhs)
+    assert got == _reference_failures(alg, bad, src, tgt, rhs)
 
 
 # --- tensor products over the algebra ---------------------------------------------
@@ -366,8 +479,8 @@ def eliminated_tensor_space(m, n):
                     gen[x * dn + nn] = gen.get(x * dn + nn, ZERO) - w
                 sb.add(gen)
     rel = sb.subspace()
-    proj, sec = quotient_data(rel)
-    return TensorSpace(dm, dn, proj, [c for c, row in enumerate(sec.nz) if row]), rel
+    proj, section = quotient_data(rel)
+    return TensorSpace(dm, dn, proj, section), rel
 
 
 def assert_presentation_is_the_eliminated_one(m, n):

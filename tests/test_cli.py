@@ -82,6 +82,31 @@ def test_validate_reports_every_failing_pair(tmp_path, quat, section, index, ent
     assert run(["validate", str(path)]) == (EXIT_INVALID, report)
 
 
+# Recorded before validate_algebra read the action matrices: the structure constants
+# 1/2 at j * 1 -> j and -2 at k * k -> 1 break associativity and the right unit law.
+_BROKEN_PRODUCT = (
+    "invalid calculus: invalid first-order calculus: associativity fails at (i, j, 1); "
+    "associativity fails at (i, j, k); associativity fails at (i, k, 1); associativity fails at "
+    "(i, k, k); associativity fails at (j, 1, 1); associativity fails at (j, 1, i); associativity "
+    "fails at (j, 1, j); associativity fails at (j, 1, k); associativity fails at (j, i, i); "
+    "associativity fails at (j, i, k); associativity fails at (j, j, 1); associativity fails at "
+    "(j, j, j); associativity fails at (k, i, 1); associativity fails at (k, i, j); associativity "
+    "fails at (k, j, 1); associativity fails at (k, j, i); associativity fails at (k, k, i); "
+    "associativity fails at (k, k, j); j * unit != j; left action not multiplicative at (j, 1) "
+    "on O1; left action not multiplicative at (k, k) on O1; right action not multiplicative at "
+    "(j, 1) on O1; right action not multiplicative at (k, k) on O1\n")
+
+
+def test_validate_reports_every_broken_product(tmp_path, quat):
+    doc = serialize_calculus(quat)
+    doc.pop("leftFrameSize")  # the frame layout check would refuse the new product first
+    doc["algebra"]["mult"][2][0][2] = "1/2"
+    doc["algebra"]["mult"][3][3][0] = "-2"
+    path = tmp_path / "broken.json"
+    path.write_text(dump_json(doc))
+    assert run(["validate", str(path)]) == (EXIT_INVALID, _BROKEN_PRODUCT)
+
+
 def test_validate_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -5,9 +5,10 @@ import itertools
 import pytest
 
 from conftest import QUAT_FORM_SHEARS, _shears, selection
-from ncjet.linalg import AffineSystem, Mat, ZERO, image_of, kron, rat, vec
+from ncjet.linalg import AffineSystem, Mat, ONE, ZERO, image_of, kron, rat, vec
 from ncjet.algebra import Bimodule, add_intertwining_rows, mat_from_flat, solve_module_maps
 from ncjet.connections import (
+    BimoduleConnection,
     Connection,
     InvalidConnection,
     _d_right_mats,
@@ -29,13 +30,13 @@ from ncjet.connections import (
     torsion,
 )
 from ncjet import fixtures
-from ncjet.demo import quaternion_metric
 from ncjet.fixtures import (
     base_connection,
     braided_connection,
     frame_parallel_bimodule_connection,
     frame_vectors,
     quantization_of,
+    quaternion_metric,
 )
 from ncjet.jets import delta_contraction, jet_module, spencer_operator, sym_module, twist_mats
 
@@ -141,6 +142,49 @@ def test_two_point_universal_has_braided_connections(two_point):
     sol = solve_bimodule_connections(two_point)
     assert not sol.empty
     bimodule_connection_from_vector(two_point, sol.particular)
+
+
+# --- refusals: each law names the basis elements where it fails ----------------------------
+
+def test_connection_with_a_moved_entry_names_the_first_leibniz_failure(quat):
+    conn, alg = base_connection(quat), quat.algebra
+    rows = [list(row) for row in conn.mat.data]
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+    rows[i][(j + 1) % conn.mat.cols], rows[i][j] = rows[i][j], ZERO
+    moved = Mat(conn.mat.rows, conn.mat.cols, rows)
+    fm, twist = conn.form_module, twist_mats(quat, conn.module)
+    want = [alg.basis_names[a] for a in range(alg.dim)
+            if moved * conn.module.left[a] != fm.left[a] * moved + twist[a]]
+    assert want
+    with pytest.raises(InvalidConnection, match="^Leibniz rule fails: at basis element %s$" % want[0]):
+        Connection(quat, conn.module, moved)
+
+
+def test_negated_braiding_fails_right_leibniz_only(quat):
+    """The braided pair with -sigma, as `demo --corrupt` builds it."""
+    bc, alg = braided_connection(quat), quat.algebra
+    om1, (om11, _) = quat.omega1, quat.form_module(1, quat.omega1)
+    d_right = _d_right_mats(quat)
+    want = ["right Leibniz fails at %s" % alg.basis_names[a] for a in range(alg.dim)
+            if bc.base.mat * om1.right[a] != om11.right[a] * bc.base.mat - bc.sigma * d_right[a]]
+    assert want
+    assert BimoduleConnection(quat, bc.base, -bc.sigma, check=False).violations() == want
+    with pytest.raises(InvalidConnection, match="^bimodule connection fails: %s$" % want[0]):
+        BimoduleConnection(quat, bc.base, -bc.sigma)
+
+
+def test_section_off_the_module_maps_is_refused(quat):
+    from ncjet.connections import HigherConnection
+
+    hc = one_connection(quat, base_connection(quat))
+    jet = hc.jet
+    bump = Mat(jet.sym.dim, jet.lower.dim, [{0: ONE}] + [{}] * (jet.sym.dim - 1))
+    bad = hc.section + jet.iota * bump  # still a section: pi iota = 0
+    assert jet.pi * bad == Mat.identity(jet.lower.dim)
+    assert any(bad * jet.lower.mod.left[a] != jet.mod.left[a] * bad
+               for a in range(quat.algebra.dim))
+    with pytest.raises(InvalidConnection, match="^section is not module-linear$"):
+        HigherConnection(quat, jet, bad)
 
 
 # --- the reduction to generators ----------------------------------------------------------

@@ -12,6 +12,7 @@ from ncjet.fixtures import (
     braided_connection,
     fixture,
     quantization_of,
+    quaternion_metric,
     star_generators,
 )
 from ncjet.jets import jet_module, sym_module
@@ -162,7 +163,6 @@ def test_retraction_at_vanishing_degree_is_zero_map(quat):
 def test_half_sum_with_braiding_is_a_retraction(quat):
     # see also the demo; here: check it satisfies the solver's constraints
     calc, e = quat, quat.base_module()
-    from ncjet.demo import quaternion_metric
     from ncjet.linalg import image_of, kernel_of
 
     om11, ts = calc.form_module(1, calc.omega1)
