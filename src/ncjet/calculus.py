@@ -3,20 +3,29 @@
 A calculus is built from (algebra, bimodule of one-forms, differential) and
 extended to degrees <= max_degree: degree-n forms are the n-fold tensor
 power over the algebra modulo the two-sided ideal generated by applying the
-differential to the degree-1 relations.  d in degree 1 is solved from its
+differential to the degree-1 relations, so the degree-n relations are
+omega_{n-2} ^ (degree-2 relations).  d in degree 1 is solved from its
 values da ^ db on the spanning set a db, which doubles as a consistency
 check of the input calculus; in each higher degree it is the graded Leibniz
 rule d(w ^ xi) = dw ^ xi + (-1)^(k-1) w ^ dxi on the plain tensors of
 omega_{k-1} (x) omega1, checked to be well defined and to square to zero.
+leibniz_map builds that rule once, for the tower and for the Spencer
+operators and wedge contractions of jets.exterior_operator alike, from the
+integer wedge columns of _wedge_prepend.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .linalg import (
     DimensionCapError,
     Mat,
     SpanBuilder,
+    ONE,
     ZERO,
+    image_of,
+    int_row,
     kernel_of,
     intersect,
     kron,
@@ -115,8 +124,8 @@ class Calculus:
         return len(self.omega) - 1
 
     def base_module(self) -> Bimodule:
-        """The algebra as a bimodule over itself (cached, identity-stable)."""
-        return self.memo("base_module", lambda: regular_bimodule(self.algebra))
+        """The algebra as a bimodule over itself: omega[0], so its forms are the tower's."""
+        return self.omega[0]
 
     def dim_omega(self, n):
         return self.omega[n].dim
@@ -147,13 +156,11 @@ class Calculus:
         if q == 1:
             return self.steps[p + 1].proj
         # the section of y in omega_q is one plain basis tensor u (x) k of
-        # omega_{q-1} x omega1, so column (x, y) gathers (x ^ u) (x) k, then projects
-        o1, low = self.omega1.dim, self.omega[q - 1].dim
-        wcols = self.wedge_plain(p, q - 1).transpose().nz
-        picks = [divmod(c, o1) for c in self.steps[q].section]
-        gather = [{r * o1 + k: v for r, v in wcols[x * low + u].items()}
-                  for x in range(self.omega[p].dim) for u, k in picks]
-        return self.steps[p + q].proj * Mat.from_cols(gather, self.omega[p + q - 1].dim * o1)
+        # omega_{q-1} x omega1, so column (x, y) is (x ^ u) (x) k, projected
+        o1 = self.omega1.dim
+        return self.steps[p + q].gather(_wedge_prepend(self, p, x, {c: ONE}, o1, q - 1)
+                                        for x in range(self.omega[p].dim)
+                                        for c in self.steps[q].section)
 
     def tensor_pq(self, p, q) -> TensorSpace:
         """Presentation of omega_p (x)_A omega_q, p >= 1: the one form_module keeps."""
@@ -207,6 +214,67 @@ class Calculus:
         return self.d[0].apply(self.algebra.basis_vector(i))
 
 
+def leibniz_map(calc: Calculus, m: int, ts_dom: TensorSpace, ts_tgt: TensorSpace,
+                ts_one: TensorSpace, pi, d0: Mat, what: str) -> Mat:
+    """Extension of d0: X -> one-forms (x) T to m-form-valued elements, m >= 1.
+
+    Maps omega_m (x) X to omega_{m+1} (x) T by the graded Leibniz rule
+    w (x) x -> dw (x) pi(x) + (-1)^m w ^ d0(x); pi=None drops the d-term.
+    ts_dom presents the domain on plain omega_m x X, ts_tgt the target on
+    plain omega_{m+1} x T and ts_one the values of d0 on plain omega1 x T.
+    The map is built on plain tensors and descended through ts_dom (what
+    names it in the error).
+    """
+    sign = ONE if m % 2 == 0 else -ONE
+    x_dim, t_dim = ts_dom.right_dim, ts_tgt.right_dim
+    # per domain basis vector: pi(x) and the plain lift of d0(x), as {index: value}
+    pi_cols = pi.transpose().nz if pi is not None else [{}] * x_dim
+    d0_plain = ts_one.plain_cols(d0)
+    cols = []
+    for b, dwb in enumerate(calc.d[m].transpose().nz):
+        for t in range(x_dim):
+            terms = []
+            if dwb and pi_cols[t]:
+                terms.append((ONE, ts_tgt.pure(dwb, pi_cols[t])))
+            if d0_plain[t]:
+                terms.append((sign, _wedge_prepend(calc, m, b, d0_plain[t], t_dim)))
+            cols.append(_plain_sum(terms))
+    return calc.descend(ts_tgt.gather(cols), ts_dom, what)
+
+
+def _plain_sum(terms):
+    """sum(c * plain / d) over terms (c, (d, plain)) as an integer plain (den, {index: int})."""
+    den = lcm(*[int(c.denominator) * d for c, (d, _) in terms])
+    acc = {}
+    for c, (d, plain) in terms:
+        f = int(c.numerator) * (den // (int(c.denominator) * d))
+        for k, v in plain.items():
+            acc[k] = acc.get(k, 0) + f * v
+    return den, acc
+
+
+def _wedge_prepend(calc, k, b_idx, w_plain, t_dim, q=1):
+    """w_b ^ (plain q-form-valued vector {index: value}) as an integer plain tensor.
+
+    Returns (den, {index: int}) in plain (k+q)-forms (x) T; the wedge columns
+    are kept in integer form, so nothing divides before the projection.
+    """
+    wcols = calc.memo(("wedge_cols", k, q), lambda: [
+        int_row(col) for col in calc.wedge_plain(k, q).transpose().nz])
+    base = b_idx * calc.omega[q].dim
+    dv, w_plain = int_row(w_plain)
+    den = lcm(*[wcols[base + idx // t_dim][0] for idx in w_plain])
+    acc = {}
+    for idx, v in w_plain.items():
+        c, e = divmod(idx, t_dim)
+        d, col = wcols[base + c]
+        v *= den // d
+        for r, vv in col.items():
+            key = r * t_dim + e
+            acc[key] = acc.get(key, 0) + v * vv
+    return dv * den, acc
+
+
 def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, name="") -> Calculus:
     """Maximal exterior tower over a validated first-order calculus."""
     problems = validate_fodc(algebra, omega1, d0)
@@ -256,51 +324,33 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
         pre_mod, pre_ts = calc.form_module(n - 1, omega1)
         if n == 2:
             # degree-2 relations: two-sided action closure of d applied to them
-            dgens = []
-            dcols = d0.transpose().nz
-            for row in relation_space.basis.nz:
-                plain = {}
-                for idx, c in row.items():
-                    i, j = divmod(idx, dA)
-                    for s, x in dcols[i].items():
-                        for t, y in dcols[j].items():
-                            plain[s * o1 + t] = plain.get(s * o1 + t, ZERO) + c * x * y
-                dgens.append(pre_ts.project(plain))
-            rel = module_closure(pre_mod, dgens, use_right=True)
+            dd_plain = kron(d0, d0)  # da (x) db on plain one-forms, also the source of d1
+            dgens = pre_ts.proj * dd_plain * relation_space.basis.transpose()
+            rel = module_closure(pre_mod, [dgens.col(c) for c in range(dgens.cols)],
+                                 use_right=True)
             # degree-2 relations as plain tensors in omega1 (x) omega1
             rel2_plain = pre_ts.plain_cols(rel.basis.transpose())
         else:
-            sb = SpanBuilder(pre_ts.dim)
-            prev_cols = steps[n - 1].proj.transpose().nz
-            for u in range(omega[n - 2].dim):
-                base = u * o1
-                for r_pl in rel2_plain:
-                    acc = {}
-                    for idx, c in r_pl.items():
-                        a_i, b_i = divmod(idx, o1)
-                        for ii, v in prev_cols[base + a_i].items():
-                            key = ii * o1 + b_i
-                            acc[key] = acc.get(key, ZERO) + c * v
-                    sb.add(pre_ts.project(acc))
-            rel = sb.subspace()
+            # degree-n relations: omega_{n-2} ^ (degree-2 relations)
+            rel = image_of(pre_ts.gather(_wedge_prepend(calc, n - 2, u, r, o1)
+                                         for u in range(omega[n - 2].dim) for r in rel2_plain))
         om, steps[n] = quotient_bimodule(pre_mod, pre_ts, rel, n)
         omega.append(om)
 
-        # d in degree k = n - 1: d1 is solved on its spanning set a db; for k >= 2,
-        # graded Leibniz on the plain tensors w (x) xi of omega_{k-1} (x) omega1 gives
-        # d(w ^ xi) = dw ^ xi + (-1)^(k-1) w ^ dxi, and d_k is that map on the section
+        # d in degree k = n - 1: d1 is solved on its spanning set a db; for k >= 2 it is
+        # the graded Leibniz rule d(w ^ xi) = dw ^ xi + (-1)^(k-1) w ^ dxi on the plain
+        # tensors w (x) xi of omega_{k-1} (x) omega1, descended through steps[k]
         k = n - 1
         if k == 1:
             # d1 a db = da ^ db, so d1 = dd * to_omega^+ once dd kills ker to_omega
-            dd = steps[2].proj * kron(d0, d0)
+            dd = steps[2].proj * dd_plain
             if not (dd * vker.basis.transpose()).is_zero():
                 raise CalculusError("differential in degree 1 is inconsistent on its spanning set")
             calc.d.append(dd * vplus)
         else:
-            d1 = calc.d[1] if k % 2 else -calc.d[1]
-            plain = (steps[n].proj * kron(calc.d[k - 1], Mat.identity(o1))
-                     + calc.wedge_plain(k - 1, 2) * kron(Mat.identity(omega[k - 1].dim), d1))
-            calc.d.append(calc.descend(plain, steps[k], "differential in degree %d" % k))
+            calc.d.append(leibniz_map(calc, k - 1, steps[k], steps[n], steps[2],
+                                      Mat.identity(o1), calc.d[1],
+                                      "differential in degree %d" % k))
         if not (calc.d[k] * calc.d[k - 1]).is_zero():
             raise CalculusError("differential does not square to zero at degree %d" % (k - 1))
     return calc

@@ -100,23 +100,9 @@ class BimoduleConnection:
         laws = [("braiding not left-linear", sigma, om11.left, om11.left, None),
                 ("braiding not right-linear", sigma, om11.right, om11.right, None),
                 ("right Leibniz fails", self.base.mat, om1.right, om11.right,
-                 [sigma * d for d in _d_right_mats(calc)])]
+                 [sigma * d for d in twist_mats(calc, om1, right=True)])]
         return ["%s at %s" % (law, name) for law, x, src, tgt, rhs in laws
                 for name in intertwining_failures(calc.algebra, x, src, tgt, rhs)]
-
-
-def _d_right_mats(calc: Calculus):
-    """D_a(w) = class of w (x) d(e_a) in one-forms (x) one-forms."""
-    def build():
-        _, ts = calc.form_module(1, calc.omega1)
-        o1 = calc.omega1.dim
-        mats = []
-        for a in range(calc.algebra.dim):
-            da = calc.d_of_basis(a)
-            mats.append(ts.gather(ts.pure({w: ONE}, da) for w in range(o1)))
-        return mats
-
-    return calc.memo("d_right", build)
 
 
 def _connection_system(calc: Calculus, module: LeftModule) -> AffineSystem:
@@ -155,7 +141,7 @@ class _Braiding:
         om11, _ = calc.form_module(1, om1)
         o1, qq = om1.dim, om11.dim
         try:
-            dplus, kers = split(reduce(Mat.hstack, _d_right_mats(calc)))
+            dplus, kers = split(reduce(Mat.hstack, twist_mats(calc, om1, right=True)))
         except ValueError:
             raise CalculusError("one-forms (x) one-forms is not spanned by the w (x) da") from None
         ker = Mat._of(kers.dim, kers.ambient, [int_row(k)[1] for k in kers.basis.nz]).transpose()

@@ -10,7 +10,7 @@ properties.  See DECISIONS.md for the analysis.
 
 from __future__ import annotations
 
-from .linalg import Mat, ZERO, ONE, rat, left_inverse, kernel_of, image_of
+from .linalg import Mat, ONE, rat, left_inverse, kernel_of, image_of
 from .calculus import CalculusError
 from .connections import (
     curvature,
@@ -83,16 +83,8 @@ def demo_quaternion(corrupt=False):
 
     # retraction candidate (id + braiding)/2
     s2 = syms[2]
-    fmE, tsE = calc.form_module(1, e)
-    fmS1, tsS1 = calc.form_module(1, s2.lower.mod)
-    mu_cols = []
-    for c in range(calc.omega1.dim):
-        for t in range(e.dim):
-            wc = [ZERO] * calc.omega1.dim
-            wc[c] = ONE
-            mu_cols.append(calc.omega1.act_right(wc, e.algebra.basis_vector(t)))
-    mu_plain = Mat.from_cols(mu_cols, calc.omega1.dim)
-    mu = calc.descend(mu_plain, tsE, "frame evaluation")
+    fmE, _ = calc.form_module(1, e)
+    mu = calc.wedge_map(1, 0)  # frame evaluation w (x) a -> w . a
     iso = calc.omega_lift(1, mu, fmE, calc.omega1)
     emb = iso * s2.iota_wedge  # S2 inside one-forms (x) one-forms
     proj_half = (Mat.identity(ts11.dim) + bc.sigma).scale(rat(1, 2))

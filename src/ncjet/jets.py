@@ -10,12 +10,11 @@ obstruction only; nonholonomic jets are the full pair space.
 from __future__ import annotations
 
 from functools import reduce
-from math import lcm
 
-from .linalg import (Mat, Subspace, ONE, image_of, int_row, intersect, kernel_of, rank,
-                     span_of, split)
+from .linalg import (Mat, Subspace, ONE, image_of, intersect, kernel_of, rank, span_of,
+                     split)
 from .algebra import Bimodule, LeftModule, module_closure
-from .calculus import Calculus, CalculusError
+from .calculus import Calculus, CalculusError, _plain_sum, _wedge_prepend, leibniz_map
 
 HOLONOMIC = "holonomic"
 SESQUI = "sesquiholonomic"
@@ -56,18 +55,21 @@ def _pair_module(calc: Calculus, m: LeftModule) -> PairData:
     return PairData(mod, m, fm, ts)
 
 
-def twist_mats(calc: Calculus, m: LeftModule):
-    """T_a(x) = class of d(e_a) (x) x in one-forms (x) M, one matrix per basis a (memoized)."""
+def twist_mats(calc: Calculus, m: LeftModule, right=False):
+    """T_a(x) = class of d(e_a) (x) x in one-forms (x) M, one matrix per basis a (memoized).
+
+    With right, M is the one-forms and T_a(x) = class of x (x) d(e_a)."""
     def build():
         _, ts = calc.form_module(1, m)
         mats = []
         for a in range(calc.algebra.dim):
             da = calc.d_of_basis(a)
-            cols = [ts.class_of(da, {x: ONE}) for x in range(m.dim)]
+            cols = [ts.class_of({x: ONE}, da) if right else ts.class_of(da, {x: ONE})
+                    for x in range(m.dim)]
             mats.append(Mat.from_cols(cols, ts.dim))
         return mats
 
-    return calc.memo(("twist", m), build)
+    return calc.memo(("twist", m, right), build)
 
 
 def pair_map(calc: Calculus, f: Mat, src: LeftModule, dst: LeftModule) -> Mat:
@@ -101,63 +103,15 @@ def exterior_operator(calc: Calculus, m: int, dom: LeftModule, low: LeftModule,
                       pi, d0: Mat, what: str) -> Mat:
     """Extension of d0: dom -> one-forms (x) low to m-form-valued elements.
 
-    Maps m-forms (x) dom to (m+1)-forms (x) low by
-    w (x) x -> dw (x) pi(x) + (-1)^m w ^ d0(x); pi=None drops the d-term.
-    The map is built on plain tensors and descended through the domain's
-    presentation (what names it in the error).  At m = 0 it is d0 itself.
+    calculus.leibniz_map on the form modules: m-forms (x) dom go to
+    (m+1)-forms (x) low by w (x) x -> dw (x) pi(x) + (-1)^m w ^ d0(x), the
+    rule each higher differential of the tower obeys; pi=None drops the
+    d-term.  At m = 0 it is d0 itself.
     """
     if m == 0:
         return d0
-    _, ts_dom = calc.form_module(m, dom)
-    _, ts_tgt = calc.form_module(m + 1, low)
-    _, ts_one = calc.form_module(1, low)
-    sign = ONE if m % 2 == 0 else -ONE
-    # per domain basis vector: pi(x) and the plain lift of d0(x), as {index: value}
-    pi_cols = pi.transpose().nz if pi is not None else [{}] * dom.dim
-    d0_plain = ts_one.plain_cols(d0)
-    cols = []
-    for b, dwb in enumerate(calc.d[m].transpose().nz):
-        for t in range(dom.dim):
-            terms = []
-            if dwb and pi_cols[t]:
-                terms.append((ONE, ts_tgt.pure(dwb, pi_cols[t])))
-            if d0_plain[t]:
-                terms.append((sign, _wedge_prepend(calc, m, b, d0_plain[t], low.dim)))
-            cols.append(_plain_sum(terms))
-    return calc.descend(ts_tgt.gather(cols), ts_dom, what)
-
-
-def _plain_sum(terms):
-    """sum(c * plain / d) over terms (c, (d, plain)) as an integer plain (den, {index: int})."""
-    den = lcm(*[int(c.denominator) * d for c, (d, _) in terms])
-    acc = {}
-    for c, (d, plain) in terms:
-        f = int(c.numerator) * (den // (int(c.denominator) * d))
-        for k, v in plain.items():
-            acc[k] = acc.get(k, 0) + f * v
-    return den, acc
-
-
-def _wedge_prepend(calc, k, b_idx, w_plain, t_dim, q=1):
-    """w_b ^ (plain q-form-valued vector {index: value}) as an integer plain tensor.
-
-    Returns (den, {index: int}) in plain (k+q)-forms (x) T; the wedge columns
-    are kept in integer form, so nothing divides before the projection.
-    """
-    wcols = calc.memo(("wedge_cols", k, q), lambda: [
-        int_row(col) for col in calc.wedge_plain(k, q).transpose().nz])
-    base = b_idx * calc.omega[q].dim
-    dv, w_plain = int_row(w_plain)
-    den = lcm(*[wcols[base + idx // t_dim][0] for idx in w_plain])
-    acc = {}
-    for idx, v in w_plain.items():
-        c, e = divmod(idx, t_dim)
-        d, col = wcols[base + c]
-        v *= den // d
-        for r, vv in col.items():
-            key = r * t_dim + e
-            acc[key] = acc.get(key, 0) + v * vv
-    return dv * den, acc
+    return leibniz_map(calc, m, calc.form_module(m, dom)[1], calc.form_module(m + 1, low)[1],
+                       calc.form_module(1, low)[1], pi, d0, what)
 
 
 class SymModule:

@@ -108,14 +108,15 @@ def parse_calculus_spec(doc) -> Calculus:
         raise SpecParseError("omega1 needs one action matrix per algebra basis element")
     left = [_matrix_in(m, odim, odim, "omega1.left[%d]" % i) for i, m in enumerate(left_docs)]
     right = [_matrix_in(m, odim, odim, "omega1.right[%d]" % i) for i, m in enumerate(right_docs)]
+    omega1 = Bimodule(algebra, odim, left, right, label="O1")
+    d0 = _matrix_in(d_doc, odim, dim, "omega1.d")
+    calc = build_calculus(algebra, omega1, d0, max_degree)
+    # the layout is read off the algebra's action, so it is checked once the calculus is valid
     frame = doc.get("leftFrameSize")
     if frame is not None and (type(frame) is not int or frame < 1 or frame * dim != odim or any(
             m != kron(Mat.identity(frame), a) for m, a in zip(left, algebra.lmat))):
         raise SpecParseError("leftFrameSize must be an integer n >= 1 with the one-forms laid "
                              "out as a theta_t at t * algebra dim + a, t < n; got %r" % (frame,))
-    omega1 = Bimodule(algebra, odim, left, right, label="O1")
-    d0 = _matrix_in(d_doc, odim, dim, "omega1.d")
-    calc = build_calculus(algebra, omega1, d0, max_degree)
     calc.left_frame_size = frame
     return calc
 

@@ -153,6 +153,13 @@ def test_tensor_pq_reads_the_form_module_entry(quat):
     assert calc.tensor_pq(1, 2) is calc.form_module(1, calc.omega[2])[1]
 
 
+def test_base_module_is_the_degree_zero_forms(quat):
+    """The base module is omega[0], so its one-form-valued presentation is tensor_pq(1, 0)."""
+    calc = quat
+    assert calc.base_module() is calc.omega[0]
+    assert calc.form_module(1, calc.base_module())[1] is calc.tensor_pq(1, 0)
+
+
 def test_wedge_with_degree_zero_is_module_action(quat):
     calc = quat
     w01 = calc.wedge_plain(0, 1)

@@ -99,7 +99,18 @@ _BROKEN_PRODUCT = (
 
 def test_validate_reports_every_broken_product(tmp_path, quat):
     doc = serialize_calculus(quat)
-    doc.pop("leftFrameSize")  # the frame layout check would refuse the new product first
+    doc.pop("leftFrameSize")
+    doc["algebra"]["mult"][2][0][2] = "1/2"
+    doc["algebra"]["mult"][3][3][0] = "-2"
+    path = tmp_path / "broken.json"
+    path.write_text(dump_json(doc))
+    assert run(["validate", str(path)]) == (EXIT_INVALID, _BROKEN_PRODUCT)
+
+
+def test_broken_product_is_reported_before_the_frame_layout(tmp_path, quat):
+    """The frame layout is read off the algebra's action, so a broken product is named first."""
+    doc = serialize_calculus(quat)
+    assert doc["leftFrameSize"] == 2
     doc["algebra"]["mult"][2][0][2] = "1/2"
     doc["algebra"]["mult"][3][3][0] = "-2"
     path = tmp_path / "broken.json"

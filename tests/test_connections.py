@@ -11,7 +11,6 @@ from ncjet.connections import (
     BimoduleConnection,
     Connection,
     InvalidConnection,
-    _d_right_mats,
     associated_connection,
     bimodule_connection_from_vector,
     covariant_exterior,
@@ -164,7 +163,7 @@ def test_negated_braiding_fails_right_leibniz_only(quat):
     """The braided pair with -sigma, as `demo --corrupt` builds it."""
     bc, alg = braided_connection(quat), quat.algebra
     om1, (om11, _) = quat.omega1, quat.form_module(1, quat.omega1)
-    d_right = _d_right_mats(quat)
+    d_right = twist_mats(quat, quat.omega1, right=True)
     want = ["right Leibniz fails at %s" % alg.basis_names[a] for a in range(alg.dim)
             if bc.base.mat * om1.right[a] != om11.right[a] * bc.base.mat - bc.sigma * d_right[a]]
     assert want
@@ -215,7 +214,7 @@ def bimodule_connection_system(calc):
     om1 = calc.omega1
     om11, _ = calc.form_module(1, calc.omega1)
     twist = twist_mats(calc, om1)
-    d_right = _d_right_mats(calc)
+    d_right = twist_mats(calc, calc.omega1, right=True)
     o1, qq = om1.dim, om11.dim
     n_nabla = qq * o1
     sys = AffineSystem(n_nabla + qq * qq)

@@ -9,7 +9,10 @@ import hashlib
 
 import pytest
 
+from cayley import cayley_spec, group_spec, symmetric_group
 from conftest import selection
+from ncjet.calculus import quaternion_calculus, universal_calculus
+from ncjet.fixtures import functions_on_points
 from ncjet.jets import jet_module, spencer_operator
 from ncjet.linalg import rat_str
 from ncjet.specio import parse_calculus_spec
@@ -104,3 +107,115 @@ def calculi(quat, two_point, sheared_quat_doc):
 def test_canonical_digests_are_unchanged(calculi, name):
     calc, base = calculi[name]
     assert canonical_items(calc, base) == DIGESTS[name]
+
+
+def tower_items(calc):
+    """Every differential, step projection and step section of a tower."""
+    items = {"d %d" % k: dk for k, dk in enumerate(calc.d)}
+    for n in sorted(calc.steps):
+        items["step_proj %d" % n] = calc.steps[n].proj
+        items["step_sec %d" % n] = selection(calc.steps[n])
+    return {k: hashlib.sha256(mat_text(v).encode()).hexdigest() for k, v in items.items()}
+
+
+TOWERS = {
+    "S3 to 5": lambda: parse_calculus_spec(group_spec(*symmetric_group(3), max_degree=5)),
+    "Z/4 {1, 3} to 5": lambda: parse_calculus_spec(cayley_spec(4, [1, 3], 5)),
+    "quaternion to 8": lambda: quaternion_calculus(8),
+    "two-point universal to 10": lambda: universal_calculus(functions_on_points(2), 10),
+}
+
+# Recorded before the higher differentials and relations were built by the graded
+# Leibniz builder the Spencer operators use: they pin the relations for n >= 4 and
+# d_k for k >= 3, which the degree-3 digests above leave open.
+TOWER_DIGESTS = {
+    'S3 to 5': {
+        'd 0': '535f0476c28a4924be8c0d6f15b5c6fcc850587c97708825edcae41e87a43126',
+        'd 1': '8dfb57325a97ac3e0b95b60e939cc74f33b67a95c342555362cb092fbcff4242',
+        'd 2': 'dfe354bdc3ef73584294c1bc3a019a16fed8b2d0e38d1049bb3f88a4efccddd8',
+        'd 3': 'dd7a33deef662343410a61229a251b5ef1fc664c01fa6261ab9c24a5314e9a74',
+        'd 4': 'e33bd4ded33178419badc4be7b7f1010052cea48c4b153ac1e20203469cde42d',
+        'step_proj 2': '452a0321da5a567490f1bd18339dfdb98eef548139f47627df5dfcb915bb131f',
+        'step_sec 2': '2b9b84218e0537cce62826c2287fc3371e7982e3041ed50b49cc53b0f5d2034c',
+        'step_proj 3': '97bc4bb45116c9ad1e464d113ea0958175d7e89fda14274d16e3371f2c24ae96',
+        'step_sec 3': 'aa039012c117ec0769ed4cdc64aa2f33c88660c193d0eeb60b898fea644d1204',
+        'step_proj 4': '8243ca0cc4ea52a95924ca14deca40e7ba22d6e3fdb2192abccac46d5502b68e',
+        'step_sec 4': 'cb4fdf810baf68fe4c8bd18cfe7da4e6c0de21a748592d5dc7f4da1cb0b29a13',
+        'step_proj 5': 'f868b3e7fef228ef388271b5a163a0242cc8056e4dc404ba26732350b7931ff1',
+        'step_sec 5': '9f0212c90936e488785d82ce7acecc83d43638eb082a05e32674daf098a08f8c',
+    },
+    'Z/4 {1, 3} to 5': {
+        'd 0': '0b6f7d4c70876ca30ac26a618b8ceac08602c16fbae118a1d2cc6bcb062cdfcb',
+        'd 1': '411b8d80ed3d0092d6016b1e9d5099af8c120329422b5473cec41b55640f9333',
+        'd 2': 'c56e5b45f8d726c8b40ed6dc806f9784a60d69f250a5205ffade41a44e0aeb8b',
+        'd 3': '21d623ab3dffcd10da8f29383acec258ca961dc26cf700a8c9c848c7f75bf25a',
+        'd 4': '33dc22df03957cc989c85a50e0daa409b05320ae715d24077c66deaf32705cf1',
+        'step_proj 2': '358e57cbdcbf990d99ae2cfc3147b6016bf3995d7f7cb5f59321be46b14b9241',
+        'step_sec 2': 'c65deae819d82ded335d32c07217b17b24d6e6bb5fc9fc00ac9037d66599ddc6',
+        'step_proj 3': '7c42b2aa4e20c8b7e2464d131f62e7a946b8c40665bb8328fde1d3b97c2c5080',
+        'step_sec 3': 'a0ffdd4ce371eb89a31b324a868c63537d75866c177d207c1119ecd7efe890eb',
+        'step_proj 4': '8065158497ea7a23626b97b80088b40897da2fe0e6c683a1b8fea6517f0640f0',
+        'step_sec 4': '70d41ceb5dd4906c8cd20e7ee331487ead24613df95a5f2e6c130c17021ee9d0',
+        'step_proj 5': '1cf2f94fc3a2c2d32f606475e08733006402dbf17b77d9b46030944b9e0bdffe',
+        'step_sec 5': '4f0e0adb8252efe04e7d541cf68c2819a7e64cff692500ea3de8e0dba81546b9',
+    },
+    'quaternion to 8': {
+        'd 0': 'f3017f3468de55871560baa5b325369af7f1f2e618968b02e744e6d1c01ce032',
+        'd 1': '2c7816d8c400b02c62e8537ad6765b9aa458fe03b641086fd693e987f95197bf',
+        'd 2': 'a791758231087be8db18cd26fe5c9bf272dd4b67bbf2da2cb1e8c322eff2c9e8',
+        'd 3': '88464a9f1edaab4d20fd09226d802277cd0970d8505f4037097d2116fab89169',
+        'd 4': '709c86f6797d5cb17ba7bd69304b537911f5c3bab8a45a6d770f72d6097174ad',
+        'd 5': '71faef03367534f19d31558dec6cfdb61ae8749abd77efac7cfad248353b1a21',
+        'd 6': 'bed0c6027d46ce233c1bdfef1dd8fd1acfc068bb25181e44329e5760b378666c',
+        'd 7': '9a2e4850965c95549bd45a872f0670c6f9c98d5e0f987b66a9cc2473544ccf34',
+        'step_proj 2': 'eee3f5a886d3a70c1497b59d473284c25f8955905083be3aa4b1b038bb4a1901',
+        'step_sec 2': 'afa2dfa5c95d2da2889db7df7158c103033420054426d8a8a9382ff496f9d827',
+        'step_proj 3': '7b2c71cf8b3eb29bcca7b5845832a92add02f5df59655ec52ce09acd78971fa9',
+        'step_sec 3': '95280e4b37a93bc43f620512b1247174588c833fc4da89b7df38d6df5be0dda7',
+        'step_proj 4': 'ebb60f789f1323a704ca55708f99c07f9ceea0ce2cc20184b306e25146b4f6a4',
+        'step_sec 4': 'a0ffbec398e7acd341864850cc9a46c860073aa4f696fdf6b24171270cfb10dd',
+        'step_proj 5': '70b961e84a7073a52c703ea96b876ffb7bdfa039bb2a7032bf3a9cb99b19d1f9',
+        'step_sec 5': '3c543a58c363b37a879af56851b939a180173a8cf1b3d3e8efac739f541a37fa',
+        'step_proj 6': 'df280f130018ef9aa3f681985737bfa5afb1bcb7151801bbb6d822288bbd4ce4',
+        'step_sec 6': '33a0195fccbec866826a04f979989d561aba987b22b7b40533d641d2e0aa553c',
+        'step_proj 7': '770a3a17334449c5df204343b3e4298b2badb2be7afe01763c2c0baa14732ba4',
+        'step_sec 7': '6b510983a7a5de6334a93b411fd9a3ecea22cfaed2d37590963dca6bbd3db72a',
+        'step_proj 8': 'e8ac4b92929b7063c53ad860248b38252a9ee314f5e6cbb33815b9cf48f16ca3',
+        'step_sec 8': '7d5aaf3235526e03986a2264d36c64c1aff3af1d39377a2c507cfc6c45e79f2f',
+    },
+    'two-point universal to 10': {
+        'd 0': '4c484fa071ab5336a80a7015282a1e59774e1738d2a3a4bb30d83f0448996ddf',
+        'd 1': '26963a32d28a85f8ecf1bd674e88e8049001b1a98c14ceea7d9707be31a7429b',
+        'd 2': '4c484fa071ab5336a80a7015282a1e59774e1738d2a3a4bb30d83f0448996ddf',
+        'd 3': '26963a32d28a85f8ecf1bd674e88e8049001b1a98c14ceea7d9707be31a7429b',
+        'd 4': '4c484fa071ab5336a80a7015282a1e59774e1738d2a3a4bb30d83f0448996ddf',
+        'd 5': '26963a32d28a85f8ecf1bd674e88e8049001b1a98c14ceea7d9707be31a7429b',
+        'd 6': '4c484fa071ab5336a80a7015282a1e59774e1738d2a3a4bb30d83f0448996ddf',
+        'd 7': '26963a32d28a85f8ecf1bd674e88e8049001b1a98c14ceea7d9707be31a7429b',
+        'd 8': '4c484fa071ab5336a80a7015282a1e59774e1738d2a3a4bb30d83f0448996ddf',
+        'd 9': '26963a32d28a85f8ecf1bd674e88e8049001b1a98c14ceea7d9707be31a7429b',
+        'step_proj 2': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
+        'step_sec 2': '83c61c2f0ca27fb2039706a1d3c9c326f225e4edc1ba07142713561d59a8fdd2',
+        'step_proj 3': '82ddd8459fb63e6f65867afc1f4aae2ab16428a69f1de3c1a196e65507f93fa9',
+        'step_sec 3': 'e75dab2652bda16d7f4adf612b66789d78a85fe726720c3cb40909e260e81a6e',
+        'step_proj 4': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
+        'step_sec 4': '83c61c2f0ca27fb2039706a1d3c9c326f225e4edc1ba07142713561d59a8fdd2',
+        'step_proj 5': '82ddd8459fb63e6f65867afc1f4aae2ab16428a69f1de3c1a196e65507f93fa9',
+        'step_sec 5': 'e75dab2652bda16d7f4adf612b66789d78a85fe726720c3cb40909e260e81a6e',
+        'step_proj 6': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
+        'step_sec 6': '83c61c2f0ca27fb2039706a1d3c9c326f225e4edc1ba07142713561d59a8fdd2',
+        'step_proj 7': '82ddd8459fb63e6f65867afc1f4aae2ab16428a69f1de3c1a196e65507f93fa9',
+        'step_sec 7': 'e75dab2652bda16d7f4adf612b66789d78a85fe726720c3cb40909e260e81a6e',
+        'step_proj 8': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
+        'step_sec 8': '83c61c2f0ca27fb2039706a1d3c9c326f225e4edc1ba07142713561d59a8fdd2',
+        'step_proj 9': '82ddd8459fb63e6f65867afc1f4aae2ab16428a69f1de3c1a196e65507f93fa9',
+        'step_sec 9': 'e75dab2652bda16d7f4adf612b66789d78a85fe726720c3cb40909e260e81a6e',
+        'step_proj 10': 'f3c9ddcb80b22ee0581b7afe88233ff80207064a42796623fb214d75b1653d91',
+        'step_sec 10': '83c61c2f0ca27fb2039706a1d3c9c326f225e4edc1ba07142713561d59a8fdd2',
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_high_tower_digests_are_unchanged(name):
+    assert tower_items(TOWERS[name]()) == TOWER_DIGESTS[name]
