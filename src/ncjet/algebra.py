@@ -311,10 +311,6 @@ class TensorSpace:
         sec = self.section
         return [{sec[r]: x for r, x in col.items()} for col in m.transpose().nz]
 
-    def project(self, plain):
-        """Class of the plain tensor given by its nonzeros {index: value}."""
-        return self._classes(*int_row(plain))
-
     def _class(self, den, plain):
         """Nonzeros {row: value} of the class of plain / den (int den > 0, {index: int} plain)."""
         acc = {}
@@ -324,13 +320,6 @@ class TensorSpace:
                 for r, p in self.pcols[k].items():
                     acc[r] = get(r, 0) + v * p
         return {r: rat(x, self.pden[r] * den) for r, x in acc.items() if x}
-
-    def _classes(self, den, plain):
-        """Class of the plain tensor plain / den as a dense list."""
-        out = [ZERO] * self.dim
-        for r, x in self._class(den, plain).items():
-            out[r] = x
-        return out
 
     def gather(self, plains) -> Mat:
         """Matrix whose columns are the classes of the integer plain tensors (den, {index: int})."""
@@ -346,8 +335,11 @@ class TensorSpace:
         return dx * dy, {i * rd + j: xi * yj for i, xi in x.items() for j, yj in ynz}
 
     def class_of(self, x, y):
-        """Class of the pure tensor x (x) y, from the nonzeros of x and y."""
-        return self._classes(*self.pure(x, y))
+        """Class of the pure tensor x (x) y as a dense list, from the nonzeros of x and y."""
+        out = [ZERO] * self.dim
+        for r, v in self._class(*self.pure(x, y)).items():
+            out[r] = v
+        return out
 
     def kron_between(self, f: Mat, g: Mat, src: "TensorSpace") -> Mat:
         """f (x) g from src's quotient to this one: proj * (f (x) g) at src's section.

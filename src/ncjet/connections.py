@@ -279,7 +279,7 @@ def tensor_connection(calc: Calculus, bconn: BimoduleConnection, connf: Connecti
                     inner[i][k * fd + u] = inner[i].get(k * fd + u, ZERO) + s * v
             # project the inner factor through ts_f, then the outer one through ts_v
             cols.append(int_row({i * ts_f.dim + k: x for i, part in enumerate(inner) if part
-                                 for k, x in enumerate(ts_f.project(part)) if x}))
+                                 for k, x in ts_f._class(*int_row(part)).items()}))
     mat = calc.descend(ts_v.gather(cols), ts_f, "tensor connection")
     return Connection(calc, fm, mat)
 
@@ -319,8 +319,12 @@ class HigherConnection:
             raise InvalidConnection("not a section of the jet projection")
         if intertwining_failures(calc.algebra, section, lower.mod.left, jet.mod.left):
             raise InvalidConnection("section is not module-linear")
+        try:
+            iota_inv = left_inverse(jet.iota)
+        except ValueError:
+            raise InvalidConnection("the symbol inclusion is not injective") from None
         # left split: iota split = id - section projection
-        self.split = left_inverse(jet.iota) * (Mat.identity(jet.dim) - section * jet.pi)
+        self.split = iota_inv * (Mat.identity(jet.dim) - section * jet.pi)
         if jet.iota * self.split + section * jet.pi != Mat.identity(jet.dim):
             raise InvalidConnection("splitting identities fail")
         if self.split * jet.iota != Mat.identity(jet.sym.dim):
@@ -333,7 +337,11 @@ class HigherConnection:
 
 def higher_connection_from_split(calc: Calculus, jet: JetModule, split: Mat) -> HigherConnection:
     """Section corresponding to a left splitting of the jet sequence."""
-    section = (Mat.identity(jet.dim) - jet.iota * split) * right_inverse(jet.pi)
+    try:
+        pi_inv = right_inverse(jet.pi)
+    except ValueError:
+        raise InvalidConnection("the jet projection is not onto") from None
+    section = (Mat.identity(jet.dim) - jet.iota * split) * pi_inv
     hc = HigherConnection(calc, jet, section)
     if hc.split != split:
         raise InvalidConnection("left splitting does not retract the symbol inclusion")

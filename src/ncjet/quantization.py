@@ -2,9 +2,11 @@
 
 An operator E -> F is any linear map; its order is the least n admitting a
 module-linear factorization through the order-n jet prolongation, which
-jets.jet_lift reads off one split per jet.  A quantization assigns to every
-degree-n symbol an order-n operator through a chain of connections on the
-symmetric-form modules, split by retractions of the wedge-kernel inclusions.
+jets.jet_lift reads off one split per jet.  A quantization is a system of
+higher connections, one splitting s_n of each jet sequence, and assigns to a
+degree-n symbol the order-n operator symbol o s_n o j^n.  build_quantization
+reads the system off a chain of connections on the symmetric-form modules,
+split by retractions of the wedge-kernel inclusions.
 The total symbol inverts the quantization, and the star product is
 a * b = sigma(q(a) o q(b)), with a central formal variable hbar counting the
 order the composite loses.
@@ -15,7 +17,8 @@ from __future__ import annotations
 from .linalg import Mat, ONE, rat
 from .algebra import LeftModule, mat_from_flat, solve_module_maps
 from .calculus import Calculus, CalculusError, memo
-from .connections import BimoduleConnection, Connection, tensor_connection
+from .connections import (BimoduleConnection, Connection, higher_connection_from_split,
+                          tensor_connection)
 from .jets import HOLONOMIC, JetModule, jet_lift, jet_module, jet_split, sym_module
 
 
@@ -206,32 +209,28 @@ class HPoly:
 
 
 class Quantization:
-    """Per-degree sections of the symbol map, built from a connection chain.
+    """The quantization of a system of higher connections.
 
-    chain[k] is the universal order-k operator from the base module to the
-    symmetric k-forms; q^k(symbol) = symbol o chain[k].  The section law
-    (symbol of q^k(s) is s) is verified on construction through the lifts.
+    system[k] (1 <= k <= cap) is a HigherConnection on the holonomic order-k
+    jets, whose split s_k retracts the symbol inclusion; q^k(symbol) is
+    symbol o s_k o j^k, so chain[k] = s_k o j^k is the universal order-k
+    operator from the base module to the symmetric k-forms (chain[0] = I).
+    The section law (symbol of q^k(s) is s) is that retraction, which
+    HigherConnection checks.
     """
 
-    def __init__(self, ctx: OperatorContext, chain, sym_conns, retractions):
+    def __init__(self, ctx: OperatorContext, system, sym_conns):
         self.ctx = ctx
-        self.chain = chain            # k -> Mat E -> S^k
+        self.system = system          # k -> HigherConnection on J^k
         self.sym_conns = sym_conns    # k -> Connection on S^k (provenance)
-        self.retractions = retractions
-        self.cap = max(chain)
-        self._chain_lift = {}
+        self.chain = {0: Mat.identity(ctx.e.dim)}   # k -> Mat E -> S^k
+        self.chain.update((k, hc.split * hc.jet.j) for k, hc in sorted(system.items()))
+        self.cap = max(self.chain)
         self._memo = {}
-        for k in range(self.cap + 1):
-            lift = ctx.op_lift(chain[k], k, target=ctx.sym(k).mod)
-            if lift * ctx.jet(k).iota != Mat.identity(ctx.sym(k).dim):
-                raise CalculusError(
-                    "chain operator at degree %d is not a splitting" % k
-                )
-            self._chain_lift[k] = lift
 
     def chain_lift(self, k: int) -> Mat:
         """The left splitting of the order-k jet sequence behind q^k."""
-        return self._chain_lift[k]
+        return self.system[k].split if k else Mat.identity(self.ctx.e.dim)
 
     def q(self, sym: Symbol) -> Mat:
         """Order-(deg) operator realizing the symbol."""
@@ -361,40 +360,16 @@ def retraction_solver(calc: Calculus, e: LeftModule, k: int):
     return mat_from_flat(sol.particular, sym_hi.dim, fm.dim)
 
 
-def sym_connection_chain(calc: Calculus, e: LeftModule, bconn: BimoduleConnection,
-                         conn_e: Connection, cap: int):
-    """Connections on the symmetric-form modules up to the cap.
-
-    Degree 0 is the given connection on the base module; degree k pushes
-    the braided tensor connection through the retraction of the wedge-kernel
-    inclusion.  Returns (connections dict, retractions dict).
-    """
-    conns = {0: conn_e}
-    retractions = {}
-    for k in range(1, cap + 1):
-        lower = conns[k - 1]
-        tens = tensor_connection(calc, bconn, lower)
-        if k == 1:
-            conns[1] = tens
-            continue
-        sym_k = sym_module(calc, e, k)
-        s = retraction_solver(calc, e, k - 1)
-        if s is None:
-            raise CalculusError("no retraction of the wedge-kernel inclusion "
-                                "at degree %d" % (k - 1))
-        retractions[k - 1] = s
-        if sym_k.dim == 0:
-            conns[k] = Connection(calc, sym_k.mod, Mat.zeros(0, 0))
-            continue
-        omega_s = calc.omega_lift(1, s, conns[k - 1].form_module, sym_k.mod)
-        mat = omega_s * tens.mat * sym_module(calc, e, k).iota_wedge
-        conns[k] = Connection(calc, sym_k.mod, mat)
-    return conns, retractions
-
-
 def build_quantization(calc: Calculus, e: LeftModule, bconn: BimoduleConnection,
                        conn_e: Connection) -> Quantization:
-    """Full quantization from a braided connection and a base connection."""
+    """The quantization of the system of higher connections a braided pair induces.
+
+    nabla_0 is the base connection, and nabla_k on S^k (0 < k < cap) pushes the
+    braided tensor connection on one-forms (x) S^{k-1} through the retraction
+    s_{k-1} of the wedge-kernel inclusion.  chain[k+1] = s_k o nabla_k o chain[k],
+    where s_0 is the identity of S^1 = one-forms (x) E, and the order-k
+    connection of the system is the left splitting of J^k that chain[k] lifts to.
+    """
     ctx = OperatorContext(calc, e)
     cap = ctx.order_cap
     for jet in map(ctx.jet, range(cap + 1)):
@@ -402,13 +377,25 @@ def build_quantization(calc: Calculus, e: LeftModule, bconn: BimoduleConnection,
             jet_split(calc, jet)
         except CalculusError as exc:
             raise CalculusError("%s; quantization refuses to pick silently" % exc) from None
-    conns, retractions = sym_connection_chain(calc, e, bconn, conn_e, cap)
-    chain = {0: Mat.identity(e.dim), }
-    if cap >= 1:
-        chain[1] = conn_e.mat
-    for k in range(2, cap + 1):
-        chain[k] = retractions[k - 1] * conns[k - 1].mat * chain[k - 1]
-    return Quantization(ctx, chain, conns, retractions)
+    conns = {0: conn_e}
+    chain = {1: conn_e.mat}
+    s = None  # s_{k-1}, which pushes the tensor connection down to S^k
+    for k in range(1, cap):
+        tens = tensor_connection(calc, bconn, conns[k - 1])
+        if k == 1:
+            conns[1] = tens
+        else:
+            sym_k = ctx.sym(k)
+            omega_s = calc.omega_lift(1, s, conns[k - 1].form_module, sym_k.mod)
+            conns[k] = Connection(calc, sym_k.mod, omega_s * tens.mat * sym_k.iota_wedge)
+        s = retraction_solver(calc, e, k)
+        if s is None:
+            raise CalculusError("no retraction of the wedge-kernel inclusion at degree %d" % k)
+        chain[k + 1] = s * conns[k].mat * chain[k]
+    system = {k: higher_connection_from_split(calc, ctx.jet(k),
+                                              ctx.op_lift(chain[k], k, target=ctx.sym(k).mod))
+              for k in range(1, cap + 1)}
+    return Quantization(ctx, system, conns)
 
 
 def partial_operators(calc: Calculus):

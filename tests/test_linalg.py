@@ -34,6 +34,7 @@ from ncjet.linalg import (
     kernel_of,
     kron,
     left_inverse,
+    nonzeros,
     quotient_data,
     rank,
     rat,
@@ -840,11 +841,15 @@ def test_projection_and_class_of_match_proj_apply(data):
     x = data.draw(st.lists(_mixed, min_size=dl, max_size=dl))
     y = data.draw(st.lists(_mixed, min_size=dr, max_size=dr))
     plain = [xi * yj for xi in x for yj in y]
-    want = proj.apply(plain)
-    for got in (ts.class_of(x, y), ts.project(dict(enumerate(plain)))):
-        assert got == want
-        assert all(type(v) is int or v.denominator != 1 for v in got)
-    assert ts.project({}) == [0] * ts.dim
+    other = data.draw(st.lists(_mixed, min_size=n, max_size=n))
+
+    def gathered(v):
+        return ts.gather([int_row(nonzeros(v))]).col(0)
+
+    for got, v in ((ts.class_of(x, y), plain), (gathered(plain), plain), (gathered(other), other)):
+        assert got == proj.apply(v)
+        assert all(type(e) is int or e.denominator != 1 for e in got)
+    assert gathered([0] * n) == [0] * ts.dim
 
 
 @st.composite
