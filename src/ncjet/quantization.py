@@ -224,7 +224,7 @@ class Quantization:
         self.system = system          # k -> HigherConnection on J^k
         self.sym_conns = sym_conns    # k -> Connection on S^k (provenance)
         self.chain = {0: Mat.identity(ctx.e.dim)}   # k -> Mat E -> S^k
-        self.chain.update((k, hc.split * hc.jet.j) for k, hc in sorted(system.items()))
+        self.chain.update((k, hc.split * hc.jet.j) for k, hc in system.items())
         self.cap = max(self.chain)
         self._memo = {}
 

@@ -136,44 +136,89 @@ _ONE_EDGE_FORMS = {"dim": 1, "left": [[["1"]], [["0"]]], "right": [[["0"]], [["1
 _QUAT_SPEC = json.loads((ROOT / "perfbench" / "quaternion.json").read_text())
 
 
+_Z4 = cayley_spec(4, [1, 3])  # eight one-forms
+_Z4_FORMS = _Z4["omega1"]
+_Z4_LEFT0, _Z4_LEFT_REST = _Z4_FORMS["left"][0], _Z4_FORMS["left"][1:]
+_FRAME_LAYOUT = ("leftFrameSize must be an integer n >= 1 with the one-forms laid out as "
+                 "a theta_t at t * algebra dim + a, t < n; got %s")
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        pytest.param({}, id="empty"),
+        pytest.param({}, "missing 'algebra' or 'omega1' section", id="empty"),
+        pytest.param([], "top level must be an object", id="top-level-not-an-object"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=5), "omega1": _ZERO_FORMS},
+                     "algebra unit and basis must be lists of length dim",
                      id="basis-not-a-list"),
+        pytest.param({"algebra": {"dim": 1, "unit": ["1"]}, "omega1": _ZERO_FORMS},
+                     "algebra section needs dim, unit, mult", id="algebra-without-mult"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, mult=[]), "omega1": _ZERO_FORMS},
+                     "mult must be a rank-3 array of shape dim^3", id="mult-no-planes"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, mult=[[]]), "omega1": _ZERO_FORMS},
+                     "mult plane 0 has wrong shape", id="mult-plane-empty"),
+        pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, mult=[["1"]]), "omega1": _ZERO_FORMS},
+                     "expected a list of length 1", id="mult-column-not-a-list"),
+        pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": {"dim": 0}},
+                     "omega1 section needs dim, left, right, d", id="omega1-without-actions"),
         pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": dict(_ZERO_FORMS, left=7)},
+                     "omega1 needs one action matrix per algebra basis element",
                      id="left-not-a-list"),
         pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": dict(_ZERO_FORMS, right=7)},
+                     "omega1 needs one action matrix per algebra basis element",
                      id="right-not-a-list"),
+        pytest.param(dict(_Z4, omega1=dict(_Z4_FORMS, left=[_Z4_LEFT0[:7]] + _Z4_LEFT_REST)),
+                     "omega1.left[0]: expected 8 rows", id="left-action-short"),
+        pytest.param(dict(_Z4, omega1=dict(_Z4_FORMS, left=[[r[:7] for r in _Z4_LEFT0]]
+                                           + _Z4_LEFT_REST)),
+                     "omega1.left[0]: expected 8 columns", id="left-action-narrow"),
+        pytest.param(dict(_Z4, omega1=dict(_Z4_FORMS, d=_Z4_FORMS["d"][:7])),
+                     "omega1.d: expected 8 rows", id="d-short"),
         pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS, "leftFrameSize": "x"},
-                     id="frame-not-an-int"),
+                     _FRAME_LAYOUT % "'x'", id="frame-not-an-int"),
         pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS, "leftFrameSize": 99},
-                     id="frame-too-large"),
+                     _FRAME_LAYOUT % 99, id="frame-too-large"),
         pytest.param({"algebra": _ONE_DIM_ALGEBRA, "omega1": _ZERO_FORMS, "maxDegree": True},
-                     id="max-degree-bool"),
+                     "maxDegree must be a positive integer", id="max-degree-bool"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=[1]), "omega1": _ZERO_FORMS},
-                     id="basis-name-not-a-string"),
+                     "algebra basis names must be strings", id="basis-name-not-a-string"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=[]), "omega1": _ZERO_FORMS},
-                     id="basis-empty"),
+                     "algebra unit and basis must be lists of length dim", id="basis-empty"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, basis=None), "omega1": _ZERO_FORMS},
-                     id="basis-null"),
+                     "algebra unit and basis must be lists of length dim", id="basis-null"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, unit=[True]), "omega1": _ZERO_FORMS},
-                     id="unit-bool"),
+                     "bad rational True: expected an integer, 'p' or 'p/q'", id="unit-bool"),
         pytest.param({"algebra": dict(_ONE_DIM_ALGEBRA, dim=True), "omega1": _ZERO_FORMS},
-                     id="algebra-dim-bool"),
+                     "algebra dim must be a positive integer", id="algebra-dim-bool"),
         pytest.param({"algebra": _TWO_POINTS, "omega1": dict(_ONE_EDGE_FORMS, dim=True)},
-                     id="omega1-dim-bool"),
+                     "omega1 dim must be a nonnegative integer", id="omega1-dim-bool"),
         pytest.param(dict(_QUAT_SPEC, algebra=dict(_QUAT_SPEC["algebra"], unit="1000")),
-                     id="unit-string"),
+                     "algebra unit and basis must be lists of length dim", id="unit-string"),
     ],
 )
-def test_validate_schema_error(tmp_path, doc):
+def test_validate_schema_error(tmp_path, doc, message):
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(doc))
-    code, out = run(["validate", str(path)])
-    assert code == EXIT_PARSE
-    assert out.startswith("parse error:")
+    assert run(["validate", str(path)]) == (EXIT_PARSE, "parse error: %s\n" % message)
+
+
+def test_validate_unreadable_path(tmp_path):
+    path = str(tmp_path / "missing.json")
+    assert run(["validate", path]) == (
+        EXIT_PARSE, "parse error: cannot read %s: [Errno 2] No such file or directory: %r\n"
+        % (path, path))
+
+
+@pytest.mark.parametrize("op_doc, message", [
+    pytest.param([], "operator document must be an object", id="not-an-object"),
+    pytest.param({"source": "jets", "matrix": [["1"] * 4] * 4},
+                 "only operators on the base module are supported", id="off-the-base"),
+])
+def test_quantize_operator_schema_error(tmp_path, op_doc, message):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op_doc))
+    assert run(["quantize", "quaternion", "--op", str(path), "--json"]) == (
+        EXIT_PARSE, "parse error: %s\n" % message)
 
 
 def _swap_first_two_forms(doc):

@@ -1,5 +1,6 @@
 """Connections: solvers, torsion/curvature, higher order, jet correspondence."""
 
+import copy
 import itertools
 
 import pytest
@@ -521,6 +522,24 @@ def test_split_that_does_not_retract_the_symbols_is_refused(quat):
     j2 = jet_module(quat, quat.base_module(), 2)
     with pytest.raises(InvalidConnection):
         higher_connection_from_split(quat, j2, q.chain_lift(2).scale(2))
+
+
+def test_jet_projection_that_is_not_onto_is_refused(quat):
+    j2 = jet_module(quat, quat.base_module(), 2)
+    fake = copy.copy(j2)
+    fake.pi = Mat.zeros(12, 16)
+    with pytest.raises(InvalidConnection, match="^the jet projection is not onto$"):
+        higher_connection_from_split(quat, fake, quantization_of(quat).chain_lift(2))
+
+
+def test_symbol_inclusion_that_is_not_injective_is_refused(quat):
+    from ncjet.connections import HigherConnection
+
+    hc = canonical_two_connection(quat)
+    fake = copy.copy(hc.jet)
+    fake.iota = hc.jet.iota.hstack(hc.jet.iota)
+    with pytest.raises(InvalidConnection, match="^the symbol inclusion is not injective$"):
+        HigherConnection(quat, fake, hc.section)
 
 
 def test_one_connection_from_connection(quat):

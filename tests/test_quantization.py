@@ -6,6 +6,7 @@ import pytest
 
 from ncjet.linalg import Mat, ZERO, rat, vec
 from ncjet.calculus import CalculusError
+from ncjet.connections import HigherConnection
 from ncjet.fixtures import (
     FIXTURE_NAMES,
     base_connection,
@@ -172,6 +173,35 @@ def test_half_sum_with_braiding_is_a_retraction(quat):
     assert ker.contains_space(image_of(p))
     g = quaternion_metric(calc)
     assert p.apply(g) == g
+
+
+# --- the system of higher connections ------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["quat", "two_point", "matrix2", "cayley_z4"])
+def test_quantization_is_its_system_of_higher_connections(request, name):
+    """q^k is symbol o split_k o j^k for the order-k connection of the system."""
+    calc = request.getfixturevalue(name)
+    q = quantization_of(calc)
+    assert sorted(q.system) == list(range(1, q.cap + 1))
+    for k, hc in q.system.items():
+        jet = jet_module(calc, calc.base_module(), k)
+        assert isinstance(hc, HigherConnection) and hc.jet is jet
+        assert hc.split == q.chain_lift(k)
+        assert hc.split * jet.j == q.chain[k]
+
+
+def test_connection_chain_stops_below_the_cap(quat, monkeypatch):
+    """No connection is built on S^cap: no chain operator reads one."""
+    import ncjet.quantization as quantization
+
+    calls = []
+    real = quantization.tensor_connection
+    monkeypatch.setattr(quantization, "tensor_connection",
+                        lambda *args: calls.append(args) or real(*args))
+    q = quantization.build_quantization(quat, quat.base_module(), braided_connection(quat),
+                                        base_connection(quat))
+    assert q.cap == 3 and len(calls) == q.cap - 1
+    assert q.chain == quantization_of(quat).chain
 
 
 # --- quantization sections ----------------------------------------------------------------
