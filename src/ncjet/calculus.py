@@ -127,9 +127,6 @@ class Calculus:
         """The algebra as a bimodule over itself: omega[0], so its forms are the tower's."""
         return self.omega[0]
 
-    def dim_omega(self, n):
-        return self.omega[n].dim
-
     def check_degree(self, n):
         if n < 0 or n > self.max_degree:
             raise CalculusError(

@@ -2,11 +2,14 @@
 
 Exit codes: 0 pass, 1 assertion failure, 2 invalid input, 3 parse error.
 Every command takes a calculus spec file (JSON) or a compiled-in fixture
-name, and treats both alike: `quantize` works on any calculus that admits
-a braided connection, and its --star-gens needs a declared left frame.  All
-reports are deterministic and --json output is byte-stable for identical
-inputs.  NCJET_MAX_DIM overrides the ambient-dimension cap; an input that
-needs a larger matrix is invalid (exit 2).
+name, and treats both alike.  `quantize` starts from the frame-parallel
+connection on a calculus with a declared left frame, and refuses when that
+connection has no braiding, even if other braided connections exist;
+without a frame it starts from the braided solver's canonical point.  Its
+--star-gens needs a declared left frame.  All reports are deterministic and
+--json output is byte-stable for identical inputs.  NCJET_MAX_DIM
+overrides the ambient-dimension cap; an input that needs a larger matrix
+is invalid (exit 2).
 """
 
 from __future__ import annotations

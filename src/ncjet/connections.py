@@ -164,44 +164,36 @@ def _braiding(calc: Calculus) -> _Braiding:
 def braiding_of(calc: Calculus, nabla: Mat) -> Mat:
     """The braiding sigma = L(nabla) D^+ that right Leibniz assigns to nabla.
 
-    It is a braiding of nabla exactly when nabla satisfies the rows of
-    braided_connection_system (see _Braiding).
+    It is a braiding of nabla exactly when L(nabla) kills ker D (see
+    _Braiding), the rows that solve_bimodule_connections imposes.
     """
     return sum(((nabla if a is None else a * nabla) * b for a, b in _braiding(calc).sigma_terms),
                Mat.zeros(nabla.rows, nabla.rows))
 
 
-def braided_connection_system(calc: Calculus) -> AffineSystem:
-    """Linear system for the connections on the one-forms that admit a braiding.
-
-    Unknowns are the connection entries; rows impose left Leibniz and
-    L(nabla) k = 0 for each k in ker D (see _Braiding).  Right linearity of
-    the braiding follows, as sigma(xi (x) (da) b) = sigma(xi (x) d(ab)) -
-    sigma(xi a (x) db) = sigma(xi (x) da) b; left linearity follows from
-    left Leibniz.
-    """
-    sys = _connection_system(calc, calc.omega1)
-    for row in _braiding(calc).rows:
-        sys.add_row(row)
-    return sys
-
-
 def solve_bimodule_connections(calc: Calculus) -> AffineSpace:
     """Affine space of (connection, braiding) pairs on the one-forms.
 
-    Solved over the connection alone (braided_connection_system) and mapped
-    to (nabla, sigma) coordinates, connection entries first, braiding
-    entries after.  The map is injective and keeps the connection block, so
-    the images of the connection family's canonical rows are the canonical
-    rows of the pair family.  The canonical point is zero on the free
-    columns of the pair system, which are the last nonzero columns of a
-    reverse echelon basis of the direction; it is any member with those
-    columns cleared.
+    Solved over the connection alone and mapped to (nabla, sigma)
+    coordinates, connection entries first, braiding entries after.  The
+    rows impose left Leibniz and L(nabla) k = 0 for each k in ker D (see
+    _Braiding).  Right linearity of the braiding follows, as
+    sigma(xi (x) (da) b) = sigma(xi (x) d(ab)) - sigma(xi a (x) db) =
+    sigma(xi (x) da) b; left linearity follows from left Leibniz.
+
+    The map is injective and keeps the connection block, so the images of
+    the connection family's canonical rows are the canonical rows of the
+    pair family.  The canonical point is zero on the free columns of the
+    pair system, which are the last nonzero columns of a reverse echelon
+    basis of the direction; it is any member with those columns cleared.
     """
-    sol = braided_connection_system(calc).solve()
+    sys = _connection_system(calc, calc.omega1)
+    br = _braiding(calc)
+    for row in br.rows:
+        sys.add_row(row)
+    sol = sys.solve()
     if sol.empty:
         return sol
-    br = _braiding(calc)
     qq, o1 = br.shape
     n_nabla = qq * o1
     n = n_nabla + qq * qq
@@ -329,10 +321,6 @@ class HigherConnection:
             raise InvalidConnection("splitting identities fail")
         if self.split * jet.iota != Mat.identity(jet.sym.dim):
             raise InvalidConnection("split does not retract the symbol inclusion")
-
-    @property
-    def n(self):
-        return self.jet.n
 
 
 def higher_connection_from_split(calc: Calculus, jet: JetModule, split: Mat) -> HigherConnection:

@@ -11,14 +11,14 @@ of the calculus, each built once and kept in `calc.memo`.
 
 from __future__ import annotations
 
-from .linalg import Mat, ZERO
-from .algebra import functions_on_points, mat_from_flat, matrix_algebra, matrix_rows
+from .linalg import Mat, ZERO, inverse
+from .algebra import functions_on_points, matrix_algebra
 from .calculus import Calculus, CalculusError, memo, quaternion_calculus, universal_calculus
 from .connections import (
     BimoduleConnection,
     Connection,
+    InvalidConnection,
     bimodule_connection_from_vector,
-    braided_connection_system,
     braiding_of,
     solve_bimodule_connections,
 )
@@ -60,25 +60,25 @@ def quaternion_metric(calc: Calculus):
 
 
 def frame_parallel_bimodule_connection(calc: Calculus) -> BimoduleConnection:
-    """The braided connection with all frame one-forms parallel.
+    """The braided connection with all frame one-forms parallel, in closed form.
 
-    Solves the braided connection system with the frame pinned, nabla F = 0
-    for F the frame vectors as columns, and reads the braiding off the
-    solution; raises if that pinning is infeasible or leaves residual
-    freedom.
+    Left Leibniz and nabla theta_t = 0 give nabla(e_a theta_t) = d(e_a) (x)
+    theta_t.  With F the one-forms e_a theta_t as columns, (t, a) in order,
+    and N their images, nabla F = N; F is invertible since the theta_t are a
+    left frame, so nabla = N F^-1.  The braiding is the one right Leibniz
+    assigns to nabla (braiding_of), and a failed law of the pair is refused.
+    The pinned solve of the joint system is the test reference.
     """
-    om11, _ = calc.form_module(1, calc.omega1)
-    o1, qq = calc.omega1.dim, om11.dim
-    sys = braided_connection_system(calc)
-    for coeffs, rhs in matrix_rows((qq, o1), [(None, Mat.from_cols(frame_vectors(calc), o1))]):
-        sys.add_row(coeffs, rhs)
-    sol = sys.solve()
-    if sol.empty:
-        raise CalculusError("no frame-parallel braided connection exists")
-    if sol.dim != 0:
-        raise CalculusError("frame-parallel braided connection is not unique")
-    nabla = Connection(calc, calc.omega1, mat_from_flat(sol.particular, qq, o1))
-    return BimoduleConnection(calc, nabla, braiding_of(calc, nabla.mat))
+    om1 = calc.omega1
+    om11, ts = calc.form_module(1, om1)
+    pairs = [(theta, a) for theta in frame_vectors(calc) for a in range(calc.algebra.dim)]
+    f = Mat.from_cols([om1.left[a].apply(theta) for theta, a in pairs], om1.dim)
+    n = Mat.from_cols([ts.class_of(calc.d_of_basis(a), theta) for theta, a in pairs], om11.dim)
+    nabla = Connection(calc, om1, n * inverse(f))
+    try:
+        return BimoduleConnection(calc, nabla, braiding_of(calc, nabla.mat))
+    except InvalidConnection as exc:
+        raise CalculusError("no frame-parallel braided connection exists: %s" % exc) from None
 
 
 def braided_connection(calc: Calculus) -> BimoduleConnection:

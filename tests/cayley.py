@@ -53,10 +53,21 @@ def group_spec(table, gens, max_degree=3):
     }
 
 
+def cyclic_group(n):
+    """Multiplication table of Z/n, x at index x."""
+    return [[(x + y) % n for y in range(n)] for x in range(n)]
+
+
+def direct_product(g, h):
+    """Multiplication table of G x H from those of G and H, (x, y) at index x * |H| + y."""
+    m = len(h)
+    return [[g[a // m][b // m] * m + h[a % m][b % m] for b in range(len(g) * m)]
+            for a in range(len(g) * m)]
+
+
 def cayley_spec(n, gens, max_degree=3):
     """Spec document of the Cayley-graph calculus of Z/n with generators `gens`."""
-    table = [[(x + y) % n for y in range(n)] for x in range(n)]
-    return group_spec(table, [c % n for c in gens], max_degree)
+    return group_spec(cyclic_group(n), [c % n for c in gens], max_degree)
 
 
 def symmetric_group(k):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cayley import cayley_spec, group_spec, symmetric_group
-from ncjet.fixtures import fixture
-from ncjet.linalg import Mat
+from ncjet.fixtures import fixture, frame_vectors
+from ncjet.linalg import Mat, inverse
 from ncjet.specio import parse_calculus_spec, serialize_calculus
 
 
@@ -57,17 +57,18 @@ def _shears(n, shears):
     return fwd, inv
 
 
-def sheared_spec(doc, alg_shears, form_shears):
-    """The calculus of the spec `doc` written in integer-sheared bases.
+def basis_change_spec(doc, p, q):
+    """The calculus of the spec `doc` in new algebra and one-form bases.
 
+    p = (P, P^-1) and q = (Q, Q^-1); column i of P (of Q) is the new i-th
+    basis element of the algebra (of the one-forms) in old coordinates.
     Structure constants become P^-1 m(P., P.), actions Q^-1 (sum_k P[k][a] L_k) Q
-    and the differential Q^-1 d P; every dimension and verdict is unchanged,
-    while the canonical quotient bases get non-unit pivots.
+    and the differential Q^-1 d P; every dimension and verdict is unchanged.
+    Basis names and maxDegree are kept, and no left frame is declared.
     """
     alg, om = doc["algebra"], doc["omega1"]
     n, m = alg["dim"], om["dim"]
-    p, p_inv = _shears(n, alg_shears)
-    q, q_inv = _shears(m, form_shears)
+    (p, p_inv), (q, q_inv) = p, q
     mult = [[[Fraction(x) for x in col] for col in plane] for plane in alg["mult"]]
 
     def new_prod(i, j):
@@ -89,7 +90,7 @@ def sheared_spec(doc, alg_shears, form_shears):
     return {
         "algebra": {
             "dim": n,
-            "basis": ["b%d" % i for i in range(n)],
+            "basis": list(alg["basis"]),
             "unit": [str(sum(p_inv[r][s] * unit[s] for s in range(n))) for r in range(n)],
             "mult": [out([new_prod(i, j) for j in range(n)]) for i in range(n)],
         },
@@ -103,6 +104,17 @@ def sheared_spec(doc, alg_shears, form_shears):
     }
 
 
+def sheared_spec(doc, alg_shears, form_shears):
+    """The spec `doc` in integer-sheared bases, with the algebra basis renamed b0, b1, ...
+
+    The canonical quotient bases get non-unit pivots (see basis_change_spec).
+    """
+    n, m = doc["algebra"]["dim"], doc["omega1"]["dim"]
+    out = basis_change_spec(doc, _shears(n, alg_shears), _shears(m, form_shears))
+    out["algebra"]["basis"] = ["b%d" % i for i in range(n)]
+    return out
+
+
 @pytest.fixture(scope="session")
 def sheared_quat_doc(quat):
     """The quaternion calculus as a spec in fixed integer-sheared bases."""
@@ -112,6 +124,25 @@ def sheared_quat_doc(quat):
 @pytest.fixture(scope="session")
 def sheared_quat(sheared_quat_doc):
     return parse_calculus_spec(sheared_quat_doc)
+
+
+@pytest.fixture(scope="session")
+def reframed_quat_doc(quat):
+    """The quaternion calculus on the left frame ((1 + i) di, dj), declared as its frame.
+
+    The new one-form basis element (t, a) is e_a theta'_t, so the spec keeps
+    the frame layout.
+    """
+    alg, om1 = quat.algebra, quat.omega1
+    n, m = alg.dim, om1.dim
+    one_plus_i = list(alg.unit)
+    one_plus_i[alg.basis_names.index("i")] += 1
+    theta0, theta1 = frame_vectors(quat)
+    frame = [om1.act_left(one_plus_i, theta0), theta1]
+    cols = [om1.act_left(alg.basis_vector(a), theta) for theta in frame for a in range(n)]
+    q = Mat.from_cols(cols, m)
+    doc = basis_change_spec(serialize_calculus(quat), _shears(n, ()), (q.data, inverse(q).data))
+    return dict(doc, leftFrameSize=2)
 
 
 @pytest.fixture(scope="session")

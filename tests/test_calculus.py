@@ -52,7 +52,7 @@ def test_rationals_have_no_universal_forms():
 
 def test_universal_tower_is_tensor_algebra(matrix2):
     calc = matrix2
-    assert [calc.dim_omega(n) for n in range(4)] == [4, 12, 36, 108]
+    assert [calc.omega[n].dim for n in range(4)] == [4, 12, 36, 108]
     assert calc.relation_space.dim == 0
 
 
@@ -117,7 +117,7 @@ def test_d_squared_of_k_via_leibniz(quat):
 
 def test_quaternion_dims_and_degree_two_relation(quat):
     calc = quat
-    assert [calc.dim_omega(n) for n in range(4)] == [4, 8, 12, 16]
+    assert [calc.omega[n].dim for n in range(4)] == [4, 8, 12, 16]
     # oracle: quotient of the 16-dim tensor square by the closure of the
     # differential of the degree-1 relations
     om11, ts = tensor_bimodule(calc.omega1, calc.omega1)
@@ -135,7 +135,7 @@ def test_quaternion_dims_and_degree_two_relation(quat):
         gens.append(ts.proj.apply(plain))
     closure = module_closure(om11, gens, use_right=True)
     assert closure.dim == 4
-    assert 16 - closure.dim == calc.dim_omega(2)
+    assert 16 - closure.dim == calc.omega[2].dim
 
 
 def test_wedge_relation_and_kernel(quat):
@@ -274,15 +274,15 @@ def test_differentials_match_the_spanning_tuple_reference(request, case):
 def test_quaternion_tower_to_degree_eight():
     """Forms of dimension 4(k+1) up to degree 8, where d_7 alone has 4^8 spanning tuples."""
     calc = quaternion_calculus(8)
-    assert [calc.dim_omega(k) for k in range(9)] == [4 * (k + 1) for k in range(9)]
+    assert [calc.omega[k].dim for k in range(9)] == [4 * (k + 1) for k in range(9)]
     for k in range(1, 8):
         assert (calc.d[k] * calc.d[k - 1]).is_zero()
 
 
 def test_degenerate_calculus_is_legal():
     calc = universal_calculus(Algebra(1, ["1"], [[[1]]], [1]), max_degree=2)
-    assert calc.dim_omega(1) == 0
-    assert calc.dim_omega(2) == 0
+    assert calc.omega[1].dim == 0
+    assert calc.omega[2].dim == 0
 
 
 # --- twisted pairs -----------------------------------------------------------------------

@@ -693,7 +693,7 @@ def test_dump_fixture_round_trip(quat):
     assert code == EXIT_PASS
     doc = json.loads(out)
     calc = parse_calculus_spec(doc)
-    assert [calc.dim_omega(n) for n in range(4)] == [4, 8, 12, 16]
+    assert [calc.omega[n].dim for n in range(4)] == [4, 8, 12, 16]
     # identical computation after the round trip
     assert serialize_calculus(calc) == doc
 
@@ -773,6 +773,22 @@ def test_quantize_directed_cycle_refuses(tmp_path):
     code, out = run(["quantize", str(path), "--json"])
     assert code == EXIT_INVALID
     assert "jet lifts are not unique at order 4" in out
+
+
+def test_quantize_refuses_a_declared_frame_whose_parallel_connection_has_no_braiding(
+        tmp_path, reframed_quat_doc):
+    # On the frame ((1 + i) di, dj), keeping (1 + i) di parallel gives
+    # nabla(di) = -(1 - i)/2 di (x) di, whose coefficient has real part -1/2, so the
+    # braided connections (the quaternion's 24-dimensional family) miss it.
+    path = tmp_path / "reframed.json"
+    path.write_text(dump_json(reframed_quat_doc))
+    assert run(["validate", str(path)]) == (EXIT_PASS, "ok\n")
+    code, out = run(["connections", str(path), "--bimodule", "--json"])
+    assert code == EXIT_PASS
+    assert json.loads(out)["affine_dim"] == 24
+    assert run(["quantize", str(path), "--json"]) == (
+        EXIT_INVALID, "invalid input: no frame-parallel braided connection exists: "
+        "bimodule connection fails: braiding not right-linear at i\n")
 
 
 def test_star_gens_refuse_a_repeated_label(tmp_path, quat):

@@ -5,8 +5,10 @@ import itertools
 
 import pytest
 
+from cayley import cyclic_group, direct_product, group_spec
 from conftest import QUAT_FORM_SHEARS, _shears, selection
-from ncjet.linalg import AffineSystem, Mat, ONE, ZERO, image_of, kron, rat, vec
+from ncjet.linalg import (AffineSystem, DimensionCapError, Mat, ONE, ZERO, image_of, kron, rat,
+                          vec)
 from ncjet.algebra import Bimodule, add_intertwining_rows, mat_from_flat, solve_module_maps
 from ncjet.connections import (
     BimoduleConnection,
@@ -39,6 +41,7 @@ from ncjet.fixtures import (
     quaternion_metric,
 )
 from ncjet.jets import delta_contraction, jet_module, spencer_operator, sym_module, twist_mats
+from ncjet.specio import parse_calculus_spec
 
 
 def frame_form(calc, t):
@@ -292,6 +295,18 @@ def test_frame_parallel_connection_matches_pinned_joint_system(framed_calc, monk
     assert [x for m in (bc.base.mat, bc.sigma) for row in m.data for x in row] == want.particular
 
 
+def test_frame_parallel_connection_on_z5_x_z5_at_the_default_cap(monkeypatch):
+    """Built in closed form where the braided solve, 100 x 50 connection unknowns, is refused."""
+    monkeypatch.delenv("NCJET_MAX_DIM", raising=False)
+    z5 = cyclic_group(5)
+    calc = parse_calculus_spec(group_spec(direct_product(z5, z5), [5, 1], max_degree=1))
+    with pytest.raises(DimensionCapError, match="^ambient dimension 5000 exceeds cap 4096$"):
+        solve_bimodule_connections(calc)
+    bc = frame_parallel_bimodule_connection(calc)
+    for theta in frame_vectors(calc):
+        assert not any(bc.base.mat.apply(theta))
+
+
 def solve_with_two_sided_braiding(calc):
     """Reference solve: the joint system with two-sided linearity of the braiding.
 
@@ -447,11 +462,11 @@ def test_square_of_covariant_exterior_is_wedge_with_curvature(quat):
         for t in range(calc.omega1.dim):
             rv = cr.col(t)
             plain = selection(ts2).apply(rv)
-            acc = [ZERO] * (calc.dim_omega(3) * calc.omega1.dim)
+            acc = [ZERO] * (calc.omega[3].dim * calc.omega1.dim)
             for idx, v in enumerate(plain):
                 if v:
                     c, e = divmod(idx, calc.omega1.dim)
-                    col = w12.col(b * calc.dim_omega(2) + c)
+                    col = w12.col(b * calc.omega[2].dim + c)
                     for rr, vv in enumerate(col):
                         if vv:
                             acc[rr * calc.omega1.dim + e] += v * vv

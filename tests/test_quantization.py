@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from ncjet.linalg import Mat, ZERO, rat, vec
+from ncjet.algebra import mat_from_flat
 from ncjet.calculus import CalculusError
 from ncjet.connections import HigherConnection
 from ncjet.fixtures import (
@@ -214,17 +215,11 @@ def module_linear_symbols(quat, k, count=3):
     sol = solve_module_maps(sk.mod, quat.base_module(), "left")
     out = []
     flat = list(sol.particular)
-    out.append(Symbol(k, mat_from_flat_local(flat, quat.base_module().dim, sk.dim)))
+    out.append(Symbol(k, mat_from_flat(flat, quat.base_module().dim, sk.dim)))
     for row in sol.direction.basis.data[:count]:
         shifted = [a + b for a, b in zip(flat, row)]
-        out.append(Symbol(k, mat_from_flat_local(shifted, quat.base_module().dim, sk.dim)))
+        out.append(Symbol(k, mat_from_flat(shifted, quat.base_module().dim, sk.dim)))
     return out
-
-
-def mat_from_flat_local(flat, rows, cols):
-    from ncjet.algebra import mat_from_flat
-
-    return mat_from_flat(flat, rows, cols)
 
 
 def test_section_law_on_symbols(quat, q):
