@@ -234,10 +234,6 @@ class Bimodule(LeftModule):
         gmat = Mat.from_cols(gens, dim)
         return (len(gens) // dA, *split(gmat))
 
-    def act_right(self, v, a):
-        """Right action of the algebra element with coordinates a on v."""
-        return self.right_mult(a).apply(v)
-
     def right_mult(self, a) -> Mat:
         """Right action matrix of the algebra element with coordinates a."""
         return combination(a, self.right)
@@ -277,9 +273,9 @@ class Bimodule(LeftModule):
         return "Bimodule(%s, dim %d)" % (self.label, self.dim)
 
 
-def regular_bimodule(a: Algebra, label=None) -> Bimodule:
+def regular_bimodule(a: Algebra) -> Bimodule:
     """The algebra as a bimodule over itself."""
-    return Bimodule(a, a.dim, a.lmat, a.rmat, label or a.name)
+    return Bimodule(a, a.dim, a.lmat, a.rmat, a.name)
 
 
 class TensorSpace:
@@ -427,9 +423,9 @@ def tensor_left_module(m: Bimodule, n: LeftModule, label="") -> tuple:
     return Bimodule(alg, ts.dim, left, right, label), ts
 
 
-def tensor_bimodule(m: Bimodule, n: Bimodule, label="") -> tuple:
+def tensor_bimodule(m: Bimodule, n: Bimodule) -> tuple:
     """(bimodule m (x)_A n, tensor space presentation)."""
-    return tensor_left_module(m, n, label)
+    return tensor_left_module(m, n)
 
 
 def _closure(dim, seeds, mats) -> Subspace:

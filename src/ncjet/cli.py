@@ -118,7 +118,7 @@ def cmd_jets(args, out):
         if n >= 1:
             ex = jet_exactness(calc, e, n)
             row["exact"] = ex["exact"]
-            row["pullback"] = ex.get("pullback_square", True)
+            row["pullback"] = ex["pullback_square"]
             row["elemental_equal"] = elemental_span(calc, jet).dim == jet.dim
         rows.append(row)
     report = {"calculus": calc.name or args.path, "orders": rows}

@@ -10,7 +10,7 @@ and block-decomposition identities the correspondence rests on.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 
 from .linalg import (
     Mat,
@@ -131,9 +131,10 @@ class _Braiding:
     ... | D_{dim A - 1}], D_a(xi) = xi (x) d(e_a), and D is onto since the
     one-forms are A.dA (validate_fodc).  So a braiding exists exactly when
     L(nabla) kills M = ker D, and then it is L(nabla) at M = D^+, a right
-    inverse; linalg.split gives both from one elimination.  `rows` (built
-    once per calculus) and `sigma_terms` are these two over the
-    connection's entries (see algebra.matrix_rows).
+    inverse; linalg.split gives both from one elimination.  `kernel_terms`
+    and `sigma_terms` are these two over the connection's entries; `rows`
+    expands the first into solver rows (see algebra.matrix_rows), once per
+    calculus and only when solve_bimodule_connections reads them.
     """
 
     def __init__(self, calc: Calculus):
@@ -153,8 +154,12 @@ class _Braiding:
             return [(None, u)] + [(r, -b) for r, b in zip(om11.right, blocks) if not b.is_zero()]
 
         self.shape = (qq, o1)
-        self.rows = [coeffs for coeffs, _ in matrix_rows(self.shape, leibniz_terms(ker))]
+        self.kernel_terms = leibniz_terms(ker)
         self.sigma_terms = leibniz_terms(dplus)
+
+    @cached_property
+    def rows(self):
+        return [coeffs for coeffs, _ in matrix_rows(self.shape, self.kernel_terms)]
 
 
 def _braiding(calc: Calculus) -> _Braiding:

@@ -22,6 +22,7 @@ from .connections import (
     braiding_of,
     solve_bimodule_connections,
 )
+from .jets import twist_mats
 from .quantization import Symbol, build_quantization, partial_operators
 
 
@@ -29,9 +30,8 @@ def base_connection(calc: Calculus) -> Connection:
     """The differential as the canonical connection on the algebra itself."""
     def build():
         e = calc.base_module()
-        fm, ts = calc.form_module(1, e)
-        cols = [ts.class_of(calc.d_of_basis(a), calc.algebra.unit)
-                for a in range(calc.algebra.dim)]
+        fm, _ = calc.form_module(1, e)
+        cols = [t_a.apply(calc.algebra.unit) for t_a in twist_mats(calc, e)]
         return Connection(calc, e, Mat.from_cols(cols, fm.dim))
 
     return calc.memo(("base_conn",), build)
@@ -70,10 +70,11 @@ def frame_parallel_bimodule_connection(calc: Calculus) -> BimoduleConnection:
     The pinned solve of the joint system is the test reference.
     """
     om1 = calc.omega1
-    om11, ts = calc.form_module(1, om1)
+    om11, _ = calc.form_module(1, om1)
+    twist = twist_mats(calc, om1)
     pairs = [(theta, a) for theta in frame_vectors(calc) for a in range(calc.algebra.dim)]
     f = Mat.from_cols([om1.left[a].apply(theta) for theta, a in pairs], om1.dim)
-    n = Mat.from_cols([ts.class_of(calc.d_of_basis(a), theta) for theta, a in pairs], om11.dim)
+    n = Mat.from_cols([twist[a].apply(theta) for theta, a in pairs], om11.dim)
     nabla = Connection(calc, om1, n * inverse(f))
     try:
         return BimoduleConnection(calc, nabla, braiding_of(calc, nabla.mat))

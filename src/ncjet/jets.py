@@ -22,19 +22,16 @@ NONHOLONOMIC = "nonholonomic"
 
 
 class PairData:
-    """P(M) = M + forms(x)M with the jet left action, plus its split maps."""
+    """P(M) = M + forms(x)M with the jet left action, plus its split maps.
 
-    def __init__(self, mod, base, form_mod, ts):
+    m0 and m1 are the dimensions of M and forms(x)M."""
+
+    def __init__(self, mod, m0, m1):
         self.mod = mod
-        self.base = base
-        self.form_mod = form_mod
-        self.ts = ts
-        self.m0 = base.dim
-        self.m1 = form_mod.dim
-        eye0 = Mat.identity(self.m0)
-        eye1 = Mat.identity(self.m1)
-        z01 = Mat.zeros(self.m0, self.m1)
-        z10 = Mat.zeros(self.m1, self.m0)
+        eye0 = Mat.identity(m0)
+        eye1 = Mat.identity(m1)
+        z01 = Mat.zeros(m0, m1)
+        z10 = Mat.zeros(m1, m0)
         self.pi = eye0.hstack(z01)          # first component
         self.rho = z10.hstack(eye1)         # second component
         self.j = eye0.vstack(z10)           # x -> (x, 0)
@@ -47,12 +44,12 @@ def pair_module(calc: Calculus, m: LeftModule) -> PairData:
 
 
 def _pair_module(calc: Calculus, m: LeftModule) -> PairData:
-    fm, ts = calc.form_module(1, m)
+    fm, _ = calc.form_module(1, m)
     zeros = Mat.zeros(m.dim, fm.dim)
     left = [m.left[a].hstack(zeros).vstack((-t_a).hstack(fm.left[a]))
             for a, t_a in enumerate(twist_mats(calc, m))]
     mod = LeftModule(calc.algebra, m.dim + fm.dim, left, label="P(%s)" % m.label)
-    return PairData(mod, m, fm, ts)
+    return PairData(mod, m.dim, fm.dim)
 
 
 def twist_mats(calc: Calculus, m: LeftModule, right=False):
@@ -183,7 +180,7 @@ class JetModule:
         self.l = l
         self.j = j
         self.iota = iota
-        self.carrier = carrier  # Subspace of P(J^{n-1}) coords, for n >= 2
+        self.carrier = carrier  # Subspace of P(J^{n-1}) coords, for n >= 1
         self.sym = sym
         if n >= 1:
             pd = pair_module(calc, lower.mod)
@@ -346,7 +343,7 @@ def delta_contraction(calc: Calculus, e: LeftModule, h: int, k: int) -> Mat:
         "wedge contraction"))
 
 
-def spencer_complex(calc: Calculus, e: LeftModule, n: int, flavor=HOLONOMIC):
+def spencer_complex(calc: Calculus, e: LeftModule, n: int):
     """The length-n Spencer sequence: maps, complex verdict, cohomology dims.
 
     Returns a dict with the prolongation, the Spencer operators, whether all
@@ -354,7 +351,7 @@ def spencer_complex(calc: Calculus, e: LeftModule, n: int, flavor=HOLONOMIC):
     positions 0..n+1.
     """
     calc.check_degree(n)
-    jets = [jet_module(calc, e, kk, flavor) for kk in range(n + 1)]
+    jets = [jet_module(calc, e, kk) for kk in range(n + 1)]
     maps = [jets[n].j]
     for k in range(n):
         maps.append(spencer_operator(calc, jets[n - k], k))
@@ -454,7 +451,7 @@ def holonomic_via_spencer(calc: Calculus, e: LeftModule, n: int) -> Subspace:
 
 
 def jet_exactness(calc: Calculus, e: LeftModule, n: int):
-    """Exactness data of the order-n jet sequence plus the pullback check."""
+    """Exactness data of the order-n jet sequence (n >= 1) plus the pullback check."""
     jet = jet_module(calc, e, n, HOLONOMIC)
     lower = jet.lower
     sym = jet.sym
@@ -466,16 +463,11 @@ def jet_exactness(calc: Calculus, e: LeftModule, n: int):
     im_iota = image_of(jet.iota)
     report["image_is_kernel"] = ker_pi == im_iota
     report["dims_additive"] = jet.dim == lower.dim + sym.dim
-    if n >= 1:
-        # pullback: carrier intersect (prolongations of the lower jet) equals
-        # the prolongation image of the base
-        pd = pair_module(calc, lower.mod)
-        j1_image = image_of(pd.j)
-        carrier = jet.carrier if jet.carrier is not None else Subspace.full(pd.mod.dim)
-        inter = intersect(carrier, j1_image)
-        jn_image = image_of(jet.l * jet.j)
-        report["pullback_square"] = inter == jn_image
-        report["pullback_dim"] = inter.dim
+    # pullback: carrier intersect (prolongations of the lower jet) equals
+    # the prolongation image of the base
+    inter = intersect(jet.carrier, image_of(pair_module(calc, lower.mod).j))
+    report["pullback_square"] = inter == image_of(jet.l * jet.j)
+    report["pullback_dim"] = inter.dim
     report["exact"] = all(
         report[k] for k in ("pi_surjective", "iota_injective", "image_is_kernel", "dims_additive")
     )

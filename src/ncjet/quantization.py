@@ -145,9 +145,6 @@ class GradedSymbol:
     def degrees(self):
         return sorted(self.parts)
 
-    def top_degree(self):
-        return max(self.parts) if self.parts else None
-
     def __repr__(self):
         return "GradedSymbol(degrees %s)" % self.degrees()
 
@@ -228,10 +225,6 @@ class Quantization:
         self.cap = max(self.chain)
         self._memo = {}
 
-    def chain_lift(self, k: int) -> Mat:
-        """The left splitting of the order-k jet sequence behind q^k."""
-        return self.system[k].split if k else Mat.identity(self.ctx.e.dim)
-
     def q(self, sym: Symbol) -> Mat:
         """Order-(deg) operator realizing the symbol."""
         if sym.degree > self.cap:
@@ -255,9 +248,6 @@ class Quantization:
         for p, mat in self.q_formal(HPoly.of(gs)).items():
             out = out + mat.scale(hbar**p)
         return out
-
-    def q_graded(self, gs: GradedSymbol) -> Mat:
-        return self.q_deformed(gs, 1)
 
     def zeta(self, mat: Mat, k: int, target=None) -> Symbol:
         """Degree-k symbol of an operator of order <= k."""

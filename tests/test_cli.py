@@ -775,6 +775,40 @@ def test_quantize_directed_cycle_refuses(tmp_path):
     assert "jet lifts are not unique at order 4" in out
 
 
+@pytest.fixture(scope="module")
+def lattice_path(tmp_path_factory):
+    """Path of the spec of the directed cycle Z/n {1}, a one-dimensional lattice."""
+    def path(n):
+        out = tmp_path_factory.mktemp("lattice") / ("z%d.json" % n)
+        out.write_text(dump_json(cayley_spec(n, [1])))
+        return str(out)
+
+    return path
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_lattice_jets_grow_by_one_copy_per_order_below_n(lattice_path, n):
+    code, out = run(["jets", lattice_path(n), "--order", str(n - 1), "--json"])
+    assert code == EXIT_PASS
+    rows = json.loads(out)["orders"]
+    assert [(r["jet_dim"], r["sym_dim"]) for r in rows] == [(n * (k + 1), n) for k in range(n)]
+    assert all(r["exact"] and r["elemental_equal"] for r in rows[1:])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lattice_jets_at_order_n_are_not_elemental(lattice_path, n):
+    code, out = run(["jets", lattice_path(n), "--order", str(n), "--json"])
+    assert code == EXIT_FAIL
+    rows = json.loads(out)["orders"]
+    assert [r["elemental_equal"] for r in rows[1:]] == [True] * (n - 1) + [False]
+
+
+def test_quantize_lattice_z3_refuses(lattice_path):
+    assert run(["quantize", lattice_path(3), "--json"]) == (
+        EXIT_INVALID, "invalid input: jet lifts are not unique at order 3; quantization refuses "
+        "to pick silently\n")
+
+
 def test_quantize_refuses_a_declared_frame_whose_parallel_connection_has_no_braiding(
         tmp_path, reframed_quat_doc):
     # On the frame ((1 + i) di, dj), keeping (1 + i) di parallel gives

@@ -5,11 +5,13 @@ import itertools
 
 import pytest
 
-from cayley import cyclic_group, direct_product, group_spec
+import ncjet.connections
+from cayley import cayley_spec, cyclic_group, direct_product, group_spec
 from conftest import QUAT_FORM_SHEARS, _shears, selection
 from ncjet.linalg import (AffineSystem, DimensionCapError, Mat, ONE, ZERO, image_of, kron, rat,
                           vec)
-from ncjet.algebra import Bimodule, add_intertwining_rows, mat_from_flat, solve_module_maps
+from ncjet.algebra import (Bimodule, add_intertwining_rows, mat_from_flat, matrix_rows,
+                           solve_module_maps)
 from ncjet.connections import (
     BimoduleConnection,
     Connection,
@@ -115,12 +117,12 @@ def test_braiding_satisfies_defect_formula(quat):
             mv = alg.basis_vector(m)
             dm = calc.d_of_basis(m)
             bracket = [
-                x - y for x, y in zip(om1.act_right(theta, mv), om1.act_left(mv, theta))
+                x - y for x, y in zip(om1.right_mult(mv).apply(theta), om1.act_left(mv, theta))
             ]
             nab_bracket = bc.base.mat.apply(bracket)
             ntheta = bc.base.mat.apply(theta)
             nbracket2 = [
-                x - y for x, y in zip(om11.act_right(ntheta, mv), om11.act_left(mv, ntheta))
+                x - y for x, y in zip(om11.right_mult(mv).apply(ntheta), om11.act_left(mv, ntheta))
             ]
             rhs = [
                 a + b - c
@@ -268,6 +270,22 @@ def test_braided_solver_matches_joint_system(braided_calc):
     got = solve_bimodule_connections(braided_calc)
     assert not got.empty
     assert same_affine(got, bimodule_connection_system(braided_calc).solve())
+
+
+def test_braiding_rows_are_expanded_only_for_the_solve(monkeypatch):
+    """The quantization reads the braiding's sigma terms; only the solve expands its rows."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return matrix_rows(*args, **kwargs)
+
+    monkeypatch.setattr(ncjet.connections, "matrix_rows", spy)
+    calc = parse_calculus_spec(cayley_spec(4, [1, 3]))
+    quantization_of(calc)
+    assert calls == []
+    assert solve_bimodule_connections(calc).dim == 32
+    assert len(calls) == 1
 
 
 @pytest.fixture(scope="module", params=["quat", "sheared_quat", "cayley_z4"])
@@ -529,14 +547,14 @@ def test_tensor_connection_matches_kron_formula(kron_oracle_calc):
 def canonical_two_connection(quat):
     q = quantization_of(quat)
     j2 = jet_module(quat, quat.base_module(), 2)
-    return higher_connection_from_split(quat, j2, q.chain_lift(2))
+    return higher_connection_from_split(quat, j2, q.system[2].split)
 
 
 def test_split_that_does_not_retract_the_symbols_is_refused(quat):
     q = quantization_of(quat)
     j2 = jet_module(quat, quat.base_module(), 2)
     with pytest.raises(InvalidConnection):
-        higher_connection_from_split(quat, j2, q.chain_lift(2).scale(2))
+        higher_connection_from_split(quat, j2, q.system[2].split.scale(2))
 
 
 def test_jet_projection_that_is_not_onto_is_refused(quat):
@@ -544,7 +562,7 @@ def test_jet_projection_that_is_not_onto_is_refused(quat):
     fake = copy.copy(j2)
     fake.pi = Mat.zeros(12, 16)
     with pytest.raises(InvalidConnection, match="^the jet projection is not onto$"):
-        higher_connection_from_split(quat, fake, quantization_of(quat).chain_lift(2))
+        higher_connection_from_split(quat, fake, quantization_of(quat).system[2].split)
 
 
 def test_symbol_inclusion_that_is_not_injective_is_refused(quat):

@@ -1,4 +1,8 @@
-"""Every module-level function and class of the package is named outside its own definition."""
+"""Every definition of the package is used outside its own definition.
+
+Module-level functions and classes must be named in another line; class
+members must be read; defaulted parameters must be set by some call.
+"""
 
 import ast
 import re
@@ -40,3 +44,112 @@ def test_module_defines_nothing_unnamed(module):
     path = PACKAGE / module
     others = [p.read_text() for p in CORPUS if p != path]
     assert unnamed_definitions(path.read_text(), others) == []
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def class_members(source):
+    """(class, member) for each method, property and self.<field> of a module-level class."""
+    members = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = [f.name for f in cls.body
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        names += [t.attr for t in ast.walk(cls) if isinstance(t, ast.Attribute)
+                  and isinstance(t.ctx, ast.Store)
+                  and isinstance(t.value, ast.Name) and t.value.id == "self"]
+        members += [(cls.name, n) for n in dict.fromkeys(names) if not _is_dunder(n)]
+    return members
+
+
+def member_reads(sources):
+    """Attribute names loaded anywhere in `sources`, and their "Class.name" string constants."""
+    reads = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "." in node.value:
+                    reads.add(node.value)
+    return reads
+
+
+def unread_members(source, reads):
+    return ["%s.%s" % m for m in class_members(source)
+            if m[1] not in reads and "%s.%s" % m not in reads]
+
+
+def test_unread_members_are_found():
+    source = ("class C:\n    def __init__(self):\n        self.kept = 1\n        self.lost = 2\n\n"
+              "    def used(self):\n        return self.kept\n\n"
+              "    def wrapped(self):\n        pass\n\n    def dead(self):\n        pass\n")
+    reads = member_reads([source, "x.used()\nENTRIES = ('C.wrapped',)\n"])
+    assert unread_members(source, reads) == ["C.dead", "C.lost"]
+
+
+def test_every_class_member_is_read():
+    reads = member_reads(p.read_text() for p in CORPUS)
+    unread = [m for module in MODULES
+              for m in unread_members((PACKAGE / module).read_text(), reads)]
+    assert unread == []
+
+
+def defaulted_parameters(source):
+    """{function: (positional parameter names, defaulted names)} of the module-level functions."""
+    out = {}
+    for fn in ast.parse(source).body:
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if defaulted:
+                out[fn.name] = (positional, defaulted)
+    return out
+
+
+def set_parameters(functions, sources):
+    """(function, parameter) pairs that some call in `sources` sets.
+
+    A call names the function bare or as an attribute; it sets a parameter by
+    keyword or by position, and *args may set any positional one, **kwargs any."""
+    found = set()
+    for source in sources:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name not in functions:
+                continue
+            positional, defaulted = functions[name]
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            given = set(positional if starred else positional[:len(call.args)])
+            given |= {k.arg for k in call.keywords}
+            if None in given:  # **kwargs
+                given |= set(defaulted)
+            found |= {(name, p) for p in defaulted if p in given}
+    return found
+
+
+def unset_parameters(source, sources):
+    functions = defaulted_parameters(source)
+    found = set_parameters(functions, sources)
+    return ["%s(%s)" % (f, p) for f, (_, defaulted) in functions.items() for p in defaulted
+            if (f, p) not in found]
+
+
+def test_unset_parameters_are_found():
+    source = "def f(a, b=1, c=2, *, d=3):\n    pass\n\n\ndef g(x=0):\n    pass\n"
+    assert unset_parameters(source, [source, "f(1, d=4)\nm.g(*xs)\n"]) == ["f(b)", "f(c)"]
+    assert unset_parameters(source, [source, "f(1, 2, d=4)\nf(a, **kw)\ng(*xs)\n"]) == []
+
+
+def test_every_defaulted_parameter_is_set():
+    sources = [p.read_text() for p in CORPUS]
+    unset = [p for module in MODULES for p in unset_parameters((PACKAGE / module).read_text(),
+                                                                sources)]
+    assert unset == []

@@ -55,6 +55,7 @@ def test_order_one_defect(quat):
     e = quat.base_module()
     j1 = jet_module(calc, e, 1)
     pd = pair_module(calc, e)
+    _, ts = calc.form_module(1, e)
     alg = calc.algebra
     for a, b in itertools.product(range(4), repeat=2):
         av, bv = alg.basis_vector(a), alg.basis_vector(b)
@@ -65,7 +66,7 @@ def test_order_one_defect(quat):
                 j1.j.apply(alg.mul(av, bv)),
             )
         ]
-        da_b = pd.ts.class_of(calc.d_of_basis(a), bv)
+        da_b = ts.class_of(calc.d_of_basis(a), bv)
         rhs = [-x for x in pd.iota.apply(da_b)]
         assert lhs == rhs
 
@@ -92,10 +93,11 @@ def test_first_obstruction_on_iota_images(quat):
     p2 = pair_module(calc, j1.mod)
     d1m, _ = dtilde_maps(calc, e)
     _, ts1e = calc.form_module(1, e)
+    _, ts1j = calc.form_module(1, j1.mod)
     di = frame_form(calc, 0)
     for t in range(4):
         ev = calc.algebra.basis_vector(t)
-        inner = p2.ts.class_of(di, j1.j.apply(ev))
+        inner = ts1j.class_of(di, j1.j.apply(ev))
         out = d1m.apply(p2.iota.apply(inner))
         assert out == ts1e.class_of(di, ev)
     # second family: j1 of iota1 images
@@ -114,16 +116,17 @@ def test_second_obstruction_leibniz_expansion(quat):
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
     _, d2m = dtilde_maps(calc, e)
+    _, ts1j = calc.form_module(1, j1.mod)
     _, ts2e = calc.form_module(2, e)
     w11 = calc.wedge_plain(1, 1)
     for a, b, c in itertools.product(range(4), repeat=3):
         av, bv, cv = alg.basis_vector(a), alg.basis_vector(b), alg.basis_vector(c)
         inner = j1.mod.act_left(cv, j1.j.apply(alg.unit))  # [c (x) 1] = c j1(1)
         ab = alg.mul(av, bv)
-        da_b = calc.omega1.act_right(calc.d_of_basis(a), bv)
+        da_b = calc.omega1.right_mult(bv).apply(calc.d_of_basis(a))
         outer = [x + y for x, y in zip(
             p2.j.apply(j1.mod.act_left(ab, inner)),
-            [-z for z in p2.iota.apply(p2.ts.class_of(da_b, j1.mod.act_left(cv, j1.j.apply(alg.unit))))],
+            [-z for z in p2.iota.apply(ts1j.class_of(da_b, inner))],
         )]
         # expected: da ^ d(bc) (x) e with Leibniz split
         got = d2m.apply(outer)
