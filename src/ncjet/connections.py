@@ -45,7 +45,6 @@ from .jets import (
     jet_lift,
     jet_module,
     pair_map,
-    pair_module,
     spencer_operator,
     sym_module,
     twist_mats,
@@ -357,17 +356,14 @@ def associated_connection(calc: Calculus, hc: HigherConnection) -> Connection:
 def higher_curvature(calc: Calculus, hc: HigherConnection) -> Mat:
     """Obstruction to prolonging the section one more order.
 
-    Valued in two-forms (x) J^{n-1}; vanishes exactly when the double
-    application of the section stays holonomic.
+    Valued in two-forms (x) J^{n-1}: the second obstruction of J^n (its
+    Spencer operator) on P(c) l c, the double application of the section c.
+    It vanishes exactly when that double application stays holonomic.
     """
     jet = hc.jet
-    lower = jet.lower
-    m = lower.mod
-    d_first, d_second = dtilde_maps(calc, m)
-    j1_c = pair_map(calc, hc.section, lower.mod, jet.mod)
-    j1_l = pair_map(calc, jet.l, jet.mod, pair_module(calc, m).mod)
-    composite = j1_l * j1_c * jet.l * hc.section
-    return -(d_second * composite)
+    _, d_second = dtilde_maps(calc, jet)
+    j1_c = pair_map(calc, hc.section, jet.lower.mod, jet.mod)
+    return -(d_second * j1_c * jet.l * hc.section)
 
 
 def covariant_exterior_of_section(calc: Calculus, hc: HigherConnection, m: int) -> Mat:

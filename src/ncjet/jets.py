@@ -2,9 +2,11 @@
 
 Jets of order n live inside the iterated pair space P(M) = M + forms(x)M,
 where the 1-jet of M is all of P(M) with the twisted left action
-a.(x, w) = (ax, aw - da(x)x).  Holonomic jets are cut out of P(J^{n-1}) by
-the vanishing of two obstruction maps; sesquiholonomic jets by the first
-obstruction only; nonholonomic jets are the full pair space.
+a.(x, w) = (ax, aw - da(x)x).  Holonomic n-jets are the pairs (x, alpha) in
+P(J^{n-1}) with (id (x) pi)(alpha) = rho(x) and D(alpha) = 0, where pi and rho
+are J^{n-1}'s own projection and symbol part and D is its Spencer operator on
+one-form valued jets; sesquiholonomic jets obey the first condition only;
+nonholonomic jets are the full pair space.
 """
 
 from __future__ import annotations
@@ -75,25 +77,22 @@ def pair_map(calc: Calculus, f: Mat, src: LeftModule, dst: LeftModule) -> Mat:
     return f.hstack(Mat.zeros(f.rows, om.cols)).vstack(Mat.zeros(om.rows, f.cols).hstack(om))
 
 
-def dtilde_maps(calc: Calculus, m: LeftModule):
-    """Obstruction maps on P(P(M)): (first, second) component matrices.
+def dtilde_maps(calc: Calculus, jet: JetModule):
+    """Obstruction maps on P(J^{n-1}) for jet = J^{n-1} (n >= 2): (first, second).
 
-    first(xi, alpha) = (id (x) pi)(alpha) - rho(xi), valued in forms(x)M;
-    second(xi, alpha) = sum d(w_s) (x) pi(eta_s) + w_s ^ rho(eta_s) for
-    alpha = sum w_s (x) eta_s, valued in 2-forms (x) M.
+    first(x, alpha) = (id (x) pi)(alpha) - rho(x), valued in forms(x)J^{n-2};
+    second(x, alpha) = D(alpha), the Spencer operator of J^{n-1} on one-form
+    valued jets, valued in 2-forms (x) J^{n-2}.  Sesquiholonomic n-jets are the
+    kernel of first, holonomic n-jets the kernel of both.
     """
     calc.check_degree(2)
-    return calc.memo(("dtilde", m), lambda: _dtilde_maps(calc, m))
 
+    def build():
+        spencer = spencer_operator(calc, jet, 1)
+        first = (-jet.rho).hstack(calc.omega_lift(1, jet.pi, jet.mod, jet.lower.mod))
+        return first, Mat.zeros(spencer.rows, jet.dim).hstack(spencer)
 
-def _dtilde_maps(calc: Calculus, m: LeftModule):
-    pm = pair_module(calc, m)
-    p2 = pair_module(calc, pm.mod)
-    omega_pi = calc.omega_lift(1, pm.pi, pm.mod, m)
-    d_first = omega_pi * p2.rho - pm.rho * p2.pi
-    second = exterior_operator(calc, 1, pm.mod, m, pm.pi, -pm.rho, "second obstruction map")
-    d_second = Mat.zeros(second.rows, pm.mod.dim).hstack(second)
-    return d_first, d_second
+    return calc.memo(("dtilde", jet), build)
 
 
 def exterior_operator(calc: Calculus, m: int, dom: LeftModule, low: LeftModule,
@@ -230,18 +229,8 @@ def _jet_module(calc: Calculus, e: LeftModule, n: int, flavor) -> JetModule:
                          carrier=Subspace.full(pd.mod.dim))
     lower = jet_module(calc, e, n - 1, HOLONOMIC)
     pd = pair_module(calc, lower.mod)
-    if n == 2:
-        into_pp = Mat.identity(pd.mod.dim)
-        base_of_pp = e
-    else:
-        lower2 = jet_module(calc, e, n - 2, HOLONOMIC)
-        into_pp = pair_map(calc, lower.l, lower.mod, pair_module(calc, lower2.mod).mod)
-        base_of_pp = lower2.mod
-    d_first, d_second = dtilde_maps(calc, base_of_pp)
-    if flavor == SESQUI:
-        constraint = d_first * into_pp
-    else:
-        constraint = (d_first * into_pp).vstack(d_second * into_pp)
+    d_first, d_second = dtilde_maps(calc, lower)
+    constraint = d_first if flavor == SESQUI else d_first.vstack(d_second)
     carrier = kernel_of(constraint)
     l = carrier.basis.transpose()
     # carrier coordinates: pivot extraction against the echelon basis
@@ -452,6 +441,8 @@ def holonomic_via_spencer(calc: Calculus, e: LeftModule, n: int) -> Subspace:
 
 def jet_exactness(calc: Calculus, e: LeftModule, n: int):
     """Exactness data of the order-n jet sequence (n >= 1) plus the pullback check."""
+    if n < 1:
+        raise ValueError("jet exactness needs jet order >= 1")
     jet = jet_module(calc, e, n, HOLONOMIC)
     lower = jet.lower
     sym = jet.sym

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cayley import cayley_spec, group_spec, symmetric_group
+from cayley import cayley_spec, cyclic_group, direct_product, group_spec, symmetric_group
 from ncjet.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PARSE, EXIT_PASS, main
 from ncjet.linalg import rat
 from ncjet.specio import (SpecParseError, dump_json, parse_calculus_spec, parse_rat,
@@ -795,6 +795,44 @@ def test_lattice_jets_grow_by_one_copy_per_order_below_n(lattice_path, n):
     assert all(r["exact"] and r["elemental_equal"] for r in rows[1:])
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_lattice_spencer_complexes_are_exact_below_n(lattice_path, n):
+    code, out = run(["spencer", lattice_path(n), "--order", "2", "--json"])
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert all(not any(c["cohomology"]) for c in doc["complexes"])
+    assert doc["bicomplex"]["all_pass"]
+
+
+@pytest.fixture(scope="module")
+def square_lattice_path(tmp_path_factory):
+    """Path of the spec of Z/4 x Z/4 {(1,0), (0,1)}, a two-dimensional lattice."""
+    out = tmp_path_factory.mktemp("lattice") / "z4xz4.json"
+    table = direct_product(cyclic_group(4), cyclic_group(4))
+    out.write_text(dump_json(group_spec(table, [4, 1])))
+    return str(out)
+
+
+def test_square_lattice_jets_at_order_3(square_lattice_path):
+    # Jets of order k are |G| copies of the polynomials of degree <= k in two
+    # variables, symbols |G| copies of those of degree exactly k.
+    code, out = run(["jets", square_lattice_path, "--order", "3", "--json"])
+    assert code == EXIT_PASS
+    rows = json.loads(out)["orders"]
+    assert [r["jet_dim"] for r in rows] == [16, 48, 96, 160]
+    assert [r["sym_dim"] for r in rows] == [16, 32, 48, 64]
+    assert all(r["exact"] and r["elemental_equal"] for r in rows[1:])
+
+
+def test_square_lattice_spencer_at_order_3(square_lattice_path):
+    code, out = run(["spencer", square_lattice_path, "--order", "3", "--json"])
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert [c["order"] for c in doc["complexes"]] == [1, 2, 3]
+    assert all(not any(c["cohomology"]) for c in doc["complexes"])
+    assert doc["bicomplex"]["all_pass"]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_lattice_jets_at_order_n_are_not_elemental(lattice_path, n):
     code, out = run(["jets", lattice_path(n), "--order", str(n), "--json"])
@@ -871,10 +909,11 @@ def test_s3_cap_bounds_the_braided_unknowns_not_kronecker_intermediates(
     `connections --bimodule` reports the (connection, braiding) family,
     whose 3,888 unknowns are its ambient dimension.  `quantize --star-gens`
     solves for the connection alone and reads the braiding off it, so its
-    largest object is a plain tensor product, 18 x 96 = 1,728.
+    largest object is a plain tensor product, 42 x 24 = 1,008: two-forms
+    (x) J^1, which the Spencer operator of J^2 needs.
     """
     largest = {"connections": ("ambient dimension 3888", 3888),
-               "quantize": ("plain tensor product 18 x 96", 1728)}
+               "quantize": ("plain tensor product 42 x 24", 1008)}
     for cmd, extra in _S3_COMMANDS.items():
         what, size = largest[cmd]
         monkeypatch.setenv("NCJET_MAX_DIM", str(size - 1))

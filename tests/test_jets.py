@@ -5,10 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayley import cayley_spec
+from cayley import cayley_spec, cyclic_group, direct_product, group_spec
 from ncjet.linalg import Mat, Subspace, ZERO, image_of, kernel_of, rank, rat
 from ncjet.algebra import mat_from_flat, solve_module_maps
 from ncjet.calculus import CalculusError
+from ncjet.specio import parse_calculus_spec
 from ncjet.jets import (
     HOLONOMIC,
     NONHOLONOMIC,
@@ -17,6 +18,7 @@ from ncjet.jets import (
     delta_contraction,
     dtilde_maps,
     elemental_span,
+    exterior_operator,
     flavor_inclusion,
     holonomic_via_spencer,
     jet_exactness,
@@ -24,6 +26,7 @@ from ncjet.jets import (
     jet_module,
     jet_split,
     nu_operator,
+    pair_map,
     pair_module,
     spencer_complex,
     spencer_lift_symbol_check,
@@ -78,7 +81,7 @@ def test_first_obstruction_on_double_prolongations(quat):
     e = quat.base_module()
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
-    d1m, d2m = dtilde_maps(calc, e)
+    d1m, d2m = dtilde_maps(calc, j1)
     for t in range(4):
         xi = p2.j.apply(j1.j.apply(calc.algebra.basis_vector(t)))
         assert all(not x for x in d1m.apply(xi))
@@ -91,7 +94,7 @@ def test_first_obstruction_on_iota_images(quat):
     e = quat.base_module()
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
-    d1m, _ = dtilde_maps(calc, e)
+    d1m, _ = dtilde_maps(calc, j1)
     _, ts1e = calc.form_module(1, e)
     _, ts1j = calc.form_module(1, j1.mod)
     di = frame_form(calc, 0)
@@ -115,7 +118,7 @@ def test_second_obstruction_leibniz_expansion(quat):
     alg = calc.algebra
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
-    _, d2m = dtilde_maps(calc, e)
+    _, d2m = dtilde_maps(calc, j1)
     _, ts1j = calc.form_module(1, j1.mod)
     _, ts2e = calc.form_module(2, e)
     w11 = calc.wedge_plain(1, 1)
@@ -134,6 +137,42 @@ def test_second_obstruction_leibniz_expansion(quat):
         lhs_form = w11.apply([x * y for x in calc.d_of_basis(a) for y in calc.d[0].apply(bc)])
         expect = ts2e.class_of(lhs_form, alg.unit)
         assert got == expect
+
+
+def _iterated_pair_obstructions(calc, m):
+    """Both obstruction maps written on the iterated pair space P(P(M))."""
+    pm = pair_module(calc, m)
+    p2 = pair_module(calc, pm.mod)
+    omega_pi = calc.omega_lift(1, pm.pi, pm.mod, m)
+    d_first = omega_pi * p2.rho - pm.rho * p2.pi
+    second = exterior_operator(calc, 1, pm.mod, m, pm.pi, -pm.rho, "second obstruction map")
+    return d_first, Mat.zeros(second.rows, pm.mod.dim).hstack(second)
+
+
+_OBSTRUCTION_ORDERS = {
+    "quat": (2, 3), "two_point": (2, 3), "matrix2": (2, 3), "s3": (2, 3),
+    "z4xz4": (2,),  # at order 3 the iterated pair space exceeds the default cap
+}
+
+
+@pytest.mark.parametrize("name", list(_OBSTRUCTION_ORDERS))
+def test_obstructions_equal_their_iterated_pair_space_form(request, name):
+    # On P(J^{n-1}) the maps built from J^{n-1}'s projection and Spencer operator
+    # are the iterated-pair-space obstructions pulled back through P(l).
+    if name == "z4xz4":
+        calc = parse_calculus_spec(
+            group_spec(direct_product(cyclic_group(4), cyclic_group(4)), [4, 1]))
+    else:
+        calc = request.getfixturevalue(name)
+    e = calc.base_module()
+    for n in _OBSTRUCTION_ORDERS[name]:
+        lower = jet_module(calc, e, n - 1)
+        lower2 = jet_module(calc, e, n - 2)
+        into_pp = pair_map(calc, lower.l, lower.mod, pair_module(calc, lower2.mod).mod)
+        old_first, old_second = _iterated_pair_obstructions(calc, lower2.mod)
+        first, second = dtilde_maps(calc, lower)
+        assert old_first * into_pp == first, (name, n)
+        assert old_second * into_pp == second, (name, n)
 
 
 # --- jets of all flavors ---------------------------------------------------------------
@@ -182,7 +221,8 @@ def test_holonomic_is_sesqui_cut_by_second_obstruction(quat):
     calc, e = quat, quat.base_module()
     h2 = jet_module(calc, e, 2, HOLONOMIC)
     s2 = jet_module(calc, e, 2, SESQUI)
-    _, d2m = dtilde_maps(calc, e)
+    j1 = jet_module(calc, e, 1)
+    _, d2m = dtilde_maps(calc, j1)
     cut = kernel_of(d2m)
     from ncjet.linalg import intersect
 
@@ -369,7 +409,7 @@ def test_nu_composition_identities(quat):
     calc, e = quat, quat.base_module()
     j1 = jet_module(calc, e, 1)
     p2 = pair_module(calc, j1.mod)
-    d1m, d2m = dtilde_maps(calc, e)
+    d1m, d2m = dtilde_maps(calc, j1)
     dtilde = d1m.vstack(d2m)
     s11 = spencer_operator(calc, j1, 1)
     num0, tw, _ = nu_operator(calc, e, 0)
@@ -460,6 +500,12 @@ def test_exactness_reports(all_fixtures):
             assert rep["exact"]
             assert rep["pullback_square"]
             assert rep["pullback_dim"] == fx.base_module().dim
+
+
+def test_exactness_refuses_order_zero(quat):
+    # The order-0 jet has no lower jet and no symbol module to compare.
+    with pytest.raises(ValueError, match="^jet exactness needs jet order >= 1$"):
+        jet_exactness(quat, quat.base_module(), 0)
 
 
 def test_jet_of_a_module_and_jet_module_keep_separate_entries():
