@@ -23,7 +23,6 @@ from .linalg import (
     Mat,
     SpanBuilder,
     ONE,
-    ZERO,
     image_of,
     int_row,
     kernel_of,
@@ -65,6 +64,30 @@ def memo(cache, key, build):
 
 class CalculusError(Exception):
     """Invalid input calculus or out-of-range degree."""
+
+
+def kernel_submodule(mod: LeftModule, f: Mat, label: str, what: str):
+    """(ker f with mod's actions restricted to it, its Subspace, coords).
+
+    The kernel keeps the left action, and the right one too when mod is a
+    bimodule.  coords(m) reads the kernel coordinates of m's columns and
+    raises CalculusError(what) when a column leaves ker f, so an action that
+    does not preserve the kernel is refused here.
+    """
+    ker = kernel_of(f)
+    emb = ker.basis.transpose()
+
+    def coords(m):
+        c = ker.coords_of_cols(m)
+        if c is None:
+            raise CalculusError(what)
+        return c
+
+    left = [coords(m * emb) for m in mod.left]
+    if isinstance(mod, Bimodule):
+        return Bimodule(mod.algebra, ker.dim, left, [coords(m * emb) for m in mod.right],
+                        label=label), ker, coords
+    return LeftModule(mod.algebra, ker.dim, left, label=label), ker, coords
 
 
 def validate_fodc(algebra: Algebra, omega1: Bimodule, d0: Mat):
@@ -356,38 +379,13 @@ def build_calculus(algebra: Algebra, omega1: Bimodule, d0: Mat, max_degree=3, na
 def universal_calculus(a: Algebra, max_degree=3) -> Calculus:
     """Universal calculus: one-forms are ker(mult) with d(a) = 1(x)a - a(x)1."""
     dA = a.dim
-    cols = []
-    for i in range(dA):
-        for j in range(dA):
-            cols.append(a.mult[i][j])
-    mult_mat = Mat.from_cols(cols, dA)
-    ker = kernel_of(mult_mat)
-    emb = ker.basis.transpose()
-
-    def coords(v):
-        c = ker.coords(v)
-        if c is None:
-            raise CalculusError("universal form fell outside ker(mult)")
-        return c
-
     eye = Mat.identity(dA)
-    left = []
-    right = []
-    for s in range(dA):
-        big_l = kron(a.lmat[s], eye)
-        big_r = kron(eye, a.rmat[s])
-        left.append(Mat.from_cols([coords(c) for c in (big_l * emb).transpose().nz], ker.dim))
-        right.append(Mat.from_cols([coords(c) for c in (big_r * emb).transpose().nz], ker.dim))
-    om1 = Bimodule(a, ker.dim, left, right, label="O1u(%s)" % a.name)
-    dcols = []
-    for b in range(dA):
-        v = [ZERO] * (dA * dA)
-        for i, u in enumerate(a.unit):
-            if u:
-                v[i * dA + b] += u
-                v[b * dA + i] -= u
-        dcols.append(coords(v))
-    d0 = Mat.from_cols(dcols, ker.dim)
+    mult_mat = Mat.from_cols([a.mult[i][j] for i in range(dA) for j in range(dA)], dA)
+    aa = Bimodule(a, dA * dA, [kron(m, eye) for m in a.lmat], [kron(eye, m) for m in a.rmat])
+    om1, _, coords = kernel_submodule(aa, mult_mat, "O1u(%s)" % a.name,
+                                      "universal form fell outside ker(mult)")
+    unit = Mat.from_cols([a.unit], dA)
+    d0 = coords(kron(unit, eye) - kron(eye, unit))
     return build_calculus(a, om1, d0, max_degree, name="universal(%s)" % a.name)
 
 

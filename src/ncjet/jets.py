@@ -2,11 +2,15 @@
 
 Jets of order n live inside the iterated pair space P(M) = M + forms(x)M,
 where the 1-jet of M is all of P(M) with the twisted left action
-a.(x, w) = (ax, aw - da(x)x).  Holonomic n-jets are the pairs (x, alpha) in
-P(J^{n-1}) with (id (x) pi)(alpha) = rho(x) and D(alpha) = 0, where pi and rho
-are J^{n-1}'s own projection and symbol part and D is its Spencer operator on
-one-form valued jets; sesquiholonomic jets obey the first condition only;
-nonholonomic jets are the full pair space.
+a.(x, w) = (ax, aw - da(x)x).  J^n is cut out of P(J^{n-1}) by its flavor's
+obstructions: holonomic n-jets are the pairs (x, alpha) with
+(id (x) pi)(alpha) = rho(x) and D(alpha) = 0, where pi and rho are J^{n-1}'s
+own projection and symbol part and D is its Spencer operator on one-form
+valued jets; sesquiholonomic jets obey the first condition only; order 1
+and the nonholonomic flavor have none, so their jets are the full pair
+space.  Symmetric n-forms are the kernel of the wedge contraction on
+one-forms (x) S^{n-1}.  Both kernels keep the restricted actions of
+calculus.kernel_submodule.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from functools import reduce
 
 from .linalg import (Mat, Subspace, ONE, image_of, intersect, kernel_of, rank, span_of,
                      split)
-from .algebra import Bimodule, LeftModule, module_closure
-from .calculus import Calculus, CalculusError, _plain_sum, _wedge_prepend, leibniz_map
+from .algebra import LeftModule, module_closure
+from .calculus import (Calculus, CalculusError, _plain_sum, _wedge_prepend, kernel_submodule,
+                       leibniz_map)
 
 HOLONOMIC = "holonomic"
 SESQUI = "sesquiholonomic"
@@ -140,25 +145,11 @@ def _sym_module(calc: Calculus, e: LeftModule, n: int) -> SymModule:
     if n == 1:
         fm, _ = calc.form_module(1, e)
         return SymModule(1, fm, Mat.identity(fm.dim), sym_module(calc, e, 0))
-    calc.check_degree(2)
     lower = sym_module(calc, e, n - 1)
-    fm, _ = calc.form_module(1, lower.mod)
-    ker = kernel_of(delta_contraction(calc, e, n - 1, 1))
-    emb = ker.basis.transpose()
-
-    def restricted(mats):
-        out = [ker.coords_of_cols(mat * emb) for mat in mats]
-        if None in out:
-            raise CalculusError("symmetric forms are not action-stable")
-        return out
-
-    left = restricted(fm.left)
-    label = "S%d(%s)" % (n, e.label)
-    if isinstance(fm, Bimodule):
-        mod = Bimodule(calc.algebra, ker.dim, left, restricted(fm.right), label=label)
-    else:
-        mod = LeftModule(calc.algebra, ker.dim, left, label=label)
-    return SymModule(n, mod, emb, lower)
+    mod, ker, _ = kernel_submodule(
+        calc.form_module(1, lower.mod)[0], delta_contraction(calc, e, n - 1, 1),
+        "S%d(%s)" % (n, e.label), "symmetric forms are not action-stable")
+    return SymModule(n, mod, ker.basis.transpose(), lower)
 
 
 class JetModule:
@@ -202,60 +193,39 @@ def jet_module(calc: Calculus, e: LeftModule, n: int, flavor=HOLONOMIC) -> JetMo
         raise ValueError("unknown jet flavor %r" % flavor)
     if n < 0:
         raise ValueError("negative jet order")
-    if flavor == SESQUI and n < 2:
+    if n == 0 or (flavor == SESQUI and n < 2):
         flavor = HOLONOMIC
     return calc.memo(("jet", e, n, flavor), lambda: _jet_module(calc, e, n, flavor))
 
 
 def _jet_module(calc: Calculus, e: LeftModule, n: int, flavor) -> JetModule:
+    """J^n of one flavor, cut out of P(J^{n-1}) by that flavor's obstructions.
+
+    Order 1 and the nonholonomic flavor have none, and their carrier is the
+    whole pair space.  Sesquiholonomic jets are the kernel of dtilde_maps'
+    first map, holonomic jets the kernel of both; the lower jet is
+    nonholonomic for the nonholonomic flavor and holonomic otherwise.
+    """
     if n == 0:
         return JetModule(calc, e, 0, HOLONOMIC, e, None, None, Mat.identity(e.dim),
                          iota=Mat.identity(e.dim))
-    if n == 1:
-        pd = pair_module(calc, e)
-        lower = jet_module(calc, e, 0, HOLONOMIC)
-        return JetModule(
-            calc, e, 1, flavor if flavor == NONHOLONOMIC else HOLONOMIC,
-            pd.mod, lower, Mat.identity(pd.mod.dim), pd.j,
-            iota=pd.iota, carrier=Subspace.full(pd.mod.dim),
-            sym=sym_module(calc, e, 1),
-        )
-    if flavor == NONHOLONOMIC:
-        lower = jet_module(calc, e, n - 1, NONHOLONOMIC)
-        pd = pair_module(calc, lower.mod)
-        j = pd.j * lower.j
-        return JetModule(calc, e, n, NONHOLONOMIC, pd.mod, lower,
-                         Mat.identity(pd.mod.dim), j,
-                         carrier=Subspace.full(pd.mod.dim))
-    lower = jet_module(calc, e, n - 1, HOLONOMIC)
+    lower = jet_module(calc, e, n - 1, NONHOLONOMIC if flavor == NONHOLONOMIC else HOLONOMIC)
     pd = pair_module(calc, lower.mod)
-    d_first, d_second = dtilde_maps(calc, lower)
-    constraint = d_first if flavor == SESQUI else d_first.vstack(d_second)
-    carrier = kernel_of(constraint)
-    l = carrier.basis.transpose()
-    # carrier coordinates: pivot extraction against the echelon basis
-    def coords(m):
-        c = carrier.coords_of_cols(m)
-        if c is None:
-            raise CalculusError("element escapes the %s jet carrier" % flavor)
-        return c
-
-    alg = calc.algebra
-    left = [coords(pd.mod.left[a] * l) for a in range(alg.dim)]
-    mod = LeftModule(alg, carrier.dim, left,
-                     label="J%d%s(%s)" % (n, "" if flavor == HOLONOMIC else "'", e.label))
+    if n == 1 or flavor == NONHOLONOMIC:
+        mod, carrier, coords = pd.mod, Subspace.full(pd.mod.dim), lambda m: m
+    else:
+        first, second = dtilde_maps(calc, lower)
+        mod, carrier, coords = kernel_submodule(
+            pd.mod, first if flavor == SESQUI else first.vstack(second),
+            "J%d%s(%s)" % (n, "" if flavor == HOLONOMIC else "'", e.label),
+            "element escapes the %s jet carrier" % flavor)
+    # symbols: holonomic jets and J^1 of every flavor
+    sym = sym_module(calc, e, n) if n == 1 or flavor == HOLONOMIC else None
+    iota = None if sym is None else coords(
+        pd.iota * calc.omega_lift(1, lower.iota, sym.lower.mod, lower.mod) * sym.iota_wedge)
     # prolongation: j^n(e) = (j^{n-1}(e), 0)
-    j = coords(pd.j * lower.j)
-    iota = None
-    sym = None
-    if flavor == HOLONOMIC:
-        sym = sym_module(calc, e, n)
-        if lower.iota is None:
-            raise CalculusError("missing symbol inclusion on lower jet")
-        omega_iota = calc.omega_lift(1, lower.iota, sym.lower.mod, lower.mod)
-        iota = coords(pd.iota * omega_iota * sym.iota_wedge)
-    return JetModule(calc, e, n, flavor, mod, lower, l, j,
-                     iota=iota, carrier=carrier, sym=sym)
+    return JetModule(calc, e, n, flavor, mod, lower, carrier.basis.transpose(),
+                     coords(pd.j * lower.j), iota=iota, carrier=carrier, sym=sym)
 
 
 def flavor_inclusion(calc: Calculus, e: LeftModule, n: int, src=HOLONOMIC, dst=NONHOLONOMIC) -> Mat:

@@ -271,11 +271,11 @@ class Quantization:
 
         return memo(self._memo, ("truncate", mat, k, target), build)
 
-    def graded_piece(self, mat: Mat, k: int, target=None) -> Symbol:
-        return self.zeta(self.truncate(mat, k, target=target), k, target=target)
+    def graded_piece(self, mat: Mat, k: int) -> Symbol:
+        return self.zeta(self.truncate(mat, k), k)
 
-    def homogeneous_component(self, mat: Mat, k: int, target=None) -> Mat:
-        return self.q(self.graded_piece(mat, k, target=target))
+    def homogeneous_component(self, mat: Mat, k: int) -> Mat:
+        return self.q(self.graded_piece(mat, k))
 
     def total_symbol_formal_deformed(self, op_poly: dict) -> HPoly:
         """Formal localized total symbol, the inverse of q_formal.

@@ -13,6 +13,7 @@ from ncjet.algebra import (Algebra, Bimodule, LeftModule, functions_on_points, m
 from ncjet.calculus import (
     CalculusError,
     build_calculus,
+    kernel_submodule,
     quaternion_calculus,
     twisted_pair,
     universal_calculus,
@@ -54,6 +55,24 @@ def test_universal_tower_is_tensor_algebra(matrix2):
     calc = matrix2
     assert [calc.omega[n].dim for n in range(4)] == [4, 12, 36, 108]
     assert calc.relation_space.dim == 0
+
+
+# --- kernel submodules -------------------------------------------------------------
+
+def test_kernel_submodule_refuses_a_kernel_that_is_not_a_submodule(quat):
+    # the kernel span{i, j, k} is not a left ideal: i * i = -1 leaves it
+    with pytest.raises(CalculusError, match="^kernel is not a submodule$"):
+        kernel_submodule(quat.base_module(), Mat(1, 4, [[1, 0, 0, 0]]), "K",
+                         "kernel is not a submodule")
+
+
+def test_kernel_of_the_wedge_is_a_sub_bimodule(quat):
+    mod, _ = quat.form_module(1, quat.omega1)
+    sub, ker, coords = kernel_submodule(mod, quat.wedge_map(1, 1), "K", "wedge kernel")
+    assert isinstance(sub, Bimodule) and sub.label == "K"
+    assert sub.dim == ker.dim == mod.dim - quat.omega[2].dim
+    assert sub.check_bimodule() == []
+    assert coords(ker.basis.transpose()) == Mat.identity(ker.dim)
 
 
 # --- validation --------------------------------------------------------------------

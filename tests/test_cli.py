@@ -786,7 +786,7 @@ def lattice_path(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 8])
 def test_lattice_jets_grow_by_one_copy_per_order_below_n(lattice_path, n):
     code, out = run(["jets", lattice_path(n), "--order", str(n - 1), "--json"])
     assert code == EXIT_PASS
@@ -795,7 +795,7 @@ def test_lattice_jets_grow_by_one_copy_per_order_below_n(lattice_path, n):
     assert all(r["exact"] and r["elemental_equal"] for r in rows[1:])
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 8])
 def test_lattice_spencer_complexes_are_exact_below_n(lattice_path, n):
     code, out = run(["spencer", lattice_path(n), "--order", "2", "--json"])
     assert code == EXIT_PASS
@@ -833,7 +833,7 @@ def test_square_lattice_spencer_at_order_3(square_lattice_path):
     assert doc["bicomplex"]["all_pass"]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_lattice_jets_at_order_n_are_not_elemental(lattice_path, n):
     code, out = run(["jets", lattice_path(n), "--order", str(n), "--json"])
     assert code == EXIT_FAIL

@@ -1,7 +1,8 @@
 """Every definition of the package is used outside its own definition.
 
 Module-level functions and classes must be named in another line; class
-members must be read; defaulted parameters must be set by some call.
+members must be read; the defaulted parameters of functions and methods
+must be set by some call.
 """
 
 import ast
@@ -98,54 +99,87 @@ def test_every_class_member_is_read():
     assert unread == []
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def defaulted_parameters(source):
-    """{function: (positional parameter names, defaulted names)} of the module-level functions."""
+    """{definition: (call name, attribute calls only, positional names, defaulted names)}.
+
+    The definitions are the module-level functions, which a call names bare
+    or as an attribute; the methods of module-level classes, which a call
+    names as an attribute; and each __init__, which a call of its class's
+    name reaches.  A method's self or cls is never a positional a call sets.
+    """
+    tree = ast.parse(source)
+    defs = [(fn.name, fn.name, False, fn) for fn in tree.body if isinstance(fn, _FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [("%s.%s" % (cls.name, fn.name), cls.name if fn.name == "__init__" else fn.name,
+                      fn.name != "__init__", fn)
+                     for fn in cls.body if isinstance(fn, _FUNCTIONS)]
     out = {}
-    for fn in ast.parse(source).body:
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = fn.args
-            positional = [a.arg for a in args.posonlyargs + args.args]
-            defaulted = positional[len(positional) - len(args.defaults):] + [
-                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            if defaulted:
-                out[fn.name] = (positional, defaulted)
+    for label, name, attribute_only, fn in defs:
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if "." in label and positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        if defaulted:
+            out[label] = (name, attribute_only, positional, defaulted)
     return out
 
 
-def set_parameters(functions, sources):
-    """(function, parameter) pairs that some call in `sources` sets.
+def set_parameters(definitions, sources):
+    """(definition, parameter) pairs that some call in `sources` sets.
 
-    A call names the function bare or as an attribute; it sets a parameter by
-    keyword or by position, and *args may set any positional one, **kwargs any."""
+    A call sets a parameter by keyword or by position, and *args may set any
+    positional one, **kwargs any."""
+    by_name = {}
+    for label, (name, attribute_only, _, _) in definitions.items():
+        by_name.setdefault(name, []).append((label, attribute_only))
     found = set()
     for source in sources:
         for call in ast.walk(ast.parse(source)):
             if not isinstance(call, ast.Call):
                 continue
-            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-            if name not in functions:
-                continue
-            positional, defaulted = functions[name]
-            starred = any(isinstance(a, ast.Starred) for a in call.args)
-            given = set(positional if starred else positional[:len(call.args)])
-            given |= {k.arg for k in call.keywords}
-            if None in given:  # **kwargs
-                given |= set(defaulted)
-            found |= {(name, p) for p in defaulted if p in given}
+            attribute = isinstance(call.func, ast.Attribute)
+            name = call.func.attr if attribute else getattr(call.func, "id", None)
+            for label, attribute_only in by_name.get(name, ()):
+                if attribute_only and not attribute:
+                    continue
+                _, _, positional, defaulted = definitions[label]
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                given = set(positional if starred else positional[:len(call.args)])
+                given |= {k.arg for k in call.keywords}
+                if None in given:  # **kwargs
+                    given |= set(defaulted)
+                found |= {(label, p) for p in defaulted if p in given}
     return found
 
 
 def unset_parameters(source, sources):
-    functions = defaulted_parameters(source)
-    found = set_parameters(functions, sources)
-    return ["%s(%s)" % (f, p) for f, (_, defaulted) in functions.items() for p in defaulted
-            if (f, p) not in found]
+    definitions = defaulted_parameters(source)
+    found = set_parameters(definitions, sources)
+    return ["%s(%s)" % (label, p) for label, (_, _, _, defaulted) in definitions.items()
+            for p in defaulted if (label, p) not in found]
 
 
 def test_unset_parameters_are_found():
     source = "def f(a, b=1, c=2, *, d=3):\n    pass\n\n\ndef g(x=0):\n    pass\n"
     assert unset_parameters(source, [source, "f(1, d=4)\nm.g(*xs)\n"]) == ["f(b)", "f(c)"]
     assert unset_parameters(source, [source, "f(1, 2, d=4)\nf(a, **kw)\ng(*xs)\n"]) == []
+
+
+def test_unset_method_parameters_are_found():
+    source = ("class C:\n    def __init__(self, a, b=1):\n        pass\n\n"
+              "    def m(self, x, y=0, *, z=None):\n        pass\n\n"
+              "    @classmethod\n    def make(cls, k=2):\n        pass\n")
+    # a bare m(...) is not a method call, and C(1) reaches __init__ without b
+    assert unset_parameters(source, [source, "C(1)\nc.m(1, 2)\nm(1, z=3)\nmake(4)\n"]) == [
+        "C.__init__(b)", "C.m(z)", "C.make(k)"]
+    assert unset_parameters(source, [source, "mod.C(1, b=2)\nc.m(1, z=3)\nC.make(3)\n"]) == [
+        "C.m(y)"]
 
 
 def test_every_defaulted_parameter_is_set():

@@ -204,6 +204,28 @@ def test_flavor_inclusions(quat):
     assert t_hn * h2.j == n2.j
 
 
+def test_symbols_belong_to_holonomic_jets_and_to_every_first_jet(quat):
+    calc, e = quat, quat.base_module()
+    for flavor in (HOLONOMIC, SESQUI, NONHOLONOMIC):
+        j1 = jet_module(calc, e, 1, flavor)
+        assert j1.iota == pair_module(calc, e).iota, flavor
+        assert j1.sym is sym_module(calc, e, 1), flavor
+    h2 = jet_module(calc, e, 2, HOLONOMIC)
+    assert h2.iota is not None and h2.sym is sym_module(calc, e, 2)
+    for flavor in (SESQUI, NONHOLONOMIC):
+        j2 = jet_module(calc, e, 2, flavor)
+        assert j2.iota is None and j2.sym is None, flavor
+
+
+def test_unconstrained_jets_are_the_pair_space_itself(quat):
+    calc, e = quat, quat.base_module()
+    for flavor in (HOLONOMIC, NONHOLONOMIC):
+        j1 = jet_module(calc, e, 1, flavor)
+        assert j1.mod is pair_module(calc, e).mod, flavor
+    n1, n2 = (jet_module(calc, e, n, NONHOLONOMIC) for n in (1, 2))
+    assert n2.lower is n1 and n2.mod is pair_module(calc, n1.mod).mod
+
+
 def test_nonholonomic_projection_keeps_prolongation(quat):
     n2 = jet_module(quat, quat.base_module(), 2, NONHOLONOMIC)
     assert n2.pi * n2.j == n2.lower.j

@@ -1,9 +1,12 @@
 """Operators, quantization maps, truncations, total symbols, star products."""
 
 import itertools
+from functools import reduce
+from math import comb
 
 import pytest
 
+from cayley import cayley_spec
 from ncjet.linalg import Mat, ZERO, rat, vec
 from ncjet.algebra import mat_from_flat
 from ncjet.calculus import CalculusError
@@ -588,6 +591,81 @@ def test_quantization_on_matrix_fixture(matrix2):
     for k in range(order + 1):
         total = total + q2.homogeneous_component(op, k)
     assert total == op
+
+
+# --- lattice phase space -------------------------------------------------------------------------
+# On the directed cycle Z/n {1} the frame derivative is the forward difference
+# (df)(x) = f(x + 1) - f(x), and R = 1 + d is the shift: the finite-difference
+# form of one-dimensional phase space.  There the star product is the
+# standard-ordered lattice formula
+#   (a d^M) * (b d^L) = sum_{J <= M} C(M, J) hbar^J a.(d^J R^(M-J) b) d^(M+L-J).
+
+LATTICE_ORDER = 4  # every pair of symbol degrees M + L <= 4
+
+
+def _power(m, k):
+    return reduce(Mat.__mul__, [m] * k, Mat.identity(m.rows))
+
+
+def _lattice_op(alg, d, f, k):
+    """The operator f.d^k."""
+    return alg.left_mult(f) * _power(d, k)
+
+
+@pytest.fixture(scope="module", params=[5, 6, 8])
+def lattice(request):
+    """(n, algebra, quantization, d, stars) on Z/n {1}.
+
+    stars maps (x, y, M, L) to the formal star of the symbols of a.d^M and
+    b.d^L for a = delta_x, b = delta_y."""
+    n = request.param
+    calc = parse_calculus_spec(cayley_spec(n, [1]))
+    alg, q = calc.algebra, quantization_of(calc)
+    d = partial_operators(calc)[0]
+    delta = [alg.basis_vector(x) for x in range(n)]
+    stars = {(x, y, m, l): q.star_formal(q.zeta(_lattice_op(alg, d, delta[x], m), m),
+                                         q.zeta(_lattice_op(alg, d, delta[y], l), l))
+             for x, y in itertools.product(range(n), repeat=2)
+             for m in range(LATTICE_ORDER + 1) for l in range(LATTICE_ORDER + 1 - m)}
+    return n, alg, q, d, stars
+
+
+def lattice_star(lattice, x, y, m, l, shift=True, binomial=True):
+    """The lattice formula at (delta_x d^m, delta_y d^l); without the shifts
+    R^(m-J) or the binomials C(m, J) when shift or binomial is off."""
+    n, alg, q, d, _ = lattice
+    r = Mat.identity(n) + d if shift else Mat.identity(n)
+    a, b = alg.basis_vector(x), alg.basis_vector(y)
+    out = HPoly()
+    for j in range(m + 1):
+        f = alg.mul(a, (_power(d, j) * _power(r, m - j)).apply(b))
+        k = m + l - j
+        sym = q.zeta(_lattice_op(alg, d, f, k), k)
+        out.add_term(j, GradedSymbol.of(sym.scale(comb(m, j) if binomial else 1)))
+    return out
+
+
+def test_lattice_star_product_is_the_standard_ordered_formula(lattice):
+    n, *_, stars = lattice
+    assert len(stars) == 15 * n * n  # 375, 540 and 960 products
+    assert [key for key, got in stars.items() if got != lattice_star(lattice, *key)] == []
+
+
+def test_lattice_star_check_discriminates(lattice):
+    # negative controls: dropping either ingredient breaks a pinned share of the products
+    n, *_, stars = lattice
+    no_shift = sum(got != lattice_star(lattice, *key, shift=False) for key, got in stars.items())
+    no_binomial = sum(got != lattice_star(lattice, *key, binomial=False)
+                      for key, got in stars.items())
+    assert (no_shift, no_binomial) == {5: (150, 80), 6: (180, 96), 8: (240, 128)}[n]
+
+
+def test_lattice_total_symbols_are_homogeneous(lattice):
+    n, alg, q, d, _ = lattice
+    for x in range(n):
+        for k in range(LATTICE_ORDER + 1):
+            sym = q.total_symbol(_lattice_op(alg, d, alg.basis_vector(x), k))
+            assert sym.degrees() == [k], (x, k)
 
 
 # --- memoized per calculus ------------------------------------------------------------------------
