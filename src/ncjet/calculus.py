@@ -50,11 +50,13 @@ _MISSING = object()
 def memo(cache, key, build):
     """cache[key], calling build() only on a miss; None results are cached too.
 
-    Keys hold the objects they name, never their addresses: modules hash by
-    identity and matrices by value, so an entry keeps what it names alive
-    and cannot answer for a later object built at a freed address.  Every
-    key starts with a kind tag, so two constructions over one object never
-    share an entry.
+    A key holds everything the result depends on, and the objects it names,
+    never their addresses: modules hash by identity and matrices by value, so
+    an entry keeps what it names alive and cannot answer for a later object
+    built at a freed address.  Every key starts with a kind tag, so two
+    constructions over one object never share an entry.  Cached values are
+    read-only to every caller.  Refusals are never stored: build() raising
+    leaves no entry, and argument checks run before the lookup.
     """
     got = cache.get(key, _MISSING)
     if got is _MISSING:

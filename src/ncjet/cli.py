@@ -9,7 +9,8 @@ without a frame it starts from the braided solver's canonical point.  Its
 --star-gens needs a declared left frame.  All reports are deterministic and
 --json output is byte-stable for identical inputs.  NCJET_MAX_DIM
 overrides the ambient-dimension cap; an input that needs a larger matrix
-is invalid (exit 2).
+is invalid (exit 2).  The cap bounds work actually done, so a result an
+earlier command kept on the calculus is not re-checked against it.
 """
 
 from __future__ import annotations

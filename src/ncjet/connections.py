@@ -190,7 +190,12 @@ def solve_bimodule_connections(calc: Calculus) -> AffineSpace:
     pair family.  The canonical point is zero on the free columns of the
     pair system, which are the last nonzero columns of a reverse echelon
     basis of the direction; it is any member with those columns cleared.
+    The family is solved once per calculus.
     """
+    return calc.memo(("bimodule_connections",), lambda: _solve_bimodule_connections(calc))
+
+
+def _solve_bimodule_connections(calc: Calculus) -> AffineSpace:
     sys = _connection_system(calc, calc.omega1)
     br = _braiding(calc)
     for row in br.rows:
@@ -248,7 +253,13 @@ def tensor_connection(calc: Calculus, bconn: BimoduleConnection, connf: Connecti
     """Induced connection on one-forms (x) F from a braided pair.
 
     nabla(w (x) f) = nabla(w) (x) f + (sigma (x) id)(w (x) nabla f).
+    Kept per calculus on the matrices it reads.
     """
+    return calc.memo(("tensor_conn", bconn.base.mat, bconn.sigma, connf.module, connf.mat),
+                     lambda: _tensor_connection(calc, bconn, connf))
+
+
+def _tensor_connection(calc: Calculus, bconn: BimoduleConnection, connf: Connection) -> Connection:
     f = connf.module
     fm, ts_f = calc.form_module(1, f)      # O1 (x) F
     _, ts_v = calc.form_module(1, fm)      # O1 (x) (O1 (x) F)
@@ -287,11 +298,11 @@ def metric_compatibility(calc: Calculus, bconn: BimoduleConnection, g):
 
 
 def covariant_exterior(calc: Calculus, conn: Connection, m: int) -> Mat:
-    """Exterior covariant derivative on m-form-valued sections."""
+    """Exterior covariant derivative on m-form-valued sections, kept per (module, matrix, m)."""
     calc.check_degree(m + 1)
     mod = conn.module
-    return exterior_operator(calc, m, mod, mod, Mat.identity(mod.dim), conn.mat,
-                             "covariant exterior derivative")
+    return calc.memo(("cov_ext", mod, conn.mat, m), lambda: exterior_operator(
+        calc, m, mod, mod, Mat.identity(mod.dim), conn.mat, "covariant exterior derivative"))
 
 
 def curvature(calc: Calculus, conn: Connection) -> Mat:

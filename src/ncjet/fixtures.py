@@ -6,7 +6,10 @@ universal calculi of the two-point function algebra and of 2x2 matrices;
 canonical connection on the base module (the differential itself), a
 distinguished braided connection on the one-forms, the induced
 quantization and, on framed calculi, named star generators are functions
-of the calculus, each built once and kept in `calc.memo`.
+of the calculus, each built once and kept in `calc.memo`, as are the
+braided-connection family, tensor connections and covariant exterior
+derivatives (keyed on their matrices), Spencer complexes, bicomplex reports,
+jet exactness and elemental spans.
 """
 
 from __future__ import annotations

@@ -307,9 +307,13 @@ def spencer_complex(calc: Calculus, e: LeftModule, n: int):
 
     Returns a dict with the prolongation, the Spencer operators, whether all
     consecutive composites vanish, and the list of cohomology dimensions at
-    positions 0..n+1.
+    positions 0..n+1.  Kept per calculus.
     """
     calc.check_degree(n)
+    return calc.memo(("spencer_complex", e, n), lambda: _spencer_complex(calc, e, n))
+
+
+def _spencer_complex(calc: Calculus, e: LeftModule, n: int):
     jets = [jet_module(calc, e, kk) for kk in range(n + 1)]
     maps = [jets[n].j]
     for k in range(n):
@@ -364,9 +368,9 @@ def nu_operator(calc: Calculus, e: LeftModule, m: int):
 
 
 def elemental_span(calc: Calculus, jet: JetModule) -> Subspace:
-    """Left-action closure of the prolongation image inside the carrier."""
-    seeds = [jet.j.col(t) for t in range(jet.j.cols)]
-    return module_closure(jet.mod, seeds)
+    """Left-action closure of the prolongation image inside the carrier (kept per jet)."""
+    return calc.memo(("elemental", jet), lambda: module_closure(
+        jet.mod, [jet.j.col(t) for t in range(jet.j.cols)]))
 
 
 def jet_split(calc: Calculus, jet: JetModule):
@@ -410,9 +414,13 @@ def holonomic_via_spencer(calc: Calculus, e: LeftModule, n: int) -> Subspace:
 
 
 def jet_exactness(calc: Calculus, e: LeftModule, n: int):
-    """Exactness data of the order-n jet sequence (n >= 1) plus the pullback check."""
+    """Exactness and pullback data of the order-n jet sequence (n >= 1), kept per calculus."""
     if n < 1:
         raise ValueError("jet exactness needs jet order >= 1")
+    return calc.memo(("exactness", e, n), lambda: _jet_exactness(calc, e, n))
+
+
+def _jet_exactness(calc: Calculus, e: LeftModule, n: int):
     jet = jet_module(calc, e, n, HOLONOMIC)
     lower = jet.lower
     sym = jet.sym
@@ -441,9 +449,14 @@ def bicomplex_report(calc: Calculus, e: LeftModule, n: int, corrupt_sign=False):
     Rows k = 0..n read: k-forms (x) S^{n-k} -> k-forms (x) J^{n-k} ->
     k-forms (x) J^{n-k-1}; columns are the wedge contraction (with a minus
     sign), and two Spencer operators.  corrupt_sign flips the contraction
-    sign to provide a negative control.
+    sign to provide a negative control; the report is kept per (n, corrupt_sign).
     """
     calc.check_degree(n)
+    return calc.memo(("bicomplex", e, n, corrupt_sign),
+                     lambda: _bicomplex_report(calc, e, n, corrupt_sign))
+
+
+def _bicomplex_report(calc: Calculus, e: LeftModule, n: int, corrupt_sign):
     jets = [jet_module(calc, e, kk, HOLONOMIC) for kk in range(n + 1)]
     syms = [sym_module(calc, e, kk) for kk in range(n + 1)]
     # the omega_k-lifts of iota at J^{n-k} (k <= n) and of pi at J^{n-k} (k < n)

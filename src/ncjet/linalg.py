@@ -54,7 +54,8 @@ DEFAULT_MAX_DIM = 4096
 
 
 def max_dim():
-    """Ambient-dimension cap; override with NCJET_MAX_DIM."""
+    """Ambient-dimension cap; override with NCJET_MAX_DIM.  It bounds work actually
+    done: a result kept in a memo is not re-checked when the cap is lowered."""
     return int(os.environ.get("NCJET_MAX_DIM", DEFAULT_MAX_DIM))
 
 
@@ -504,9 +505,12 @@ class Subspace:
         return coeffs
 
     def coords_of_cols(self, m: Mat):
-        """Matrix of the coordinates of m's columns, or None if a column is outside."""
-        cols = [self.coords(c) for c in m.transpose().nz]
-        return None if None in cols else Mat.from_cols(cols, self.dim)
+        """Matrix of the coordinates of m's columns, or None if a column is outside.
+
+        In the RREF basis they are m's pivot rows; m is inside exactly when the
+        basis combinations they name give m back."""
+        c = Mat._of(self.dim, m.cols, [m.nz[p] for p in self.pivots])
+        return c if self.basis.transpose() * c == m else None
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None

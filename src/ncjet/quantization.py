@@ -9,7 +9,8 @@ reads the system off a chain of connections on the symmetric-form modules,
 split by retractions of the wedge-kernel inclusions.
 The total symbol inverts the quantization, and the star product is
 a * b = sigma(q(a) o q(b)), with a central formal variable hbar counting the
-order the composite loses.
+order the composite loses.  A quantization keeps operator orders, symbols,
+truncations and formal star products; star_eval substitutes hbar into one.
 """
 
 from __future__ import annotations
@@ -315,8 +316,10 @@ class Quantization:
         return HPoly(self.total_symbol_formal_deformed(comp).coeffs)
 
     def star_formal(self, a, b) -> HPoly:
-        """Formal star product of two symbols or graded symbols."""
-        return self.star_poly(HPoly.of(a), HPoly.of(b))
+        """Formal star product of two symbols or graded symbols, kept on their parts."""
+        a, b = (GradedSymbol.of(x) if isinstance(x, Symbol) else x for x in (a, b))
+        key = tuple(tuple((d, s.mat) for d, s in sorted(x.parts.items())) for x in (a, b))
+        return memo(self._memo, ("star",) + key, lambda: self.star_poly(HPoly.of(a), HPoly.of(b)))
 
     def star_eval(self, a, b, hbar) -> GradedSymbol:
         """Parametrized star product (evaluation of the formal one)."""

@@ -373,6 +373,72 @@ def test_second_spencer_pass_builds_no_wedge_contraction(monkeypatch):
     assert built == []
 
 
+def test_second_jets_and_spencer_pass_adds_no_span_row(monkeypatch):
+    """Every result jets and spencer report is kept on the calculus: a second pass
+    eliminates nothing."""
+    import ncjet.cli
+    import ncjet.linalg
+    from ncjet.calculus import quaternion_calculus
+
+    calls = []
+    add = ncjet.linalg.SpanBuilder.add
+    monkeypatch.setattr(ncjet.linalg.SpanBuilder, "add",
+                        lambda self, v: calls.append(1) or add(self, v))
+    calc = quaternion_calculus()
+    monkeypatch.setattr(ncjet.cli, "_load_calculus", lambda ref: calc)
+    session = [["jets", "quaternion", "--order", "3", "--json"],
+               ["spencer", "quaternion", "--order", "3", "--json"]]
+    first = [run(argv) for argv in session]
+    assert [code for code, _ in first] == [EXIT_PASS, EXIT_PASS] and calls
+    del calls[:]
+    assert [run(argv) for argv in session] == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("control_first", [True, False])
+@pytest.mark.parametrize("clean, control", [
+    (["spencer", "quaternion", "--order", "3", "--json"], "--corrupt-sign"),
+    (["demo", "quaternion", "--json"], "--corrupt"),
+])
+def test_negative_control_and_clean_run_share_a_calculus_without_stale_hits(
+        monkeypatch, clean, control, control_first):
+    """On one calculus, in either order, the clean command prints its golden output and
+    the negative control prints what it prints on a calculus of its own."""
+    import ncjet.cli
+    import ncjet.demo
+    from ncjet.calculus import quaternion_calculus
+
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())[" ".join(clean)]
+    calcs = [quaternion_calculus()]
+    for module, name in ((ncjet.cli, "_load_calculus"), (ncjet.demo, "fixture")):
+        monkeypatch.setattr(module, name, lambda ref: calcs[-1])
+    alone = run(clean + [control])
+    calcs.append(quaternion_calculus())
+    order = [clean + [control], clean] if control_first else [clean, clean + [control]]
+    got = {tuple(argv): run(argv) for argv in order}
+    assert got[tuple(clean + [control])] == alone and alone[0] == EXIT_FAIL
+    code, out = got[tuple(clean)]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (golden["exit"],
+                                                                golden["sha256"])
+
+
+def test_demo_computes_each_generator_star_product_once():
+    """demo evaluates 50 star products at three values of hbar, on the 16 ordered pairs
+    of the four star generators; each formal product is computed once."""
+    script = "\n".join([
+        "import ncjet.quantization as q",
+        "calls = []",
+        "star_poly = q.Quantization.star_poly",
+        "q.Quantization.star_poly = lambda self, a, b: calls.append(1) or star_poly(self, a, b)",
+        "from ncjet.demo import demo_quaternion",
+        "demo_quaternion()",
+        "print(len(calls))"])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "16\n"), done.stderr
+
+
 def test_validate_dimension_cap_breach_is_invalid_input(quat_spec_path, monkeypatch):
     # the first presentation, Omega^1 (x) Omega^1, has 8 x 8 plain tensors
     monkeypatch.setenv("NCJET_MAX_DIM", "16")

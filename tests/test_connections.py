@@ -12,6 +12,7 @@ from ncjet.linalg import (AffineSystem, DimensionCapError, Mat, ONE, ZERO, image
                           vec)
 from ncjet.algebra import (Bimodule, add_intertwining_rows, mat_from_flat, matrix_rows,
                            solve_module_maps)
+from ncjet.calculus import CalculusError
 from ncjet.connections import (
     BimoduleConnection,
     Connection,
@@ -203,7 +204,9 @@ def test_connection_solvers_match_every_basis_element(oracle_calc, every_basis_e
     modules = [calc.base_module(), calc.omega1, calc.omega[2]]
     got = [solve_connections(calc, m) for m in modules] + [solve_bimodule_connections(calc)]
     with every_basis_element(calc.algebra):
-        want = [solve_connections(calc, m) for m in modules] + [solve_bimodule_connections(calc)]
+        # the kept family would answer from the memo: solve it again
+        want = [solve_connections(calc, m) for m in modules] + [
+            ncjet.connections._solve_bimodule_connections(calc)]
     assert all(same_affine(g, w) for g, w in zip(got, want))
     assert not got[-1].empty
 
@@ -416,6 +419,28 @@ def test_curvature_detects_nonflat_perturbation(quat):
 
 
 # --- covariant exterior derivative --------------------------------------------------------------
+
+def test_tensor_connection_is_kept_on_values_and_misses_another_braiding():
+    """A braided pair rebuilt from the same vector reads the kept connection.  The
+    negated braiding of `demo --corrupt` misses: its tensor connection is refused on
+    every call, and the clean pair's entry is untouched."""
+    from ncjet.calculus import quaternion_calculus
+
+    calc = quaternion_calculus()
+    sol = solve_bimodule_connections(calc)
+    assert solve_bimodule_connections(calc) is sol
+    bc, again = (bimodule_connection_from_vector(calc, sol.particular) for _ in range(2))
+    assert again is not bc
+    assert tensor_connection(calc, again, again.base) is tensor_connection(calc, bc, bc.base)
+    assert covariant_exterior(calc, again.base, 1) is covariant_exterior(calc, bc.base, 1)
+    fp = frame_parallel_bimodule_connection(calc)
+    kept = tensor_connection(calc, fp, fp.base)
+    neg = BimoduleConnection(calc, fp.base, -fp.sigma, check=False)
+    for _ in range(2):
+        with pytest.raises(CalculusError, match="^tensor connection is not well-defined"):
+            tensor_connection(calc, neg, neg.base)
+    assert tensor_connection(calc, fp, fp.base) is kept
+
 
 def test_covariant_exterior_degree_zero_is_connection(quat):
     conn = base_connection(quat)

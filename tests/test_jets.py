@@ -530,6 +530,29 @@ def test_exactness_refuses_order_zero(quat):
         jet_exactness(quat, quat.base_module(), 0)
 
 
+def test_refusals_are_raised_on_every_call_never_cached(quat):
+    # Argument checks run before the memo lookup, so a refusal is never stored.
+    e = quat.base_module()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^jet exactness needs jet order >= 1$"):
+            jet_exactness(quat, e, 0)
+        with pytest.raises(CalculusError, match="outside tower"):
+            spencer_complex(quat, e, quat.max_degree + 1)
+        with pytest.raises(CalculusError, match="outside tower"):
+            bicomplex_report(quat, e, quat.max_degree + 1, corrupt_sign=True)
+
+
+def test_derived_reports_are_kept_per_calculus(quat):
+    e = quat.base_module()
+    jet = jet_module(quat, e, 2)
+    assert spencer_complex(quat, e, 2) is spencer_complex(quat, e, 2)
+    assert jet_exactness(quat, e, 2) is jet_exactness(quat, e, 2)
+    assert elemental_span(quat, jet) is elemental_span(quat, jet)
+    clean, corrupt = (bicomplex_report(quat, e, 2, corrupt_sign=c) for c in (False, True))
+    assert clean["all_pass"] and not corrupt["all_pass"]
+    assert bicomplex_report(quat, e, 2) is clean
+
+
 def test_jet_of_a_module_and_jet_module_keep_separate_entries():
     # Each (module, order, flavor) has one entry; the order-1 jet carries its
     # symbols, which jet_exactness reads, and flavor aliases share the entry.
