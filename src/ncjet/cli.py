@@ -22,7 +22,7 @@ from functools import cache
 from .linalg import DimensionCapError, rat_str, kernel_of
 from .calculus import Calculus, CalculusError
 from .connections import (
-    bimodule_connection_from_vector,
+    canonical_bimodule_connection,
     curvature,
     metric_compatibility,
     solve_bimodule_connections,
@@ -59,6 +59,10 @@ def _load_calculus(ref: str) -> Calculus:
     if ref in FIXTURE_NAMES:
         return fixture(ref)
     return parse_calculus_spec(load_json(ref))
+
+
+def _rat_rows(mat):
+    return [[rat_str(x) for x in row] for row in mat.data]
 
 
 def _emit(report, as_json, stream):
@@ -160,10 +164,8 @@ def cmd_connections(args, out):
         report["kind"] = "bimodule"
         report["affine_dim"] = sol.dim
         if not sol.empty:
-            bc = bimodule_connection_from_vector(calc, sol.particular)
-            report["representative_connection"] = [
-                [rat_str(x) for x in row] for row in bc.base.mat.data
-            ]
+            bc = canonical_bimodule_connection(calc)
+            report["representative_connection"] = _rat_rows(bc.base.mat)
             # metric, torsion and curvature need two-forms
             ker = kernel_of(calc.wedge_map(1, 1)) if calc.max_degree >= 2 else None
             if ker and ker.dim:
@@ -195,33 +197,18 @@ def cmd_quantize(args, out):
     if args.op:
         mat = parse_operator_spec(load_json(args.op), calc)
         order = q.ctx.op_order(mat)
-        decomposition = []
-        if order is None:
-            report["operator"] = {"order": None}
-        else:
-            for k in range(order + 1):
-                comp = q.homogeneous_component(mat, k)
-                decomposition.append(
-                    {"degree": k, "matrix": [[rat_str(x) for x in row] for row in comp.data]}
-                )
-            report["operator"] = {"order": order, "components": decomposition}
+        report["operator"] = {"order": None} if order is None else {
+            "order": order, "components": [
+                {"degree": k, "matrix": _rat_rows(q.homogeneous_component(mat, k))}
+                for k in range(order + 1)]}
     if args.star_gens:
         gens = star_generators(calc)
         table = []
         for na in sorted(gens):
             for nb in sorted(gens):
                 prod = q.star_eval(gens[na], gens[nb], hbar)
-                table.append(
-                    {
-                        "left": na,
-                        "right": nb,
-                        "degrees": prod.degrees(),
-                        "parts": {
-                            str(d): [[rat_str(x) for x in row] for row in s.mat.data]
-                            for d, s in sorted(prod.parts.items())
-                        },
-                    }
-                )
+                table.append({"left": na, "right": nb, "degrees": prod.degrees(), "parts": {
+                    str(d): _rat_rows(s.mat) for d, s in sorted(prod.parts.items())}})
         report["star_table"] = table
     _emit(report, args.json, out)
     return EXIT_PASS

@@ -232,6 +232,13 @@ def _solve_bimodule_connections(calc: Calculus) -> AffineSpace:
     return AffineSpace(False, particular, direction)
 
 
+def canonical_bimodule_connection(calc: Calculus):
+    """The pair at the family's canonical point, None for an empty family; kept per calculus."""
+    sol = solve_bimodule_connections(calc)
+    return calc.memo(("bimodule_point",), lambda: None if sol.empty else
+                     bimodule_connection_from_vector(calc, sol.particular))
+
+
 def bimodule_connection_from_vector(calc: Calculus, flat) -> BimoduleConnection:
     om11, _ = calc.form_module(1, calc.omega1)
     o1, qq = calc.omega1.dim, om11.dim

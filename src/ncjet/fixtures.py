@@ -7,9 +7,10 @@ canonical connection on the base module (the differential itself), a
 distinguished braided connection on the one-forms, the induced
 quantization and, on framed calculi, named star generators are functions
 of the calculus, each built once and kept in `calc.memo`, as are the
-braided-connection family, tensor connections and covariant exterior
-derivatives (keyed on their matrices), Spencer complexes, bicomplex reports,
-jet exactness and elemental spans.
+braided-connection family and its canonical pair, tensor connections and
+covariant exterior derivatives (keyed on their matrices), Spencer complexes,
+bicomplex reports, jet exactness and each jet's prolongation map S, with its
+image and its split.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .connections import (
     BimoduleConnection,
     Connection,
     InvalidConnection,
-    bimodule_connection_from_vector,
     braiding_of,
-    solve_bimodule_connections,
+    canonical_bimodule_connection,
 )
 from .jets import twist_mats
 from .quantization import Symbol, build_quantization, partial_operators
@@ -90,10 +90,10 @@ def braided_connection(calc: Calculus) -> BimoduleConnection:
     def build():
         if calc.left_frame_size:
             return frame_parallel_bimodule_connection(calc)
-        sol = solve_bimodule_connections(calc)
-        if sol.empty:
+        bc = canonical_bimodule_connection(calc)
+        if bc is None:
             raise CalculusError("calculus admits no braided connection")
-        return bimodule_connection_from_vector(calc, sol.particular)
+        return bc
 
     return calc.memo(("braided",), build)
 

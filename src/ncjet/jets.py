@@ -19,7 +19,7 @@ from functools import reduce
 
 from .linalg import (Mat, Subspace, ONE, image_of, intersect, kernel_of, rank, span_of,
                      split)
-from .algebra import LeftModule, module_closure
+from .algebra import LeftModule
 from .calculus import (Calculus, CalculusError, _plain_sum, _wedge_prepend, kernel_submodule,
                        leibniz_map)
 
@@ -318,13 +318,8 @@ def _spencer_complex(calc: Calculus, e: LeftModule, n: int):
     maps = [jets[n].j]
     for k in range(n):
         maps.append(spencer_operator(calc, jets[n - k], k))
-    is_complex = True
-    for a, b in zip(maps, maps[1:]):
-        if not (b * a).is_zero():
-            is_complex = False
-    dims = []
-    # position 0: kernel of the prolongation
-    dims.append(e.dim - rank(maps[0]))
+    is_complex = all((b * a).is_zero() for a, b in zip(maps, maps[1:]))
+    dims = [e.dim - rank(maps[0])]  # position 0: kernel of the prolongation
     for pos in range(1, n + 1):
         ker = kernel_of(maps[pos])
         img = image_of(maps[pos - 1])
@@ -367,21 +362,27 @@ def nu_operator(calc: Calculus, e: LeftModule, m: int):
     return calc.descend(ts_tgt.gather(cols), ts_dom, "nu operator"), tw, m1.dim
 
 
+def prolongation_map(calc: Calculus, jet: JetModule) -> Mat:
+    """S: A (x) E -> J^n, a (x) x -> a.j^n(x), kept per jet."""
+    return calc.memo(("prolongation", jet),
+                     lambda: reduce(Mat.hstack, [m * jet.j for m in jet.mod.left]))
+
+
 def elemental_span(calc: Calculus, jet: JetModule) -> Subspace:
-    """Left-action closure of the prolongation image inside the carrier (kept per jet)."""
-    return calc.memo(("elemental", jet), lambda: module_closure(
-        jet.mod, [jet.j.col(t) for t in range(jet.j.cols)]))
+    """The submodule the prolongations generate, kept per jet.
+
+    A is unital, so it is the span of the a.j^n(x): the image of S."""
+    return calc.memo(("elemental", jet), lambda: image_of(prolongation_map(calc, jet)))
 
 
 def jet_split(calc: Calculus, jet: JetModule):
-    """(S^+, ker S as columns) for S: A (x) E -> J^n, a (x) x -> a.j^n(x), kept per jet.
+    """(S^+, ker S as columns), kept per jet.
 
-    Raises CalculusError when S is not onto: the prolongations do not span the jets."""
+    Raises CalculusError when S is not onto: the elemental span is not all of J^n."""
     def build():
-        try:
-            splus, ker = split(reduce(Mat.hstack, [m * jet.j for m in jet.mod.left]))
-        except ValueError:
-            raise CalculusError("jet lifts are not unique at order %d" % jet.n) from None
+        if elemental_span(calc, jet).dim < jet.dim:
+            raise CalculusError("jet lifts are not unique at order %d" % jet.n)
+        splus, ker = split(prolongation_map(calc, jet))
         return splus, ker.basis.transpose()
 
     return calc.memo(("jet_split", jet), build)
@@ -424,14 +425,11 @@ def _jet_exactness(calc: Calculus, e: LeftModule, n: int):
     jet = jet_module(calc, e, n, HOLONOMIC)
     lower = jet.lower
     sym = jet.sym
-    report = {}
-    report["dims"] = (sym.dim, jet.dim, lower.dim)
-    report["pi_surjective"] = rank(jet.pi) == lower.dim
-    report["iota_injective"] = rank(jet.iota) == sym.dim
-    ker_pi = kernel_of(jet.pi)
-    im_iota = image_of(jet.iota)
-    report["image_is_kernel"] = ker_pi == im_iota
-    report["dims_additive"] = jet.dim == lower.dim + sym.dim
+    report = {"dims": (sym.dim, jet.dim, lower.dim),
+              "pi_surjective": rank(jet.pi) == lower.dim,
+              "iota_injective": rank(jet.iota) == sym.dim,
+              "image_is_kernel": kernel_of(jet.pi) == image_of(jet.iota),
+              "dims_additive": jet.dim == lower.dim + sym.dim}
     # pullback: carrier intersect (prolongations of the lower jet) equals
     # the prolongation image of the base
     inter = intersect(jet.carrier, image_of(pair_module(calc, lower.mod).j))
@@ -464,9 +462,8 @@ def _bicomplex_report(calc: Calculus, e: LeftModule, n: int, corrupt_sign):
              for k in range(n + 1)]
     pis = [calc.omega_lift(k, jets[n - k].pi, jets[n - k].mod, jets[n - k - 1].mod)
            for k in range(n)]
-    cells = []
     # top square: pi o j^n = j^{n-1}
-    cells.append(("projection of top prolongation", (jets[n].pi * jets[n].j) == jets[n - 1].j))
+    cells = [("projection of top prolongation", (jets[n].pi * jets[n].j) == jets[n - 1].j)]
     dsign = -ONE if corrupt_sign else ONE
     for k in range(n + 1):
         h = n - k

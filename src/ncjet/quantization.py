@@ -10,7 +10,8 @@ split by retractions of the wedge-kernel inclusions.
 The total symbol inverts the quantization, and the star product is
 a * b = sigma(q(a) o q(b)), with a central formal variable hbar counting the
 order the composite loses.  A quantization keeps operator orders, symbols,
-truncations and formal star products; star_eval substitutes hbar into one.
+truncations, symbol products and formal star products; star_eval
+substitutes hbar into one.
 """
 
 from __future__ import annotations
@@ -326,8 +327,9 @@ class Quantization:
         return self.star_formal(a, b).evaluate(hbar)
 
     def symbol_product(self, a: Symbol, b: Symbol) -> Symbol:
-        """Top-degree symbol of the composite of quantized operators."""
-        return self.graded_piece(self.q(a) * self.q(b), a.degree + b.degree)
+        """Top-degree symbol of q(a) o q(b), kept on the degrees and matrices of a and b."""
+        return memo(self._memo, ("symbol_product", a.degree, a.mat, b.degree, b.mat),
+                    lambda: self.graded_piece(self.q(a) * self.q(b), a.degree + b.degree))
 
 
 def retraction_solver(calc: Calculus, e: LeftModule, k: int):

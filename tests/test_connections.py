@@ -19,6 +19,7 @@ from ncjet.connections import (
     InvalidConnection,
     associated_connection,
     bimodule_connection_from_vector,
+    canonical_bimodule_connection,
     covariant_exterior,
     covariant_exterior_of_section,
     curvature,
@@ -419,6 +420,17 @@ def test_curvature_detects_nonflat_perturbation(quat):
 
 
 # --- covariant exterior derivative --------------------------------------------------------------
+
+def test_canonical_pair_is_kept_next_to_its_family(quat, two_point):
+    # Read off the family's canonical point once per calculus; an unframed
+    # calculus's braided connection is that pair.
+    for calc in (quat, two_point):
+        bc = canonical_bimodule_connection(calc)
+        assert canonical_bimodule_connection(calc) is bc
+        flat = [x for m in (bc.base.mat, bc.sigma) for row in m.data for x in row]
+        assert flat == list(solve_bimodule_connections(calc).particular)
+    assert braided_connection(two_point) is canonical_bimodule_connection(two_point)
+
 
 def test_tensor_connection_is_kept_on_values_and_misses_another_braiding():
     """A braided pair rebuilt from the same vector reads the kept connection.  The

@@ -6,6 +6,7 @@ must be set by some call.
 """
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -16,6 +17,19 @@ PACKAGE = ROOT / "src" / "ncjet"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # the files whose words count as uses: the package, its tests and its benchmark
 CORPUS = sorted(p for d in (PACKAGE, ROOT / "tests", ROOT / "perfbench") for p in d.glob("*.py"))
+TEXTS = {p: p.read_text() for p in CORPUS}
+
+
+@functools.cache
+def parse(source):
+    """The syntax tree of a source text, parsed once per session; callers only read it."""
+    return ast.parse(source)
+
+
+@functools.cache
+def calls(source):
+    """The calls in a source text, found once per session."""
+    return [node for node in ast.walk(parse(source)) if isinstance(node, ast.Call)]
 
 
 def unnamed_definitions(source, others):
@@ -25,7 +39,7 @@ def unnamed_definitions(source, others):
     """
     lines = source.splitlines()
     dead = []
-    for node in ast.parse(source).body:
+    for node in parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             word = re.compile(r"\b%s\b" % re.escape(node.name))
             outside = lines[:node.lineno - 1] + lines[node.end_lineno:]
@@ -43,8 +57,8 @@ def test_unnamed_definitions_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_defines_nothing_unnamed(module):
     path = PACKAGE / module
-    others = [p.read_text() for p in CORPUS if p != path]
-    assert unnamed_definitions(path.read_text(), others) == []
+    others = [text for p, text in TEXTS.items() if p != path]
+    assert unnamed_definitions(TEXTS[path], others) == []
 
 
 def _is_dunder(name):
@@ -54,7 +68,7 @@ def _is_dunder(name):
 def class_members(source):
     """(class, member) for each method, property and self.<field> of a module-level class."""
     members = []
-    for cls in ast.parse(source).body:
+    for cls in parse(source).body:
         if not isinstance(cls, ast.ClassDef):
             continue
         names = [f.name for f in cls.body
@@ -70,7 +84,7 @@ def member_reads(sources):
     """Attribute names loaded anywhere in `sources`, and their "Class.name" string constants."""
     reads = set()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(parse(source)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -93,9 +107,8 @@ def test_unread_members_are_found():
 
 
 def test_every_class_member_is_read():
-    reads = member_reads(p.read_text() for p in CORPUS)
-    unread = [m for module in MODULES
-              for m in unread_members((PACKAGE / module).read_text(), reads)]
+    reads = member_reads(TEXTS.values())
+    unread = [m for module in MODULES for m in unread_members(TEXTS[PACKAGE / module], reads)]
     assert unread == []
 
 
@@ -110,7 +123,7 @@ def defaulted_parameters(source):
     names as an attribute; and each __init__, which a call of its class's
     name reaches.  A method's self or cls is never a positional a call sets.
     """
-    tree = ast.parse(source)
+    tree = parse(source)
     defs = [(fn.name, fn.name, False, fn) for fn in tree.body if isinstance(fn, _FUNCTIONS)]
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef):
@@ -140,9 +153,7 @@ def set_parameters(definitions, sources):
         by_name.setdefault(name, []).append((label, attribute_only))
     found = set()
     for source in sources:
-        for call in ast.walk(ast.parse(source)):
-            if not isinstance(call, ast.Call):
-                continue
+        for call in calls(source):
             attribute = isinstance(call.func, ast.Attribute)
             name = call.func.attr if attribute else getattr(call.func, "id", None)
             for label, attribute_only in by_name.get(name, ()):
@@ -183,7 +194,6 @@ def test_unset_method_parameters_are_found():
 
 
 def test_every_defaulted_parameter_is_set():
-    sources = [p.read_text() for p in CORPUS]
-    unset = [p for module in MODULES for p in unset_parameters((PACKAGE / module).read_text(),
-                                                                sources)]
+    unset = [p for module in MODULES
+             for p in unset_parameters(TEXTS[PACKAGE / module], list(TEXTS.values()))]
     assert unset == []

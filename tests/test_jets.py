@@ -1,5 +1,6 @@
 """Jet modules of all flavors, symmetric forms, Spencer machinery."""
 
+import functools
 import itertools
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cayley import cayley_spec, cyclic_group, direct_product, group_spec
 from ncjet.linalg import Mat, Subspace, ZERO, image_of, kernel_of, rank, rat
-from ncjet.algebra import mat_from_flat, solve_module_maps
+from ncjet.algebra import mat_from_flat, module_closure, solve_module_maps
 from ncjet.calculus import CalculusError
 from ncjet.specio import parse_calculus_spec
 from ncjet.jets import (
@@ -513,6 +514,52 @@ def test_jet_split_refuses_where_prolongations_do_not_span():
                     lambda: jet_lift(calc, jet, Mat.identity(e.dim), e)):
         with pytest.raises(CalculusError, match="^jet lifts are not unique at order 4$"):
             attempt()
+
+
+# lattice -> (spec, top order): Z/n {1} and Z/4 x Z/4 first refuse jet lifts at the top order
+_LATTICES = {
+    **{"Z/%d {1}" % n: (cayley_spec(n, [1]), n) for n in (3, 4, 5)},
+    "Z/4 x Z/4": (group_spec(direct_product(cyclic_group(4), cyclic_group(4)), [4, 1]), 4),
+}
+# calculus -> highest jet order whose elemental span is checked against the closure
+_ELEMENTAL_ORDERS = {"quat": 3, "two_point": 2, "matrix2": 2,
+                     **{name: top for name, (_, top) in _LATTICES.items()}}
+
+
+@functools.cache
+def _lattice(name):
+    return parse_calculus_spec(_LATTICES[name][0])
+
+
+@pytest.fixture
+def raised_cap(monkeypatch):
+    # the Z/4 x Z/4 order-4 jets build a 32 x 160 plain tensor product
+    monkeypatch.setenv("NCJET_MAX_DIM", "5120")
+
+
+@pytest.mark.parametrize("name", list(_LATTICES))
+def test_elemental_span_is_short_exactly_where_jet_split_refuses(raised_cap, name):
+    calc = _lattice(name)
+    short = []
+    for n in range(1, _LATTICES[name][1] + 1):
+        jet = jet_module(calc, calc.base_module(), n)
+        if elemental_span(calc, jet).dim == jet.dim:
+            jet_split(calc, jet)
+            continue
+        short.append(n)
+        for _ in range(2):  # raised on every call, never stored
+            with pytest.raises(CalculusError, match="^jet lifts are not unique at order %d$" % n):
+                jet_split(calc, jet)
+    assert short == [_LATTICES[name][1]]
+
+
+@pytest.mark.parametrize("name", list(_ELEMENTAL_ORDERS))
+def test_elemental_span_is_the_closure_of_the_prolongations(request, raised_cap, name):
+    calc = _lattice(name) if name in _LATTICES else request.getfixturevalue(name)
+    for n in range(1, _ELEMENTAL_ORDERS[name] + 1):
+        jet = jet_module(calc, calc.base_module(), n)
+        seeds = [jet.j.col(t) for t in range(jet.j.cols)]
+        assert elemental_span(calc, jet) == module_closure(jet.mod, seeds), n
 
 
 def test_exactness_reports(all_fixtures):

@@ -680,6 +680,13 @@ def test_quantization_data_is_memoized_on_the_calculus(quat):
         assert build(quat) is build(quat), build.__name__
 
 
+def test_symbol_products_are_kept_on_degrees_and_matrices(q, gens):
+    a, b = gens["p_i"], gens["x_j"]
+    kept = q.symbol_product(a, b)
+    assert q.symbol_product(Symbol(a.degree, a.mat), Symbol(b.degree, b.mat)) is kept
+    assert q.symbol_product(b, a) is not kept
+
+
 def test_separate_calculi_get_separate_quantizations(two_point):
     doc = serialize_calculus(two_point)
     first, second = parse_calculus_spec(doc), parse_calculus_spec(doc)
